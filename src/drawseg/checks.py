@@ -8,6 +8,8 @@ the same reason: it pushes pool windows off exact ties.
 """
 from __future__ import annotations
 
+import zlib
+
 import numpy as np
 
 from . import losses as L
@@ -58,12 +60,6 @@ def _register(name):
 def _b_conv(rng):
     p = {"x": _rand(rng, (1, 2, 4, 4)), "w": _rand(rng, (3, 2, 3, 3)), "b": _rand(rng, (3,))}
     return p, lambda: _sq_loss(T.conv2d(p["x"], p["w"], p["b"]))
-
-
-@_register("conv2d_stride2_valid")
-def _b_conv_s2(rng):
-    p = {"x": _rand(rng, (1, 2, 7, 7)), "w": _rand(rng, (2, 2, 3, 3))}
-    return p, lambda: _sq_loss(T.conv2d(p["x"], p["w"], None, stride=2, padding="valid"))
 
 
 @_register("max_pool2d")
@@ -172,7 +168,7 @@ def check_primitives(tol: float = 1e-5) -> GradCheckReport:
     """Every tensor primitive plus each loss kind against central differences."""
     report = GradCheckReport(tol=tol)
     for name, make in PRIMITIVE_BUILDERS.items():
-        rng = np.random.default_rng(abs(hash(name)) % (2 ** 31))
+        rng = np.random.default_rng(zlib.crc32(name.encode()))
         params, build = make(rng)
         _merge(report, grad_check(build, params, tol=tol), name)
     _merge(report, check_losses(tol), "loss")

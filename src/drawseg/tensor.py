@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 TRAIN32 = np.float32
 CHECK64 = np.float64
@@ -177,16 +176,19 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
 # convolution and pooling
 
 
-def _conv_windows(xp: np.ndarray, k: int, stride: int) -> np.ndarray:
-    win = sliding_window_view(xp, (k, k), axis=(2, 3))
-    if stride > 1:
-        win = win[:, :, ::stride, ::stride]
-    return win
+def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
+    """Same-padded 2-D cross-correlation over N-C-H-W input with an O-C-k-k kernel.
 
-
-def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
-           stride: int = 1, padding: str = "same") -> Tensor:
-    """2-D cross-correlation over N-C-H-W input with an O-C-k-k kernel."""
+    One GEMM per kernel tap, all over views of one padded buffer: x is
+    zero-padded by (p, p+1) rows and (p, p) columns (p = k // 2, Wp = W+2p)
+    and flattened per channel to xf of shape (N, C, (H+2p+1)*Wp). Tap (u, v)
+    reads xf[..., s : s+H*Wp] with s = u*Wp + v, a unit-stride matrix BLAS
+    takes without a copy. Output rows come out Wp wide; the last 2p columns
+    straddle two input rows and are dropped, and the spare bottom row takes
+    the last tap's overrun. Backward zero-pads g to Wp columns (g_wide) and
+    runs the same slices: dW_tap = g_wide @ slice.T, and W_tap.T @ g_wide is
+    added into the input gradient at offset s. k = 1 is one matmul, no pad.
+    """
     if x.data.ndim != 4:
         raise ShapeError(f"conv2d input must be rank 4, got {x.data.ndim}")
     if weight.data.ndim != 4:
@@ -198,53 +200,47 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
     k = kh
     if cw != cin:
         raise ShapeError(f"conv2d channel mismatch on axis 1: input has {cin}, weight expects {cw}")
-    if padding not in ("same", "valid"):
-        raise ShapeError(f"conv2d padding must be 'same' or 'valid', got {padding!r}")
-    if padding == "same" and k % 2 == 0:
+    if k % 2 == 0:
         raise ShapeError(f"same padding requires an odd kernel, got k={k}")
     if bias is not None and bias.shape != (cout,):
         raise ShapeError(f"conv2d bias must have shape ({cout},), got {bias.shape}")
-    if stride < 1:
-        raise ShapeError(f"conv2d stride must be >= 1, got {stride}")
     _check_same_dtype(*([x, weight] + ([bias] if bias is not None else [])))
 
-    p = k // 2 if padding == "same" else 0
-    xp = np.pad(x.data, ((0, 0), (0, 0), (p, p), (p, p))) if p else x.data
-    hp, wp = xp.shape[2], xp.shape[3]
-    if hp < k or wp < k:
-        raise ShapeError(f"conv2d input {h}x{w} smaller than kernel {k}x{k} on spatial axes")
+    p = k // 2
+    wp = w + 2 * p
+    span = h * wp
+    xp = np.pad(x.data, ((0, 0), (0, 0), (p, p + 1), (p, p))) if p else x.data
+    xf = xp.reshape(n, cin, -1)
+    taps = [(u, v, u * wp + v) for u in range(k) for v in range(k)]
+    wt = np.ascontiguousarray(weight.data.transpose(2, 3, 0, 1))  # k,k,O,C
 
-    win = _conv_windows(xp, k, stride)  # N,C,Ho,Wo,k,k
-    out = np.tensordot(win, weight.data, axes=([1, 4, 5], [1, 2, 3]))  # N,Ho,Wo,O
-    out = np.ascontiguousarray(out.transpose(0, 3, 1, 2))
-    if bias is not None:
-        out += bias.data[None, :, None, None]
+    wide = np.matmul(wt[0, 0], xf[:, :, :span])
+    tmp = np.empty_like(wide)
+    for u, v, s in taps[1:]:
+        wide += np.matmul(wt[u, v], xf[:, :, s:s + span], out=tmp)
+    out = wide.reshape(n, cout, h, wp)[..., :w]
+    out = out + bias.data[:, None, None] if bias is not None else np.ascontiguousarray(out)
 
     parents = [x, weight] if bias is None else [x, weight, bias]
 
     def backward(g: np.ndarray) -> None:
-        if weight.requires_grad:
-            _accumulate(weight, np.tensordot(g, win, axes=([0, 2, 3], [0, 2, 3])))
         if bias is not None and bias.requires_grad:
             _accumulate(bias, g.sum(axis=(0, 2, 3)))
+        gw = np.pad(g, ((0, 0), (0, 0), (0, 0), (0, 2 * p))) if p else g
+        gw = gw.reshape(n, cout, span)
+        xf = xp.reshape(n, cin, -1)
+        if weight.requires_grad:
+            dw = np.empty((k, k, cout, cin), dtype=g.dtype)
+            for u, v, s in taps:
+                dw[u, v] = np.matmul(gw, xf[:, :, s:s + span].transpose(0, 2, 1)).sum(axis=0)
+            _accumulate(weight, dw.transpose(2, 3, 0, 1))
         if x.requires_grad:
-            ho, wo = g.shape[2], g.shape[3]
-            if stride > 1:
-                d = np.zeros((n, cout, (ho - 1) * stride + 1, (wo - 1) * stride + 1), dtype=g.dtype)
-                d[:, :, ::stride, ::stride] = g
-            else:
-                d = g
-            dp = np.pad(d, ((0, 0), (0, 0), (k - 1, k - 1), (k - 1, k - 1)))
-            wflip = weight.data[:, :, ::-1, ::-1]
-            dwin = _conv_windows(dp, k, 1)  # N,O,Hv,Wv,k,k
-            core = np.tensordot(dwin, wflip, axes=([1, 4, 5], [0, 2, 3]))  # N,Hv,Wv,C
-            core = core.transpose(0, 3, 1, 2)
-            gx = np.zeros_like(xp)
-            hv, wv = core.shape[2], core.shape[3]
-            gx[:, :, :hv, :wv] = core
-            if p:
-                gx = gx[:, :, p:p + h, p:p + w]
-            _accumulate(x, gx)
+            wt = np.ascontiguousarray(weight.data.transpose(2, 3, 0, 1))
+            gx = np.zeros_like(xf)
+            tmp = np.empty((n, cin, span), dtype=g.dtype)
+            for u, v, s in taps:
+                gx[:, :, s:s + span] += np.matmul(wt[u, v].T, gw, out=tmp)
+            _accumulate(x, gx.reshape(xp.shape)[:, :, p:p + h, p:p + w])
 
     return _result(out, parents, backward)
 

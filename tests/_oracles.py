@@ -32,6 +32,30 @@ def conv2d_loops(x, w, b=None, stride=1, padding="same"):
     return out
 
 
+def conv2d_backward_loops(x, w, g):
+    """Gradients (dx, dw, db) of same-padded conv2d_loops for output gradient g."""
+    n, cin, h, wd = x.shape
+    cout, _, k, _ = w.shape
+    p = k // 2
+    xp = np.zeros((n, cin, h + 2 * p, wd + 2 * p), dtype=x.dtype)
+    xp[:, :, p:p + h, p:p + wd] = x
+    dxp = np.zeros_like(xp)
+    dw = np.zeros_like(w)
+    db = np.zeros(cout, dtype=x.dtype)
+    for ni in range(n):
+        for o in range(cout):
+            for i in range(h):
+                for j in range(wd):
+                    gv = g[ni, o, i, j]
+                    db[o] += gv
+                    for c in range(cin):
+                        for u in range(k):
+                            for v in range(k):
+                                dw[o, c, u, v] += gv * xp[ni, c, i + u, j + v]
+                                dxp[ni, c, i + u, j + v] += gv * w[o, c, u, v]
+    return dxp[:, :, p:p + h, p:p + wd], dw, db
+
+
 def max_pool2d_loops(x):
     n, c, h, w = x.shape
     out = np.zeros((n, c, h // 2, w // 2), dtype=x.dtype)

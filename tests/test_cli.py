@@ -1,10 +1,15 @@
 """CLI contract: delegation, idempotent artifacts, exit codes."""
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import drawseg
 from drawseg import cli
 from drawseg import tensor as T
 from drawseg.netpbm import read_pgm
@@ -154,3 +159,18 @@ class TestGradcheckCommand:
 
     def test_unknown_scope_rejected(self):
         assert cli.main(["gradcheck", "--scope", "everything"]) == 2
+
+    def test_primitive_report_independent_of_hash_seed(self):
+        # the builders' seeds must not depend on per-process string hashing
+        src = str(Path(drawseg.__file__).resolve().parents[1])
+        reports = []
+        for hash_seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                       PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+            proc = subprocess.run(
+                [sys.executable, "-c", "import sys; from drawseg import cli; "
+                 "sys.exit(cli.main(['gradcheck', '--scope', 'primitive']))"],
+                env=env, capture_output=True, text=True, timeout=300)
+            assert proc.returncode == 0, proc.stdout + proc.stderr
+            reports.append(proc.stdout)
+        assert reports[0] == reports[1]
