@@ -3,8 +3,9 @@
 Subcommands: gen-data, train, eval, predict, ablate, kfold, gradcheck.
 Every command echoes its resolved configuration as JSON before acting.
 Exit codes: 0 success, 1 verification failure, 2 usage or path error,
-3 numerical failure. The SEGSEED environment variable supplies a default
-seed; an explicit --seed wins.
+3 numerical failure. gen-data, train, ablate and kfold take --seed, whose
+default comes from the SEGSEED environment variable (else 0); eval and
+predict are deterministic and take no seed.
 """
 from __future__ import annotations
 
@@ -149,9 +150,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    seed = args.seed if args.seed is not None else _default_seed()
-    _echo("eval", {"ckpt": args.ckpt, "data": args.data, "ids": args.ids,
-                   "out": args.out, "seed": seed})
+    _echo("eval", {"ckpt": args.ckpt, "data": args.data, "ids": args.ids, "out": args.out})
     if not Path(args.ckpt).exists():
         raise FileNotFoundError(f"checkpoint {args.ckpt} not found")
     model = load_checkpoint(args.ckpt)
@@ -180,9 +179,7 @@ def _overlay(image: np.ndarray, pred: np.ndarray) -> np.ndarray:
 
 
 def cmd_predict(args) -> int:
-    seed = args.seed if args.seed is not None else _default_seed()
-    _echo("predict", {"ckpt": args.ckpt, "data": args.data, "ids": args.ids,
-                      "out": args.out, "seed": seed})
+    _echo("predict", {"ckpt": args.ckpt, "data": args.data, "ids": args.ids, "out": args.out})
     if not Path(args.ckpt).exists():
         raise FileNotFoundError(f"checkpoint {args.ckpt} not found")
     model = load_checkpoint(args.ckpt)
@@ -264,7 +261,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ids", default=None, help="id list file (default: whole manifest)")
     p.add_argument("--out", default=None)
     p.add_argument("--batch-size", type=int, default=8)
-    _add_seed(p)
     p.set_defaults(fn=cmd_eval)
 
     p = sub.add_parser("predict", help="write predicted masks and overlays")
@@ -272,7 +268,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--ids", default=None)
     p.add_argument("--out", required=True)
-    _add_seed(p)
     p.set_defaults(fn=cmd_predict)
 
     p = sub.add_parser("ablate", help="run the four-variant ladder of one family")

@@ -314,7 +314,13 @@ class DrawingDataset:
         if sid not in self._cache:
             if sid not in self.sizes:
                 raise KeyError(f"sample id {sid!r} not in manifest")
-            self._cache[sid] = load_sample(self.root, sid)
+            sample = load_sample(self.root, sid)
+            w, h = self.sizes[sid]
+            if sample.image.shape != (h, w):
+                got_h, got_w = sample.image.shape
+                raise ValueError(f"sample {sid!r}: image is {got_w}x{got_h}, "
+                                 f"manifest says {w}x{h}")
+            self._cache[sid] = sample
         return self._cache[sid]
 
     def split_ids(self, k: int) -> list[str]:

@@ -84,6 +84,7 @@ class MetricsReport:
     per_class_ap: dict             # foreground class id -> AP or None
     map: Optional[float]
     excluded: list = field(default_factory=list)
+    loss: Optional[float] = None   # per-image mean, when evaluate() is given a loss
 
     def summary(self, labels=CLASS_NAMES) -> str:
         out = io.StringIO()

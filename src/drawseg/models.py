@@ -101,9 +101,6 @@ class EncoderConfig:
         return [min(self.base_width * 2 ** i, self.base_width * self.width_cap)
                 for i in range(self.depth)]
 
-    def convs(self) -> tuple:
-        return self.convs_per_block
-
     @property
     def divisor(self) -> int:
         return 2 ** (self.depth - 1)
@@ -163,7 +160,6 @@ class SegModel:
         self.num_classes = num_classes
         self.seed = seed
         self.dtype = np.dtype(dtype)
-        self.frozen = False
         self._store = _ParamStore()
         rng = np.random.default_rng(seed)
         if variant.family == "unet":
@@ -176,7 +172,7 @@ class SegModel:
     def _build_unet(self, rng):
         enc, dtype = self.enc, self.dtype
         widths = enc.widths()
-        convs = enc.convs()
+        convs = enc.convs_per_block
         self.encoder_stacks = []
         cin = enc.in_channels
         for lvl in range(enc.depth):
@@ -276,7 +272,7 @@ class SegModel:
 
         y = feats[-1]
         for stack, lvl in zip(self.decoder_stacks, range(self.enc.depth - 2, -1, -1)):
-            y = T.upsample2x(y, mode="bilinear")
+            y = T.upsample2x(y)
             y = stack.forward(T.concat_channels(y, laterals[lvl]))
         return self._head_forward(y)
 
@@ -287,7 +283,7 @@ class SegModel:
             if i + 1 == self.enc.cnn_attach_after:
                 if self.cnn_branch is not None:
                     side = self.cnn_branch.forward(T.avg_pool2d(y))
-                    side = T.upsample2x(side, mode="bilinear")
+                    side = T.upsample2x(side)
                     fw, fb = self.cnn_fuse
                     y = T.conv2d(T.concat_channels(y, side), fw, fb)
                 if self.cnn_attention is not None:
@@ -306,20 +302,18 @@ class SegModel:
     def named_parameters(self) -> list[tuple[str, Tensor]]:
         return list(self._store.named)
 
-    def trainable_parameters(self) -> list[Tensor]:
-        if not self.frozen:
-            return self.parameters()
-        return [t for name, t in self._store.named if name not in self._store.encoder_names]
-
     def set_frozen(self, frozen: bool) -> None:
-        self.frozen = bool(frozen)
+        """Switch the encoder parameters' gradients off (frozen) or on.
+
+        With them off, and an input that needs no gradient, the encoder
+        builds no graph at all, so backward never reaches it.
+        """
+        for name, t in self._store.named:
+            if name in self._store.encoder_names:
+                t.requires_grad = not frozen
 
     def count_params(self) -> int:
         return sum(t.data.size for t in self.parameters())
-
-
-def set_encoder_frozen(model: SegModel, frozen: bool) -> None:
-    model.set_frozen(frozen)
 
 
 def build_model(variant: ModelVariant, enc: EncoderConfig, num_classes: int,
@@ -328,9 +322,16 @@ def build_model(variant: ModelVariant, enc: EncoderConfig, num_classes: int,
 
 
 # ---------------------------------------------------------------------------
-# checkpoints: "SEGM" magic, version, variant flags, config ints, K,
-# convs-per-block list, parameter count, then raw little-endian float32
-# data in construction order (layout documented in the README)
+# checkpoints, little-endian and unpadded:
+#   bytes  0-3    magic b"SEGM"
+#   bytes  4-7    u32 version (1)
+#   bytes  8-55   12 x u32: family (index into FAMILIES), ave, cbam, depth,
+#                 base_width, in_channels, width_cap, cbam_reduction,
+#                 spatial_width, cnn_blocks, cnn_attach_after, num_classes
+#   then          depth x u32 convs_per_block
+#   then          u64 parameter count n
+#   then          n x f32: every parameter flattened row-major, in
+#                 construction order (SegModel.parameters()); nothing follows
 
 _MAGIC = b"SEGM"
 _VERSION = 1
@@ -345,7 +346,7 @@ def save_checkpoint(model: SegModel, path) -> None:
         enc.depth, enc.base_width, enc.in_channels, enc.width_cap,
         enc.cbam_reduction, enc.spatial_width, enc.cnn_blocks, enc.cnn_attach_after,
         model.num_classes)
-    convs = struct.pack(f"<{enc.depth}I", *enc.convs())
+    convs = struct.pack(f"<{enc.depth}I", *enc.convs_per_block)
     flat = np.concatenate([t.data.astype("<f4").reshape(-1) for t in model.parameters()])
     count = struct.pack("<Q", flat.size)
     with open(path, "wb") as f:
@@ -366,7 +367,12 @@ def load_checkpoint(path) -> SegModel:
         raise ValueError(f"bad checkpoint magic {magic!r}")
     if version != _VERSION:
         raise ValueError(f"unsupported checkpoint version {version}")
+    if fam >= len(FAMILIES):
+        raise ValueError(f"bad checkpoint family index {fam}; expected < {len(FAMILIES)}")
     off = _HEADER.size
+    if len(raw) < off + 4 * depth + 8:
+        raise ValueError(f"checkpoint truncated at byte {len(raw)}: depth {depth} needs "
+                         f"{off + 4 * depth + 8} bytes before the parameter data")
     convs = struct.unpack_from(f"<{depth}I", raw, off)
     off += 4 * depth
     (count,) = struct.unpack_from("<Q", raw, off)

@@ -111,7 +111,7 @@ def skip_forward(shallow: Tensor, deeper: Optional[Tensor], p: SkipBlockParams) 
         fused = dualpool_fuse(shallow, deeper, p)
         if p.cbam:
             fused = cbam_forward(fused, p.attention)
-        lateral = T.upsample2x(fused, mode="bilinear")
+        lateral = T.upsample2x(fused)
     else:
         lateral = cbam_forward(shallow, p.attention)
     merged = T.concat_channels(shallow, lateral)

@@ -23,10 +23,6 @@ CHECK64 = np.float64
 
 _grad_enabled = True
 
-# Test hook: when True the sigmoid backward rule is negated, which a
-# gradient check must flag. Never set outside tests.
-_sigmoid_grad_flip = False
-
 
 class ShapeError(ValueError):
     """Raised when operand shapes violate an op's contract."""
@@ -49,12 +45,6 @@ class no_grad:
         global _grad_enabled
         _grad_enabled = self._saved
         return False
-
-
-def set_sigmoid_grad_flip(on: bool) -> None:
-    """Test hook: corrupt the sigmoid gradient rule (negated)."""
-    global _sigmoid_grad_flip
-    _sigmoid_grad_flip = bool(on)
 
 
 class Tensor:
@@ -301,20 +291,9 @@ def _bilinear2x_matrix(size: int, dtype) -> np.ndarray:
     return m
 
 
-def upsample2x(x: Tensor, mode: str = "bilinear") -> Tensor:
-    """Double the spatial extent; nearest replication or bilinear interpolation."""
-    if mode not in ("nearest", "bilinear"):
-        raise ShapeError(f"upsample2x mode must be 'nearest' or 'bilinear', got {mode!r}")
+def upsample2x(x: Tensor) -> Tensor:
+    """Double the spatial extent by bilinear interpolation."""
     n, c, h, w = x.shape
-    if mode == "nearest":
-        out = x.data.repeat(2, axis=2).repeat(2, axis=3)
-
-        def backward(g: np.ndarray) -> None:
-            gx = g.reshape(n, c, h, 2, w, 2).sum(axis=(3, 5))
-            _accumulate(x, gx)
-
-        return _result(out, [x], backward)
-
     rows = _bilinear2x_matrix(h, x.data.dtype)
     cols = _bilinear2x_matrix(w, x.data.dtype)
     # separable: out = rows @ plane @ cols.T, batched over N*C via matmul
@@ -407,10 +386,7 @@ def sigmoid(x: Tensor) -> Tensor:
     out = out.astype(x.data.dtype, copy=False)
 
     def backward(g: np.ndarray) -> None:
-        local = out * (1.0 - out)
-        if _sigmoid_grad_flip:
-            local = -local
-        _accumulate(x, g * local)
+        _accumulate(x, g * (out * (1.0 - out)))
 
     return _result(out, [x], backward)
 
@@ -532,32 +508,26 @@ def channel_max_pool(x: Tensor) -> Tensor:
     return _result(out, [x], backward)
 
 
-def dense(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
-    """Affine map on N-C-1-1 pooled features: (Cout, Cin) weights per batch element."""
+def dense(x: Tensor, weight: Tensor) -> Tensor:
+    """Linear map on N-C-1-1 pooled features: (Cout, Cin) weights per batch element."""
     n, c, h, w = x.shape
     if (h, w) != (1, 1):
         raise ShapeError(f"dense expects N-C-1-1 input, got {x.shape}")
     cout, cin = weight.shape
     if cin != c:
         raise ShapeError(f"dense channel mismatch on axis 1: input has {c}, weight expects {cin}")
-    _check_same_dtype(*([x, weight] + ([bias] if bias is not None else [])))
+    _check_same_dtype(x, weight)
     x2 = x.data.reshape(n, c)
-    out2 = x2 @ weight.data.T
-    if bias is not None:
-        out2 = out2 + bias.data[None, :]
-    out = out2.reshape(n, cout, 1, 1)
-    parents = [x, weight] if bias is None else [x, weight, bias]
+    out = (x2 @ weight.data.T).reshape(n, cout, 1, 1)
 
     def backward(g: np.ndarray) -> None:
         g2 = g.reshape(n, cout)
         if weight.requires_grad:
             _accumulate(weight, g2.T @ x2)
-        if bias is not None and bias.requires_grad:
-            _accumulate(bias, g2.sum(axis=0))
         if x.requires_grad:
             _accumulate(x, (g2 @ weight.data).reshape(n, c, 1, 1))
 
-    return _result(out, parents, backward)
+    return _result(out, [x, weight], backward)
 
 
 def take_channel(p: Tensor, classes: np.ndarray) -> Tensor:

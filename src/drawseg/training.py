@@ -136,33 +136,31 @@ def _train_sample(dataset, sid, cfg: TrainConfig, epoch: int, position: int) -> 
     return augment(sample, spec, int(rng.integers(2 ** 31)))
 
 
-def evaluate(model: SegModel, ids: Sequence[str], dataset,
-             batch_size: int = 8) -> MT.MetricsReport:
-    """Argmax over channel logits per pixel, per-image confusion matrices."""
+def evaluate(model: SegModel, ids: Sequence[str], dataset, batch_size: int = 8,
+             loss: Optional[LossSpec] = None) -> MT.MetricsReport:
+    """Argmax over channel logits per pixel, per-image confusion matrices.
+
+    With ``loss`` given, the report also carries that loss on the same
+    logits, averaged per image (each batch's mean weighted by its size).
+    """
     if not ids:
         raise ValueError("evaluate needs at least one sample id")
     cms = []
+    total = 0.0
     with T.no_grad():
         for start in range(0, len(ids), batch_size):
             chunk = [dataset.load(sid) for sid in ids[start:start + batch_size]]
             images, masks = _batch_arrays(chunk, model.enc.in_channels, model.dtype)
             logits = model.forward(Tensor(images))
+            if loss is not None:
+                total += float(segmentation_loss(loss, logits, masks).data) * len(chunk)
             pred = logits.data.argmax(axis=1)
             for i in range(len(chunk)):
                 cms.append(MT.confusion(pred[i], masks[i], model.num_classes))
-    return MT.compute_report(cms)
-
-
-def _validation_loss(model, ids, dataset, cfg) -> float:
-    total, count = 0.0, 0
-    with T.no_grad():
-        for start in range(0, len(ids), cfg.batch_size):
-            chunk = [dataset.load(sid) for sid in ids[start:start + cfg.batch_size]]
-            images, masks = _batch_arrays(chunk, model.enc.in_channels, model.dtype)
-            value = float(segmentation_loss(cfg.loss, model.forward(Tensor(images)), masks).data)
-            total += value * len(chunk)
-            count += len(chunk)
-    return total / count
+    report = MT.compute_report(cms)
+    if loss is not None:
+        report.loss = total / len(ids)
+    return report
 
 
 class _RunDir:
@@ -218,7 +216,8 @@ def train(cfg: TrainConfig, dataset, train_ids: Sequence[str],
     Deterministic for a fixed (config, seed) on one platform: the shuffle
     stream, augmentation draws and initialisation all derive from cfg.seed.
     On a non-finite loss the last completed epoch's checkpoint is kept and
-    NumericalError propagates.
+    NumericalError propagates. The encoder is frozen by switching off its
+    parameters' gradients; however the epoch loop ends, they are on again.
     """
     if model is None:
         model = build_model(cfg.variant, cfg.encoder, cfg.num_classes, cfg.seed)
@@ -237,44 +236,48 @@ def train(cfg: TrainConfig, dataset, train_ids: Sequence[str],
             p.data = saved.copy()
 
     try:
-        for epoch in range(cfg.epochs):
-            lr = cosine_lr(sched, epoch)
-            model.set_frozen(epoch < cfg.unfreeze_epoch)
-            order = epoch_shuffle(train_ids, cfg.seed, epoch)
-            total, seen = 0.0, 0
-            for start in range(0, len(order), cfg.batch_size):
-                chunk_ids = order[start:start + cfg.batch_size]
-                chunk = [_train_sample(dataset, sid, cfg, epoch, start + i)
-                         for i, sid in enumerate(chunk_ids)]
-                images, masks = _batch_arrays(chunk, model.enc.in_channels, model.dtype)
-                loss = segmentation_loss(cfg.loss, model.forward(Tensor(images)), masks)
-                value = float(loss.data)
-                if not np.isfinite(value):
-                    restore_last_good()
-                    out.checkpoint(model, "final")
-                    out.note(f"aborted: non-finite loss at epoch {epoch}, batch {start // cfg.batch_size}")
-                    raise NumericalError(
-                        f"non-finite training loss at epoch {epoch}; last good checkpoint kept")
-                loss.backward()
-                adam.step(model.trainable_parameters(), lr)
-                zero_grads(model.parameters())
-                total += value * len(chunk)
-                seen += len(chunk)
-            row = EpochRow(epoch=epoch, lr=lr, train_loss=total / max(seen, 1))
-            if val_ids and epoch >= cfg.validation_start:
-                report = evaluate(model, val_ids, dataset, batch_size=cfg.batch_size)
-                row.val_loss = _validation_loss(model, val_ids, dataset, cfg)
-                row.val_iou = report.iou_mean
-                row.val_map = report.map
-                row.val_accuracy = report.accuracy
-                if report.iou_mean is not None and (best_iou is None or report.iou_mean > best_iou):
-                    best_iou = report.iou_mean
-                    out.checkpoint(model, "best")
-            log.rows.append(row)
-            out.row(row)
-            last_good = [p.data.copy() for p in model.parameters()]
-
-        model.set_frozen(False)
+        try:
+            for epoch in range(cfg.epochs):
+                lr = cosine_lr(sched, epoch)
+                model.set_frozen(epoch < cfg.unfreeze_epoch)
+                order = epoch_shuffle(train_ids, cfg.seed, epoch)
+                total, seen = 0.0, 0
+                for start in range(0, len(order), cfg.batch_size):
+                    chunk_ids = order[start:start + cfg.batch_size]
+                    chunk = [_train_sample(dataset, sid, cfg, epoch, start + i)
+                             for i, sid in enumerate(chunk_ids)]
+                    images, masks = _batch_arrays(chunk, model.enc.in_channels, model.dtype)
+                    loss = segmentation_loss(cfg.loss, model.forward(Tensor(images)), masks)
+                    value = float(loss.data)
+                    if not np.isfinite(value):
+                        restore_last_good()
+                        out.checkpoint(model, "final")
+                        out.note(f"aborted: non-finite loss at epoch {epoch}, "
+                                 f"batch {start // cfg.batch_size}")
+                        raise NumericalError(
+                            f"non-finite training loss at epoch {epoch}; last good checkpoint kept")
+                    loss.backward()
+                    adam.step([p for p in model.parameters() if p.requires_grad], lr)
+                    zero_grads(model.parameters())
+                    total += value * len(chunk)
+                    seen += len(chunk)
+                row = EpochRow(epoch=epoch, lr=lr, train_loss=total / max(seen, 1))
+                if val_ids and epoch >= cfg.validation_start:
+                    report = evaluate(model, val_ids, dataset, batch_size=cfg.batch_size,
+                                      loss=cfg.loss)
+                    row.val_loss = report.loss
+                    row.val_iou = report.iou_mean
+                    row.val_map = report.map
+                    row.val_accuracy = report.accuracy
+                    if report.iou_mean is not None and (best_iou is None
+                                                        or report.iou_mean > best_iou):
+                        best_iou = report.iou_mean
+                        out.checkpoint(model, "best")
+                log.rows.append(row)
+                out.row(row)
+                last_good = [p.data.copy() for p in model.parameters()]
+        finally:
+            model.set_frozen(False)
         out.checkpoint(model, "final")
         if best_iou is None:
             out.checkpoint(model, "best")   # never validated: best == final

@@ -143,7 +143,7 @@ def channel_pool_loops(x):
     return avg, mx
 
 
-def dense_loops(x, w, b=None):
+def dense_loops(x, w):
     n, c, _, _ = x.shape
     cout = w.shape[0]
     out = np.zeros((n, cout, 1, 1), dtype=x.dtype)
@@ -152,8 +152,6 @@ def dense_loops(x, w, b=None):
             acc = 0.0
             for ci in range(c):
                 acc += w[o, ci] * x[ni, ci, 0, 0]
-            if b is not None:
-                acc += b[o]
             out[ni, o, 0, 0] = acc
     return out
 

@@ -2,6 +2,7 @@
 import hashlib
 import json
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -144,12 +145,28 @@ class TestExitCodes:
                          "--base-width", "4", "--no-validation"])
         assert code == 3
 
-    def test_gradcheck_corrupted_rule_is_1(self):
-        T.set_sigmoid_grad_flip(True)
-        try:
-            assert cli.main(["gradcheck", "--scope", "primitive"]) == 1
-        finally:
-            T.set_sigmoid_grad_flip(False)
+    @pytest.mark.parametrize("damage", ["cut_after_header", "family_7"])
+    def test_malformed_checkpoint_is_2(self, data_dir, run_dir, tmp_path, damage):
+        raw = (run_dir / "checkpoints" / "final.segm").read_bytes()
+        if damage == "cut_after_header":
+            raw = raw[:58]   # 56-byte header, then 2 bytes of the conv list
+        else:
+            raw = raw[:8] + struct.pack("<I", 7) + raw[12:]
+        path = tmp_path / "bad.segm"
+        path.write_bytes(raw)
+        assert cli.main(["eval", "--ckpt", str(path), "--data", str(data_dir)]) == 2
+
+    def test_gradcheck_corrupted_rule_is_1(self, monkeypatch):
+        real = T.sigmoid
+
+        def negated_rule(x):
+            out = real(x)
+            rule = out._backward
+            out._backward = lambda g: rule(-g)
+            return out
+
+        monkeypatch.setattr(T, "sigmoid", negated_rule)
+        assert cli.main(["gradcheck", "--scope", "primitive"]) == 1
 
 
 class TestGradcheckCommand:

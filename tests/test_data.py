@@ -69,6 +69,15 @@ class TestGeneration:
         split_ids = [sid for k in range(5) for sid in (root / "splits" / f"fold{k}.txt").read_text().split()]
         assert sorted(split_ids) == sorted(ids)
 
+    def test_manifest_size_mismatch_rejected(self, tmp_path):
+        ids = D.generate_dataset(2, 16, 0, tmp_path / "d", folds=2)
+        manifest = tmp_path / "d" / "manifest.txt"
+        manifest.write_text(f"{ids[0]} 16 16\n{ids[1]} 16 8\n")
+        ds = D.DrawingDataset(tmp_path / "d")
+        assert ds.load(ids[0]).image.shape == (16, 16)
+        with pytest.raises(ValueError, match=f"{ids[1]}.*16x16.*16x8"):
+            ds.load(ids[1])
+
 
 class TestAugment:
     def sample(self, seed=11):

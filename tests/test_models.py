@@ -1,4 +1,6 @@
 """Variant construction, shape contracts, parameter accounting, checkpoints."""
+import struct
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,7 @@ DESK = M.EncoderConfig(depth=4, base_width=8, in_channels=1)
 def unet_base_param_count(enc: M.EncoderConfig, k: int) -> int:
     """Closed-form parameter total for the plain unet variant."""
     widths = enc.widths()
-    convs = enc.convs()
+    convs = enc.convs_per_block
     total = 0
     cin = enc.in_channels
     for lvl in range(enc.depth):
@@ -142,24 +144,26 @@ class TestForward:
         assert report.passed, report.summary()
 
 
+def gradient_off(model) -> set:
+    return {name for name, t in model.named_parameters() if not t.requires_grad}
+
+
 class TestFreezing:
     def test_frozen_excludes_encoder_params(self):
         model = M.build_model(M.ModelVariant("unet", True, True), DESK, 6, seed=0)
-        n_all = len(model.trainable_parameters())
-        M.set_encoder_frozen(model, True)
-        trainable = model.trainable_parameters()
-        assert 0 < len(trainable) < n_all
-        names = {t.name for t in trainable}
-        assert not any(name.startswith("enc.") for name in names)
+        assert gradient_off(model) == set()
+        model.set_frozen(True)
+        names = [name for name, _ in model.named_parameters()]
+        encoder = {name for name in names if name.startswith("enc.")}
+        assert encoder and gradient_off(model) == encoder
         assert any(name.startswith("dec.") for name in names)
         assert any(name.startswith("head.") for name in names)
 
     def test_toggle_is_involution(self):
         model = M.build_model(M.ModelVariant("cnn", False, False), DESK, 6, seed=0)
-        before = [t.name for t in model.trainable_parameters()]
         model.set_frozen(True)
         model.set_frozen(False)
-        assert [t.name for t in model.trainable_parameters()] == before
+        assert gradient_off(model) == set()
 
     def test_count_invariant_under_freezing(self):
         model = M.build_model(M.ModelVariant("unet", False, True), DESK, 6, seed=0)
@@ -170,8 +174,8 @@ class TestFreezing:
     def test_cnn_freeze_covers_conv_stack(self):
         model = M.build_model(M.ModelVariant("cnn", True, True), DESK, 6, seed=0)
         model.set_frozen(True)
-        names = {t.name for t in model.trainable_parameters()}
-        assert not any(n.startswith("cnn.b") for n in names)
+        names = [name for name, _ in model.named_parameters()]
+        assert gradient_off(model) == {n for n in names if n.startswith("cnn.b")}
         assert any(n.startswith("cnn.cbam") for n in names)
 
 
@@ -208,4 +212,21 @@ class TestCheckpoint:
         raw = path.read_bytes()
         path.write_bytes(raw[:len(raw) // 2])
         with pytest.raises(ValueError, match="bytes"):
+            M.load_checkpoint(path)
+
+    def test_cut_inside_conv_list_rejected(self, tmp_path):
+        model = M.build_model(M.ModelVariant("unet", False, False), DESK, 6, seed=0)
+        path = tmp_path / "m.segm"
+        M.save_checkpoint(model, path)
+        path.write_bytes(path.read_bytes()[:M._HEADER.size + 2])
+        with pytest.raises(ValueError, match="truncated"):
+            M.load_checkpoint(path)
+
+    def test_bad_family_rejected(self, tmp_path):
+        model = M.build_model(M.ModelVariant("unet", False, False), DESK, 6, seed=0)
+        path = tmp_path / "m.segm"
+        M.save_checkpoint(model, path)
+        raw = path.read_bytes()
+        path.write_bytes(raw[:8] + struct.pack("<I", 7) + raw[12:])
+        with pytest.raises(ValueError, match="family"):
             M.load_checkpoint(path)

@@ -149,41 +149,24 @@ class TestPooling:
         T.sum_all(T.max_pool2d(x)).backward()
         np.testing.assert_array_equal(x.grad, [[[[1.0, 0], [0, 0]]]])
 
-    def test_avg_then_nearest_upsample_preserves_mean_exactly(self):
-        # integer-valued input keeps every sum exact in float64
-        rng = np.random.default_rng(5)
-        x = Tensor(rng.integers(-50, 50, size=(2, 3, 8, 8)).astype(np.float64))
-        up = T.upsample2x(T.avg_pool2d(x), mode="nearest")
-        for n in range(2):
-            for c in range(3):
-                assert up.data[n, c].sum() == x.data[n, c].sum()
-
 
 class TestUpsample:
-    def test_nearest_replication(self):
-        x = t64([[[[1.0, 2.0], [3.0, 4.0]]]])
-        out = T.upsample2x(x, mode="nearest")
-        np.testing.assert_array_equal(
-            out.data[0, 0],
-            [[1, 1, 2, 2], [1, 1, 2, 2], [3, 3, 4, 4], [3, 3, 4, 4]])
-
     def test_constant_both_modes(self):
         x = t64(np.full((1, 2, 4, 4), 2.25))
-        for mode in ("nearest", "bilinear"):
-            out = T.upsample2x(x, mode=mode)
-            assert out.shape == (1, 2, 8, 8)
-            np.testing.assert_allclose(out.data, 2.25, atol=1e-12)
+        out = T.upsample2x(x)
+        assert out.shape == (1, 2, 8, 8)
+        np.testing.assert_allclose(out.data, 2.25, atol=1e-12)
 
     def test_bilinear_matches_formula_oracle(self):
         rng = np.random.default_rng(11)
         x = rand64(rng, (1, 1, 2, 2))
-        out = T.upsample2x(x, mode="bilinear")
+        out = T.upsample2x(x)
         np.testing.assert_allclose(out.data, oracle.bilinear2x_loops(x.data), atol=1e-12)
 
     def test_bilinear_matches_oracle_larger(self):
         rng = np.random.default_rng(12)
         x = rand64(rng, (2, 3, 4, 5))
-        out = T.upsample2x(x, mode="bilinear")
+        out = T.upsample2x(x)
         np.testing.assert_allclose(out.data, oracle.bilinear2x_loops(x.data), atol=1e-12)
 
 
@@ -320,9 +303,8 @@ class TestDense:
         rng = np.random.default_rng(22)
         x = rand64(rng, (3, 5, 1, 1))
         w = rand64(rng, (4, 5))
-        b = rand64(rng, (4,))
-        np.testing.assert_allclose(T.dense(x, w, b).data,
-                                   oracle.dense_loops(x.data, w.data, b.data), atol=1e-12)
+        np.testing.assert_allclose(T.dense(x, w).data,
+                                   oracle.dense_loops(x.data, w.data), atol=1e-12)
 
     def test_mismatch_rejected(self):
         x = t64(np.zeros((1, 3, 1, 1)))
@@ -408,14 +390,19 @@ def test_primitive_gradients_match_finite_differences(name):
     assert report.passed, f"{name}\n{report.summary()}"
 
 
-def test_grad_check_flags_corrupted_rule():
+def test_grad_check_flags_corrupted_rule(monkeypatch):
+    real = T.sigmoid
+
+    def negated_rule(x):
+        out = real(x)
+        rule = out._backward
+        out._backward = lambda g: rule(-g)
+        return out
+
+    monkeypatch.setattr(T, "sigmoid", negated_rule)
     rng = np.random.default_rng(99)
     params, build = PRIMITIVE_BUILDERS["sigmoid"](rng)
-    T.set_sigmoid_grad_flip(True)
-    try:
-        report = T.grad_check(build, params, tol=1e-5)
-    finally:
-        T.set_sigmoid_grad_flip(False)
+    report = T.grad_check(build, params, tol=1e-5)
     assert not report.passed
 
 

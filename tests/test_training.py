@@ -5,8 +5,9 @@ import pytest
 from drawseg import data as D
 from drawseg import models as M
 from drawseg import training as TR
-from drawseg.losses import LossSpec
-from drawseg.optim import NumericalError, cosine_lr
+from drawseg.losses import LossSpec, segmentation_loss
+from drawseg.optim import Adam, NumericalError, cosine_lr
+from drawseg.tensor import Tensor, no_grad
 
 
 @pytest.fixture(scope="module")
@@ -136,6 +137,65 @@ class TestTrain:
         ckpt = tmp_path / "boom" / "checkpoints" / "final.segm"
         assert ckpt.exists()
         M.load_checkpoint(ckpt)   # still parseable
+
+
+class TestFrozenAndValidation:
+    def test_frozen_step_computes_no_encoder_gradients(self, tiny_dataset, monkeypatch):
+        cfg = tiny_config(epochs=1, unfreeze_epoch=1)
+        model = M.build_model(cfg.variant, cfg.encoder, cfg.num_classes, cfg.seed)
+        seen = []
+        real = Adam.step
+
+        def step(adam, params, lr):
+            seen.append({name: p.grad is not None for name, p in model.named_parameters()})
+            return real(adam, params, lr)
+
+        monkeypatch.setattr(Adam, "step", step)
+        TR.train(cfg, tiny_dataset, tiny_dataset.ids[:4], model=model)
+        assert len(seen) == 1
+        for name, has_grad in seen[0].items():
+            assert has_grad != name.startswith("enc."), name
+
+    def test_numerical_error_unfreezes(self, tiny_dataset, monkeypatch):
+        def poisoned(spec, logits, targets):
+            return Tensor(np.asarray(np.nan, dtype=np.float32))
+
+        monkeypatch.setattr(TR, "segmentation_loss", poisoned)
+        cfg = tiny_config(epochs=2, unfreeze_epoch=2)
+        model = M.build_model(cfg.variant, cfg.encoder, cfg.num_classes, cfg.seed)
+        with pytest.raises(NumericalError):
+            TR.train(cfg, tiny_dataset, tiny_dataset.ids[:4], model=model)
+        assert all(p.requires_grad for p in model.parameters())
+
+    def test_one_forward_per_validation_image(self, tiny_dataset, monkeypatch):
+        images = []
+        real = M.SegModel.forward
+
+        def forward(model, x):
+            images.append(x.shape[0])
+            return real(model, x)
+
+        monkeypatch.setattr(M.SegModel, "forward", forward)
+        cfg = tiny_config(epochs=2, unfreeze_epoch=1, validate_from=0)
+        ids = tiny_dataset.ids
+        TR.train(cfg, tiny_dataset, ids[:4], ids[4:7])
+        # 4 training images and 3 validated ones per epoch, then 3 for the final metrics
+        assert sum(images) == 2 * (4 + 3) + 3
+
+    def test_val_loss_is_batch_weighted_mean(self, tiny_dataset):
+        cfg = tiny_config(epochs=1, unfreeze_epoch=1, validate_from=0)
+        ids = tiny_dataset.ids
+        val = ids[4:10]   # batches of 4 and 2
+        model, log = TR.train(cfg, tiny_dataset, ids[:4], val)
+        total = 0.0
+        with no_grad():
+            for start in range(0, len(val), cfg.batch_size):
+                chunk = [tiny_dataset.load(sid) for sid in val[start:start + cfg.batch_size]]
+                images, masks = TR._batch_arrays(chunk, 1, model.dtype)
+                loss = segmentation_loss(cfg.loss, model.forward(Tensor(images)), masks)
+                total += float(loss.data) * len(chunk)
+        assert log.rows[0].val_loss == total / len(val)
+        assert TR.evaluate(model, val, tiny_dataset).loss is None
 
 
 class TestEvaluate:
