@@ -62,6 +62,12 @@ def _b_conv(rng):
     return p, lambda: _sq_loss(T.conv2d(p["x"], p["w"], p["b"]))
 
 
+@_register("conv2d_single_channel")
+def _b_conv_single(rng):
+    p = {"x": _rand(rng, (2, 1, 4, 4)), "w": _rand(rng, (3, 1, 3, 3)), "b": _rand(rng, (3,))}
+    return p, lambda: _sq_loss(T.conv2d(p["x"], p["w"], p["b"]))
+
+
 @_register("max_pool2d")
 def _b_maxpool(rng):
     p = {"x": _input(rng, (1, 2, 4, 4))}

@@ -87,19 +87,27 @@ class EncoderConfig:
     def __post_init__(self):
         if self.depth < 2:
             raise ValueError(f"depth must be >= 2, got {self.depth}")
-        if self.base_width < 1:
-            raise ValueError("base_width must be positive")
+        for name in ("base_width", "in_channels", "width_cap", "spatial_width", "cnn_blocks"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         resolved = tuple(self.convs_per_block) if self.convs_per_block else tuple([2] * self.depth)
         if len(resolved) != self.depth:
             raise ValueError(
                 f"convs_per_block needs {self.depth} entries, got {len(resolved)}")
+        if min(resolved) < 1:
+            raise ValueError(f"every level needs at least one conv, got {resolved}")
         object.__setattr__(self, "convs_per_block", resolved)
         if not 1 <= self.cnn_attach_after <= self.cnn_blocks:
             raise ValueError("cnn_attach_after must lie within the block stack")
 
     def widths(self) -> list[int]:
-        return [min(self.base_width * 2 ** i, self.base_width * self.width_cap)
-                for i in range(self.depth)]
+        """base_width * 2**level, capped at base_width * width_cap."""
+        cap = self.base_width * self.width_cap
+        out, w = [], self.base_width
+        for _ in range(self.depth):
+            out.append(min(w, cap))
+            w = min(2 * w, cap)
+        return out
 
     @property
     def divisor(self) -> int:
@@ -356,6 +364,27 @@ def save_checkpoint(model: SegModel, path) -> None:
         f.write(flat.tobytes())
 
 
+def _conv_weight_count(family: str, enc: EncoderConfig, num_classes: int) -> int:
+    """Weights of the plain conv stacks and the head, from the config alone.
+
+    A floor on SegModel.count_params() (skip, CBAM and bias parameters
+    come on top), so a header can be checked against its parameter count
+    before any of the model is allocated.
+    """
+    b = enc.base_width
+    total = 9 * b * b + b * num_classes                        # head
+    if family == "cnn":
+        return total + 9 * b * (enc.in_channels + (enc.cnn_blocks - 1) * b)
+    widths = enc.widths()
+    cin = enc.in_channels
+    for w, convs in zip(widths, enc.convs_per_block):          # encoder
+        total += 9 * w * (cin + (convs - 1) * w)
+        cin = w
+    for lo, hi in zip(widths, widths[1:]):                     # decoder
+        total += 9 * lo * (hi + 2 * lo)
+    return total
+
+
 def load_checkpoint(path) -> SegModel:
     with open(path, "rb") as f:
         raw = f.read()
@@ -386,6 +415,10 @@ def load_checkpoint(path) -> SegModel:
                         convs_per_block=tuple(convs), width_cap=cap,
                         cbam_reduction=red, spatial_width=sw,
                         cnn_blocks=blocks, cnn_attach_after=attach)
+    floor = _conv_weight_count(variant.family, enc, k)
+    if floor > count:
+        raise ValueError(f"checkpoint holds {count} parameters, but its header describes a "
+                         f"model with at least {floor}")
     model = build_model(variant, enc, k, seed=0)
     if model.count_params() != count:
         raise ValueError(

@@ -12,6 +12,7 @@ to them. ``backward`` on a scalar loss runs one reverse topological pass.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional, Sequence
@@ -166,18 +167,42 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
 # convolution and pooling
 
 
+def _zero_pad(a: np.ndarray, top: int, bottom: int, left: int, right: int) -> np.ndarray:
+    """N-C-H-W ``a`` zero-padded by rows (top, bottom) and columns (left, right).
+
+    One allocation and one slice copy: np.pad spends tens of microseconds
+    in Python set-up per call, more than the copy itself at these sizes.
+    """
+    n, c, h, w = a.shape
+    out = np.zeros((n, c, h + top + bottom, left + w + right), dtype=a.dtype)
+    out[:, :, top:top + h, left:left + w] = a
+    return out
+
+
 def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
     """Same-padded 2-D cross-correlation over N-C-H-W input with an O-C-k-k kernel.
 
-    One GEMM per kernel tap, all over views of one padded buffer: x is
-    zero-padded by (p, p+1) rows and (p, p) columns (p = k // 2, Wp = W+2p)
-    and flattened per channel to xf of shape (N, C, (H+2p+1)*Wp). Tap (u, v)
-    reads xf[..., s : s+H*Wp] with s = u*Wp + v, a unit-stride matrix BLAS
-    takes without a copy. Output rows come out Wp wide; the last 2p columns
-    straddle two input rows and are dropped, and the spare bottom row takes
-    the last tap's overrun. Backward zero-pads g to Wp columns (g_wide) and
-    runs the same slices: dW_tap = g_wide @ slice.T, and W_tap.T @ g_wide is
-    added into the input gradient at offset s. k = 1 is one matmul, no pad.
+    Layout: x is zero-padded by (p, p+1) rows and (p, p) columns (p = k // 2,
+    Wp = W+2p) and flattened per channel to xf of shape (N, C, (H+2p+1)*Wp).
+    Tap (u, v) then reads xf[..., s : s+H*Wp] with s = u*Wp + v, a
+    unit-stride matrix BLAS takes without a copy. Output rows come out Wp
+    wide; the last 2p columns straddle two input rows and are dropped, and
+    the spare bottom row takes the last tap's overrun. Backward zero-pads g
+    to Wp columns (g_wide) and reads the same slices.
+
+    Forward runs one GEMM per tap and sums W_tap @ slice, except when
+    C = 1: then the k*k slices are first copied into one transient
+    (N, k*k, span) operand, so forward is a single GEMM with inner
+    dimension k*k instead of k*k GEMMs with inner dimension 1. Stacking is
+    kept to C = 1: at C = 8 it was slower than the per-tap GEMMs, and at
+    C = 2 or 4 its reordered sums moved float64 results enough to fail
+    the skip-block gradient check.
+
+    Backward is per tap for every C. The weight gradient of a tap is
+    slice @ g_wide.T, shape (N, C, O), summed over N and transposed (BLAS
+    runs this orientation up to twice as fast as g_wide @ slice.T here),
+    and W_tap.T @ g_wide is added into the input gradient at offset s.
+    k = 1 is one matmul with no padding.
     """
     if x.data.ndim != 4:
         raise ShapeError(f"conv2d input must be rank 4, got {x.data.ndim}")
@@ -199,15 +224,21 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
     p = k // 2
     wp = w + 2 * p
     span = h * wp
-    xp = np.pad(x.data, ((0, 0), (0, 0), (p, p + 1), (p, p))) if p else x.data
+    xp = _zero_pad(x.data, p, p + 1, p, p) if p else x.data
     xf = xp.reshape(n, cin, -1)
     taps = [(u, v, u * wp + v) for u in range(k) for v in range(k)]
-    wt = np.ascontiguousarray(weight.data.transpose(2, 3, 0, 1))  # k,k,O,C
 
-    wide = np.matmul(wt[0, 0], xf[:, :, :span])
-    tmp = np.empty_like(wide)
-    for u, v, s in taps[1:]:
-        wide += np.matmul(wt[u, v], xf[:, :, s:s + span], out=tmp)
+    if cin == 1:
+        cols = np.empty((n, k * k, span), dtype=xf.dtype)
+        for t, (_, _, s) in enumerate(taps):
+            cols[:, t] = xf[:, 0, s:s + span]
+        wide = np.matmul(weight.data.reshape(cout, k * k), cols)
+    else:
+        wt = np.ascontiguousarray(weight.data.transpose(2, 3, 0, 1))  # k,k,O,C
+        wide = np.matmul(wt[0, 0], xf[:, :, :span])
+        tmp = np.empty_like(wide)
+        for u, v, s in taps[1:]:
+            wide += np.matmul(wt[u, v], xf[:, :, s:s + span], out=tmp)
     out = wide.reshape(n, cout, h, wp)[..., :w]
     out = out + bias.data[:, None, None] if bias is not None else np.ascontiguousarray(out)
 
@@ -216,14 +247,13 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
     def backward(g: np.ndarray) -> None:
         if bias is not None and bias.requires_grad:
             _accumulate(bias, g.sum(axis=(0, 2, 3)))
-        gw = np.pad(g, ((0, 0), (0, 0), (0, 0), (0, 2 * p))) if p else g
-        gw = gw.reshape(n, cout, span)
-        xf = xp.reshape(n, cin, -1)
+        gw = (_zero_pad(g, 0, 0, 0, 2 * p) if p else g).reshape(n, cout, span)
         if weight.requires_grad:
-            dw = np.empty((k, k, cout, cin), dtype=g.dtype)
+            dw = np.empty((k, k, cin, cout), dtype=g.dtype)
+            gwt = gw.transpose(0, 2, 1)
             for u, v, s in taps:
-                dw[u, v] = np.matmul(gw, xf[:, :, s:s + span].transpose(0, 2, 1)).sum(axis=0)
-            _accumulate(weight, dw.transpose(2, 3, 0, 1))
+                dw[u, v] = np.matmul(xf[:, :, s:s + span], gwt).sum(axis=0)
+            _accumulate(weight, dw.transpose(3, 2, 0, 1))
         if x.requires_grad:
             wt = np.ascontiguousarray(weight.data.transpose(2, 3, 0, 1))
             gx = np.zeros_like(xf)
@@ -242,19 +272,31 @@ def _check_even_spatial(x: Tensor, opname: str) -> None:
 
 
 def max_pool2d(x: Tensor) -> Tensor:
-    """2x2 max pooling with stride 2; gradient routes to the first argmax
-    in row-major window order."""
+    """2x2 max pooling with stride 2 over the four strided cells x[..., i::2, j::2].
+
+    Forward is np.maximum of the cells. Backward routes each output
+    gradient to the first cell, in row-major window order (00, 01, 10, 11),
+    that equals the maximum: it carries the gradient of the windows no
+    earlier cell has claimed, hands it to each cell where that cell equals
+    the maximum, and gives the last cell what is left. Routed values equal
+    the argmax rule's; a zero may come out as -0.0.
+    """
     _check_even_spatial(x, "max_pool2d")
-    n, c, h, w = x.shape
-    h2, w2 = h // 2, w // 2
-    win = x.data.reshape(n, c, h2, 2, w2, 2).transpose(0, 1, 2, 4, 3, 5).reshape(n, c, h2, w2, 4)
-    idx = win.argmax(axis=-1)
-    out = np.take_along_axis(win, idx[..., None], axis=-1)[..., 0]
+    d = x.data
+    offsets = ((0, 0), (0, 1), (1, 0), (1, 1))
+    cells = [d[:, :, i::2, j::2] for i, j in offsets]
+    out = np.maximum(np.maximum(cells[0], cells[1]), np.maximum(cells[2], cells[3]))
 
     def backward(g: np.ndarray) -> None:
-        gwin = np.zeros((n, c, h2, w2, 4), dtype=g.dtype)
-        np.put_along_axis(gwin, idx[..., None], g[..., None], axis=-1)
-        gx = gwin.reshape(n, c, h2, w2, 2, 2).transpose(0, 1, 2, 4, 3, 5).reshape(n, c, h, w)
+        gx = np.empty_like(d)
+        rest = g.copy()          # gradient of the windows no earlier cell claimed
+        hit = np.empty(out.shape, dtype=bool)
+        for (i, j), cell in zip(offsets[:-1], cells):
+            np.equal(cell, out, out=hit)
+            claimed = gx[:, :, i::2, j::2]
+            np.multiply(rest, hit, out=claimed)
+            rest -= claimed
+        gx[:, :, 1::2, 1::2] = rest
         _accumulate(x, gx)
 
     return _result(out, [x], backward)
@@ -277,8 +319,12 @@ def avg_pool2d(x: Tensor) -> Tensor:
     return _result(out, [x], backward)
 
 
+@functools.lru_cache(maxsize=64)
 def _bilinear2x_matrix(size: int, dtype) -> np.ndarray:
-    """(2*size, size) interpolation weights, align-corners-false, edges clamped."""
+    """(2*size, size) interpolation weights, align-corners-false, edges clamped.
+
+    Cached per (size, dtype) and shared by every call, so it is read-only.
+    """
     m = np.zeros((2 * size, size), dtype=dtype)
     for i in range(2 * size):
         src = (i + 0.5) / 2.0 - 0.5
@@ -288,15 +334,19 @@ def _bilinear2x_matrix(size: int, dtype) -> np.ndarray:
         b = min(max(lo + 1, 0), size - 1)
         m[i, a] += 1.0 - t
         m[i, b] += t
+    m.flags.writeable = False
     return m
 
 
 def upsample2x(x: Tensor) -> Tensor:
-    """Double the spatial extent by bilinear interpolation."""
+    """Double the spatial extent by bilinear interpolation.
+
+    Separable: out = rows @ plane @ cols.T per plane, with the row and
+    column operators taken from the read-only cache of _bilinear2x_matrix.
+    """
     n, c, h, w = x.shape
     rows = _bilinear2x_matrix(h, x.data.dtype)
     cols = _bilinear2x_matrix(w, x.data.dtype)
-    # separable: out = rows @ plane @ cols.T, batched over N*C via matmul
     flat = x.data.reshape(n * c, h, w)
     out = (rows[None] @ flat @ cols.T[None]).reshape(n, c, 2 * h, 2 * w)
 

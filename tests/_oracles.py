@@ -69,6 +69,25 @@ def max_pool2d_loops(x):
     return out
 
 
+def max_pool2d_backward_loops(x, g):
+    """Input gradient of 2x2 max pooling: each g goes to the first maximal
+    cell of its window in row-major order."""
+    n, c, h, w = x.shape
+    gx = np.zeros_like(x)
+    for ni in range(n):
+        for ci in range(c):
+            for i in range(h // 2):
+                for j in range(w // 2):
+                    cells = [(2 * i, 2 * j), (2 * i, 2 * j + 1),
+                             (2 * i + 1, 2 * j), (2 * i + 1, 2 * j + 1)]
+                    best = cells[0]
+                    for cell in cells[1:]:
+                        if x[ni, ci][cell] > x[ni, ci][best]:
+                            best = cell
+                    gx[ni, ci][best] = g[ni, ci, i, j]
+    return gx
+
+
 def avg_pool2d_loops(x):
     n, c, h, w = x.shape
     out = np.zeros((n, c, h // 2, w // 2), dtype=x.dtype)

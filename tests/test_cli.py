@@ -145,13 +145,25 @@ class TestExitCodes:
                          "--base-width", "4", "--no-validation"])
         assert code == 3
 
-    @pytest.mark.parametrize("damage", ["cut_after_header", "family_7"])
+    # header fields are u32 at byte 8 + 4 * index (layout above models._MAGIC)
+    _FIELD = {"family": 8, "base_width": 24, "in_channels": 28, "width_cap": 32,
+              "spatial_width": 40, "cnn_blocks": 44}
+
+    @pytest.mark.parametrize("damage", [
+        "cut_after_header", "family_7",
+        "in_channels_0", "width_cap_0", "spatial_width_0", "base_width_4096", "cnn_blocks_1000000"])
     def test_malformed_checkpoint_is_2(self, data_dir, run_dir, tmp_path, damage):
         raw = (run_dir / "checkpoints" / "final.segm").read_bytes()
         if damage == "cut_after_header":
             raw = raw[:58]   # 56-byte header, then 2 bytes of the conv list
         else:
-            raw = raw[:8] + struct.pack("<I", 7) + raw[12:]
+            field, value = damage.rsplit("_", 1)
+            edits = {field: int(value)}
+            if field == "cnn_blocks":
+                edits["family"] = 1   # the cnn stack is cnn_blocks convs deep
+            for name, v in edits.items():
+                off = self._FIELD[name]
+                raw = raw[:off] + struct.pack("<I", v) + raw[off + 4:]
         path = tmp_path / "bad.segm"
         path.write_bytes(raw)
         assert cli.main(["eval", "--ckpt", str(path), "--data", str(data_dir)]) == 2

@@ -230,3 +230,51 @@ class TestCheckpoint:
         path.write_bytes(raw[:8] + struct.pack("<I", 7) + raw[12:])
         with pytest.raises(ValueError, match="family"):
             M.load_checkpoint(path)
+
+    @pytest.mark.parametrize("edits", [
+        {"base_width": 4096},
+        {"family": 1, "cnn_blocks": 10 ** 6},
+        {"convs_level3": 10 ** 6},
+    ], ids=["base_width", "cnn_blocks", "convs_per_block"])
+    def test_oversized_header_rejected_before_build(self, tmp_path, monkeypatch, edits):
+        # u32 header fields sit at byte 8 + 4 * index; the conv list follows at byte 56
+        offsets = {"family": 8, "base_width": 24, "cnn_blocks": 44, "convs_level3": 56 + 12}
+        model = M.build_model(M.ModelVariant("unet", True, True), DESK, 6, seed=0)
+        path = tmp_path / "m.segm"
+        M.save_checkpoint(model, path)
+        raw = path.read_bytes()
+        for name, value in edits.items():
+            off = offsets[name]
+            raw = raw[:off] + struct.pack("<I", value) + raw[off + 4:]
+        path.write_bytes(raw)
+
+        def no_build(*args, **kwargs):
+            raise AssertionError("model built from an unchecked header")
+
+        monkeypatch.setattr(M, "build_model", no_build)
+        with pytest.raises(ValueError, match="at least"):
+            M.load_checkpoint(path)
+
+    @pytest.mark.parametrize("variant", M.ALL_VARIANTS, ids=lambda v: v.cli_name)
+    def test_conv_weight_floor_within_count(self, variant):
+        for enc in (DESK, M.EncoderConfig(depth=3, base_width=3, in_channels=2,
+                                          convs_per_block=(1, 3, 2), width_cap=2,
+                                          cnn_blocks=2, cnn_attach_after=1)):
+            model = M.build_model(variant, enc, 4, seed=0)
+            assert M._conv_weight_count(variant.family, enc, 4) <= model.count_params()
+
+
+class TestEncoderConfigBounds:
+    @pytest.mark.parametrize("field", ["base_width", "in_channels", "width_cap",
+                                       "spatial_width", "cnn_blocks"])
+    def test_zero_rejected(self, field):
+        with pytest.raises(ValueError, match=field):
+            M.EncoderConfig(**{field: 0})
+
+    def test_level_without_convs_rejected(self):
+        with pytest.raises(ValueError, match="at least one conv"):
+            M.EncoderConfig(depth=2, convs_per_block=(2, 0))
+
+    def test_widths_double_up_to_cap(self):
+        enc = M.EncoderConfig(depth=6, base_width=3, width_cap=4)
+        assert enc.widths() == [3, 6, 12, 12, 12, 12]

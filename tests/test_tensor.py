@@ -74,10 +74,12 @@ class TestConv2d:
     @pytest.mark.parametrize("x_grad", [True, False])
     @pytest.mark.parametrize("k", [1, 3, 5])
     @pytest.mark.parametrize("plane", [(1, 4), (5, 7), (6, 2)])
-    @pytest.mark.parametrize("n", [1, 3])
-    def test_gradients_match_loop_oracle(self, n, plane, k, x_grad):
+    @pytest.mark.parametrize("n, cin", [
+        pytest.param(1, 3, id="1"), pytest.param(3, 3, id="3"),
+        pytest.param(1, 1, id="1-cin1"), pytest.param(3, 1, id="3-cin1")])   # cin 1: stacked taps
+    def test_gradients_match_loop_oracle(self, n, cin, plane, k, x_grad):
         rng = np.random.default_rng(zlib.crc32(f"{n}{plane}{k}".encode()))
-        cin, cout = 3, 2
+        cout = 2
         x = rng.standard_normal((n, cin) + plane)
         w = rng.standard_normal((cout, cin, k, k))
         b = rng.standard_normal(cout)
@@ -97,15 +99,16 @@ class TestConv2d:
 
     def test_float32_gradients_track_float64(self):
         rng = np.random.default_rng(31)
-        x = rng.standard_normal((2, 5, 9, 12))
-        w = rng.standard_normal((4, 5, 3, 3))
-        b = rng.standard_normal(4)
-        g = rng.standard_normal((2, 4, 9, 12))
-        ref = self._grads(x, w, b, g, True)
-        f32 = self._grads(*(a.astype(np.float32) for a in (x, w, b, g)), True)
-        for got, want in zip(f32, ref):
-            assert got.dtype == np.float32
-            np.testing.assert_allclose(got, want, rtol=0, atol=1e-5 * np.abs(want).max())
+        for cin in (5, 1):
+            x = rng.standard_normal((2, cin, 9, 12))
+            w = rng.standard_normal((4, cin, 3, 3))
+            b = rng.standard_normal(4)
+            g = rng.standard_normal((2, 4, 9, 12))
+            ref = self._grads(x, w, b, g, True)
+            f32 = self._grads(*(a.astype(np.float32) for a in (x, w, b, g)), True)
+            for got, want in zip(f32, ref):
+                assert got.dtype == np.float32
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-5 * np.abs(want).max())
 
 
 class TestPooling:
@@ -149,6 +152,16 @@ class TestPooling:
         T.sum_all(T.max_pool2d(x)).backward()
         np.testing.assert_array_equal(x.grad, [[[[1.0, 0], [0, 0]]]])
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_max_grad_matches_loop_oracle_on_ties(self, dtype):
+        rng = np.random.default_rng(5)
+        x = Tensor(rng.integers(0, 3, size=(2, 3, 6, 8)).astype(dtype), requires_grad=True)
+        out = T.max_pool2d(x)
+        g = rng.standard_normal(out.shape).astype(dtype)
+        T.sum_all(T.mul(out, Tensor(g))).backward()
+        np.testing.assert_array_equal(out.data, oracle.max_pool2d_loops(x.data))
+        np.testing.assert_array_equal(x.grad, oracle.max_pool2d_backward_loops(x.data, g))
+
 
 class TestUpsample:
     def test_constant_both_modes(self):
@@ -168,6 +181,15 @@ class TestUpsample:
         x = rand64(rng, (2, 3, 4, 5))
         out = T.upsample2x(x)
         np.testing.assert_allclose(out.data, oracle.bilinear2x_loops(x.data), atol=1e-12)
+
+    def test_operator_cached_read_only_per_dtype(self):
+        m64 = T._bilinear2x_matrix(5, np.dtype(np.float64))
+        m32 = T._bilinear2x_matrix(5, np.dtype(np.float32))
+        assert T._bilinear2x_matrix(5, np.dtype(np.float64)) is m64
+        assert m32 is not m64 and m32.dtype == np.float32 and m64.dtype == np.float64
+        assert not m64.flags.writeable and not m32.flags.writeable
+        with pytest.raises(ValueError):
+            m64[0, 0] = 1.0
 
 
 class TestConcatAndMul:
