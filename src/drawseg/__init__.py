@@ -1,6 +1,6 @@
 """Attention U-Net segmentation engine for engineering line drawings."""
 
-from .cbam import CbamBlock, build_cbam, cbam_forward
+from .cbam import CbamBlock, ParamStore, build_cbam, cbam_forward
 from .data import AugmentSpec, DrawingDataset, Sample, augment, generate_dataset, kfold_split
 from .losses import LossSpec, segmentation_loss
 from .metrics import MetricsReport, compute_report, confusion
@@ -16,7 +16,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Adam", "ALL_VARIANTS", "AugmentSpec", "CbamBlock", "DrawingDataset",
     "EncoderConfig", "LossSpec", "LrSchedule", "MetricsReport", "ModelVariant",
-    "RunLog", "Sample", "SegModel", "SkipBlockParams", "Tensor", "TrainConfig",
+    "ParamStore", "RunLog", "Sample", "SegModel", "SkipBlockParams", "Tensor", "TrainConfig",
     "augment", "build_cbam", "build_model", "build_skip_block", "cbam_forward",
     "compute_report", "confusion", "cosine_lr", "evaluate", "generate_dataset",
     "grad_check", "kfold_split", "load_checkpoint", "run_ablation", "run_kfold",

@@ -18,6 +18,36 @@ from . import tensor as T
 from .tensor import Tensor
 
 
+class ParamStore:
+    """Creates every parameter of a network from one seeded generator.
+
+    Each tensor is registered under its name as it is drawn, so ``named``
+    lists the parameters in draw order, which is also the order a model
+    reports and checkpoints them in. It lives here because this is the
+    lowest module that both skipfuse and models import.
+    """
+
+    def __init__(self, seed: int, dtype=T.TRAIN32):
+        self.rng = np.random.default_rng(seed)
+        self.dtype = np.dtype(dtype)
+        self.named: list[tuple[str, Tensor]] = []
+
+    def weight(self, name: str, shape, fan_in: int) -> Tensor:
+        """He-uniform draw: U(-l, l) with l = sqrt(6 / fan_in)."""
+        limit = np.sqrt(6.0 / fan_in)
+        return self._register(name, self.rng.uniform(-limit, limit, size=shape))
+
+    def conv(self, name: str, cin: int, cout: int, k: int) -> tuple[Tensor, Tensor]:
+        """A k x k conv: He-uniform weight ``name.w``, then zero bias ``name.b``."""
+        w = self.weight(f"{name}.w", (cout, cin, k, k), cin * k * k)
+        return w, self._register(f"{name}.b", np.zeros(cout))
+
+    def _register(self, name: str, data: np.ndarray) -> Tensor:
+        t = Tensor(data, requires_grad=True, dtype=self.dtype, name=name)
+        self.named.append((name, t))
+        return t
+
+
 @dataclass
 class ChannelAttentionParams:
     """Shared-MLP weights for the channel gate. w1: (C/r, C), w2: (C, C/r).
@@ -27,7 +57,6 @@ class ChannelAttentionParams:
     """
     w1: Tensor
     w2: Tensor
-    reduction: int
 
 
 @dataclass
@@ -44,34 +73,19 @@ class CbamBlock:
     spatial: SpatialAttentionParams
 
 
-def he_uniform(rng: np.random.Generator, shape, fan_in: int, dtype) -> np.ndarray:
-    limit = np.sqrt(6.0 / fan_in)
-    return rng.uniform(-limit, limit, size=shape).astype(dtype)
-
-
-def build_cbam(channels: int, rng: np.random.Generator, reduction: int = 4,
-               spatial_width: int = 2, dtype=T.TRAIN32) -> CbamBlock:
+def build_cbam(store: ParamStore, prefix: str, channels: int, reduction: int = 4,
+               spatial_width: int = 2) -> CbamBlock:
+    """Parameters ``prefix.mlp.w1``, ``prefix.mlp.w2``, ``prefix.spatial.conv{0,1,2}``."""
     if channels < 1:
         raise ValueError(f"cbam needs >= 1 channel, got {channels}")
     hidden = max(1, channels // max(1, reduction))
-    w1 = Tensor(he_uniform(rng, (hidden, channels), channels, dtype), requires_grad=True)
-    w2 = Tensor(he_uniform(rng, (channels, hidden), hidden, dtype), requires_grad=True)
+    w1 = store.weight(f"{prefix}.mlp.w1", (hidden, channels), channels)
+    w2 = store.weight(f"{prefix}.mlp.w2", (channels, hidden), hidden)
     widths = [(2, spatial_width), (spatial_width, spatial_width), (spatial_width, 1)]
-    conv_w, conv_b = [], []
-    for cin, cout in widths:
-        conv_w.append(Tensor(he_uniform(rng, (cout, cin, 3, 3), cin * 9, dtype), requires_grad=True))
-        conv_b.append(Tensor(np.zeros(cout, dtype=dtype), requires_grad=True))
-    return CbamBlock(channels,
-                     ChannelAttentionParams(w1, w2, reduction),
-                     SpatialAttentionParams(conv_w, conv_b))
-
-
-def cbam_parameters(block: CbamBlock, prefix: str = "cbam"):
-    out = [(f"{prefix}.mlp.w1", block.channel.w1), (f"{prefix}.mlp.w2", block.channel.w2)]
-    for i, (w, b) in enumerate(zip(block.spatial.conv_w, block.spatial.conv_b)):
-        out.append((f"{prefix}.spatial.conv{i}.w", w))
-        out.append((f"{prefix}.spatial.conv{i}.b", b))
-    return out
+    convs = [store.conv(f"{prefix}.spatial.conv{i}", cin, cout, 3)
+             for i, (cin, cout) in enumerate(widths)]
+    return CbamBlock(channels, ChannelAttentionParams(w1, w2),
+                     SpatialAttentionParams([w for w, _ in convs], [b for _, b in convs]))
 
 
 def _shared_mlp(pooled: Tensor, p: ChannelAttentionParams) -> Tensor:

@@ -14,9 +14,9 @@ import numpy as np
 
 from . import losses as L
 from . import tensor as T
-from .cbam import build_cbam, cbam_forward, cbam_parameters
+from .cbam import ParamStore, build_cbam, cbam_forward
 from .models import EncoderConfig, ModelVariant, build_model
-from .skipfuse import build_skip_block, skip_forward, skip_parameters
+from .skipfuse import build_skip_block, skip_forward
 from .tensor import GradCheckReport, Tensor, grad_check
 
 SCOPES = ("primitive", "cbam", "skip", "model")
@@ -189,9 +189,10 @@ def check_losses(tol: float = 1e-5) -> GradCheckReport:
 
 
 def check_cbam(tol: float = 1e-5) -> GradCheckReport:
-    rng = np.random.default_rng(7)
-    block = build_cbam(4, rng, dtype=np.float64)
-    params = dict(cbam_parameters(block))
+    store = ParamStore(7, np.float64)
+    block = build_cbam(store, "cbam", 4)
+    rng = store.rng
+    params = dict(store.named)
     _jitter(params.values(), rng)
     x = _input(rng, (1, 4, 4, 4))
     params["input"] = x
@@ -207,9 +208,10 @@ def check_cbam(tol: float = 1e-5) -> GradCheckReport:
 def check_skip(tol: float = 1e-5) -> GradCheckReport:
     report = GradCheckReport(tol=tol)
     for ave, cbam in ((True, False), (False, True), (True, True)):
-        rng = np.random.default_rng(17)
-        block = build_skip_block(4, 8, ave, cbam, rng, dtype=np.float64)
-        params = dict(skip_parameters(block))
+        store = ParamStore(17, np.float64)
+        block = build_skip_block(store, "skip", 4, 8, ave, cbam)
+        rng = store.rng
+        params = dict(store.named)
         _jitter(params.values(), rng)
         shallow = _input(rng, (1, 4, 8, 8))
         deeper = _input(rng, (1, 8, 4, 4))

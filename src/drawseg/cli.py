@@ -19,7 +19,7 @@ import numpy as np
 
 from . import checks
 from . import metrics as MT
-from .data import CLASS_NAMES, DrawingDataset, generate_dataset
+from .data import DrawingDataset, generate_dataset
 from .losses import LOSS_KINDS, LossSpec
 from .models import ALL_VARIANTS, EncoderConfig, ModelVariant, load_checkpoint
 from .netpbm import write_pgm, write_ppm

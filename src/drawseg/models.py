@@ -8,25 +8,28 @@ Two families, four attention modes each:
 * cnn  -- a resolution-preserving stack of 3x3 conv + ReLU blocks with the
   same optional attention / dual-pool attachments mid-stack, same head.
 
-Parameters are He-uniform initialised (zero biases) from a seed, in a
-fixed construction order which is also the checkpoint serialisation order.
+Every parameter is created through one ParamStore: He-uniform weights and
+zero biases drawn from the model seed and registered by name as they are
+drawn. So creation order is the initialisation order, the order of
+named_parameters() and the checkpoint serialisation order, by construction.
 """
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from . import tensor as T
-from .cbam import CbamBlock, build_cbam, cbam_forward, cbam_parameters, he_uniform
-from .skipfuse import SkipBlockParams, build_skip_block, skip_forward, skip_parameters
+from .cbam import CbamBlock, ParamStore, build_cbam, cbam_forward
+from .skipfuse import SkipBlockParams, build_skip_block, skip_forward
 from .tensor import Tensor
 
 FAMILIES = ("unet", "cnn")
-MODE_NAMES = {(False, False): "Base", (True, False): "Base+Ave",
-              (False, True): "Base+CBAM", (True, True): "Base+Ave+CBAM"}
+# attention modes in ablation order: (ave, cbam) -> (CLI suffix, ablation row name)
+MODES = {(False, False): ("base", "Base"), (True, False): ("ave", "Base+Ave"),
+         (False, True): ("cbam", "Base+CBAM"), (True, True): ("full", "Base+Ave+CBAM")}
 
 
 @dataclass(frozen=True)
@@ -41,29 +44,22 @@ class ModelVariant:
 
     @property
     def row_name(self) -> str:
-        return MODE_NAMES[(self.ave, self.cbam)]
+        return MODES[(self.ave, self.cbam)][1]
 
     @property
     def cli_name(self) -> str:
-        suffix = {(False, False): "base", (True, False): "ave",
-                  (False, True): "cbam", (True, True): "full"}[(self.ave, self.cbam)]
-        return f"{self.family}-{suffix}"
+        return f"{self.family}-{MODES[(self.ave, self.cbam)][0]}"
 
     @staticmethod
     def parse(name: str) -> "ModelVariant":
-        try:
-            family, suffix = name.split("-")
-            ave, cbam = {"base": (False, False), "ave": (True, False),
-                         "cbam": (False, True), "full": (True, True)}[suffix]
-        except (ValueError, KeyError):
-            raise ValueError(
-                f"unknown variant {name!r}; expected <unet|cnn>-<base|ave|cbam|full>") from None
-        return ModelVariant(family, ave, cbam)
+        for variant in ALL_VARIANTS:
+            if variant.cli_name == name:
+                return variant
+        raise ValueError(
+            f"unknown variant {name!r}; expected <unet|cnn>-<base|ave|cbam|full>")
 
 
-ALL_VARIANTS = tuple(ModelVariant(f, a, c)
-                     for f in FAMILIES
-                     for a, c in ((False, False), (True, False), (False, True), (True, True)))
+ALL_VARIANTS = tuple(ModelVariant(f, ave, cbam) for f in FAMILIES for ave, cbam in MODES)
 
 
 @dataclass(frozen=True)
@@ -114,41 +110,12 @@ class EncoderConfig:
         return 2 ** (self.depth - 1)
 
 
-class _ParamStore:
-    """Ordered parameter registry; registration order defines checkpoints."""
-
-    def __init__(self):
-        self.named: list[tuple[str, Tensor]] = []
-        self.encoder_names: set[str] = set()
-
-    def add(self, name: str, t: Tensor, encoder: bool) -> Tensor:
-        t.name = name
-        self.named.append((name, t))
-        if encoder:
-            self.encoder_names.add(name)
-        return t
-
-    def add_many(self, pairs, encoder: bool):
-        for name, t in pairs:
-            self.add(name, t, encoder)
-
-
-def _conv_pair(rng, cin, cout, k, dtype):
-    w = Tensor(he_uniform(rng, (cout, cin, k, k), cin * k * k, dtype), requires_grad=True)
-    b = Tensor(np.zeros(cout, dtype=dtype), requires_grad=True)
-    return w, b
-
-
 class _ConvStack:
     """n_convs x (3x3 same conv + ReLU)."""
 
-    def __init__(self, rng, cin, cout, n_convs, dtype, store, prefix, encoder):
-        self.layers = []
-        for i in range(n_convs):
-            w, b = _conv_pair(rng, cin if i == 0 else cout, cout, 3, dtype)
-            store.add(f"{prefix}.conv{i}.w", w, encoder)
-            store.add(f"{prefix}.conv{i}.b", b, encoder)
-            self.layers.append((w, b))
+    def __init__(self, store: ParamStore, prefix: str, cin: int, cout: int, n_convs: int):
+        self.layers = [store.conv(f"{prefix}.conv{i}", cin if i == 0 else cout, cout, 3)
+                       for i in range(n_convs)]
 
     def forward(self, x: Tensor) -> Tensor:
         for w, b in self.layers:
@@ -166,82 +133,55 @@ class SegModel:
         self.variant = variant
         self.enc = enc
         self.num_classes = num_classes
-        self.seed = seed
-        self.dtype = np.dtype(dtype)
-        self._store = _ParamStore()
-        rng = np.random.default_rng(seed)
+        self._store = ParamStore(seed, dtype)
+        self.dtype = self._store.dtype
         if variant.family == "unet":
-            self._build_unet(rng)
+            self._build_unet()
         else:
-            self._build_cnn(rng)
+            self._build_cnn()
 
     # -- construction -------------------------------------------------
 
-    def _build_unet(self, rng):
-        enc, dtype = self.enc, self.dtype
+    def _build_unet(self):
+        enc, store = self.enc, self._store
         widths = enc.widths()
-        convs = enc.convs_per_block
         self.encoder_stacks = []
         cin = enc.in_channels
         for lvl in range(enc.depth):
-            stack = _ConvStack(rng, cin, widths[lvl], convs[lvl], dtype,
-                               self._store, f"enc.l{lvl}", encoder=True)
-            self.encoder_stacks.append(stack)
+            self.encoder_stacks.append(
+                _ConvStack(store, f"enc.l{lvl}", cin, widths[lvl], enc.convs_per_block[lvl]))
             cin = widths[lvl]
+        self._encoder = [t for _, t in store.named]   # built first: a prefix of the store
+        self.skip_blocks: list[SkipBlockParams] = [
+            build_skip_block(store, f"skip.l{lvl}", widths[lvl], widths[lvl + 1],
+                             self.variant.ave, self.variant.cbam,
+                             enc.cbam_reduction, enc.spatial_width)
+            for lvl in range(enc.depth - 1)]
+        self.decoder_stacks = [
+            _ConvStack(store, f"dec.l{lvl}", widths[lvl + 1] + widths[lvl], widths[lvl], 2)
+            for lvl in range(enc.depth - 2, -1, -1)]
+        self._build_head(widths[0])
 
-        self.skip_blocks: list[SkipBlockParams] = []
-        for lvl in range(enc.depth - 1):
-            block = build_skip_block(widths[lvl], widths[lvl + 1],
-                                     self.variant.ave, self.variant.cbam, rng, dtype,
-                                     enc.cbam_reduction, enc.spatial_width)
-            self._store.add_many(skip_parameters(block, prefix=f"skip.l{lvl}"), encoder=False)
-            self.skip_blocks.append(block)
-
-        self.decoder_stacks = []
-        for lvl in range(enc.depth - 2, -1, -1):
-            stack = _ConvStack(rng, widths[lvl + 1] + widths[lvl], widths[lvl], 2, dtype,
-                               self._store, f"dec.l{lvl}", encoder=False)
-            self.decoder_stacks.append(stack)
-
-        self._build_head(rng, widths[0])
-        self.decoder_final_width = widths[0]
-
-    def _build_cnn(self, rng):
-        enc, dtype = self.enc, self.dtype
+    def _build_cnn(self):
+        enc, store = self.enc, self._store
         w = enc.base_width
-        self.cnn_stacks = []
-        cin = enc.in_channels
-        for i in range(enc.cnn_blocks):
-            stack = _ConvStack(rng, cin, w, 1, dtype, self._store, f"cnn.b{i}", encoder=True)
-            self.cnn_stacks.append(stack)
-            cin = w
-
+        self.cnn_stacks = [_ConvStack(store, f"cnn.b{i}", enc.in_channels if i == 0 else w, w, 1)
+                           for i in range(enc.cnn_blocks)]
+        self._encoder = [t for _, t in store.named]   # built first: a prefix of the store
         self.cnn_branch = None
         self.cnn_fuse = None
         if self.variant.ave:
-            branch = _ConvStack(rng, w, w, 2, dtype, self._store, "cnn.ave", encoder=False)
-            fw, fb = _conv_pair(rng, 2 * w, w, 1, dtype)
-            self._store.add("cnn.ave_fuse.w", fw, encoder=False)
-            self._store.add("cnn.ave_fuse.b", fb, encoder=False)
-            self.cnn_branch, self.cnn_fuse = branch, (fw, fb)
-
+            self.cnn_branch = _ConvStack(store, "cnn.ave", w, w, 2)
+            self.cnn_fuse = store.conv("cnn.ave_fuse", 2 * w, w, 1)
         self.cnn_attention: Optional[CbamBlock] = None
         if self.variant.cbam:
-            self.cnn_attention = build_cbam(w, rng, enc.cbam_reduction, enc.spatial_width, dtype)
-            self._store.add_many(cbam_parameters(self.cnn_attention, prefix="cnn.cbam"),
-                                 encoder=False)
+            self.cnn_attention = build_cbam(store, "cnn.cbam", w, enc.cbam_reduction,
+                                            enc.spatial_width)
+        self._build_head(w)
 
-        self._build_head(rng, w)
-        self.decoder_final_width = w
-
-    def _build_head(self, rng, width):
-        w1, b1 = _conv_pair(rng, width, width, 3, self.dtype)
-        w2, b2 = _conv_pair(rng, width, self.num_classes, 1, self.dtype)
-        self._store.add("head.conv3.w", w1, encoder=False)
-        self._store.add("head.conv3.b", b1, encoder=False)
-        self._store.add("head.conv1.w", w2, encoder=False)
-        self._store.add("head.conv1.b", b2, encoder=False)
-        self.head = ((w1, b1), (w2, b2))
+    def _build_head(self, width):
+        self.head = (self._store.conv("head.conv3", width, width, 3),
+                     self._store.conv("head.conv1", width, self.num_classes, 1))
 
     # -- forward ------------------------------------------------------
 
@@ -316,9 +256,8 @@ class SegModel:
         With them off, and an input that needs no gradient, the encoder
         builds no graph at all, so backward never reaches it.
         """
-        for name, t in self._store.named:
-            if name in self._store.encoder_names:
-                t.requires_grad = not frozen
+        for t in self._encoder:
+            t.requires_grad = not frozen
 
     def count_params(self) -> int:
         return sum(t.data.size for t in self.parameters())

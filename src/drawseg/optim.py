@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -64,14 +64,17 @@ class Adam:
             id(p): _Slot(np.zeros_like(p.data), np.zeros_like(p.data)) for p in params}
 
     def step(self, params: Sequence[Tensor], lr: float) -> None:
+        """Update every tensor in ``params``, or, if any is unknown or has a
+        non-finite gradient, raise before changing any of them."""
         for p in params:
-            slot = self._slots.get(id(p))
-            if slot is None:
+            if id(p) not in self._slots:
                 raise KeyError(f"parameter {p.name or p.shape} unknown to this optimizer")
-            g = p.grad if p.grad is not None else np.zeros_like(p.data)
-            if not np.isfinite(g).all():
+            if p.grad is not None and not np.isfinite(p.grad).all():
                 raise NumericalError(
                     f"non-finite gradient in parameter {p.name or p.shape}; step rejected")
+        for p in params:
+            slot = self._slots[id(p)]
+            g = p.grad if p.grad is not None else np.zeros_like(p.data)
             slot.t += 1
             slot.m = self.beta1 * slot.m + (1.0 - self.beta1) * g
             slot.v = self.beta2 * slot.v + (1.0 - self.beta2) * g * g

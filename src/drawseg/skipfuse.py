@@ -21,17 +21,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
 from . import tensor as T
-from .cbam import CbamBlock, build_cbam, cbam_forward, cbam_parameters, he_uniform
+from .cbam import CbamBlock, ParamStore, build_cbam, cbam_forward
 from .tensor import Tensor
 
 
 @dataclass
 class SkipBlockParams:
-    channels: int               # C of the encoder level this block wraps
-    deeper_channels: int        # C of the next (half-resolution) level
     ave: bool
     cbam: bool
     pool_conv_w: list           # two 3x3 convs on the average-pooled branch
@@ -43,48 +39,31 @@ class SkipBlockParams:
     reduce_b: Optional[Tensor]
 
 
-def build_skip_block(channels: int, deeper_channels: int, ave: bool, cbam: bool,
-                     rng: np.random.Generator, dtype=T.TRAIN32,
-                     reduction: int = 4, spatial_width: int = 2) -> SkipBlockParams:
-    """Allocate only what the mode uses; plain mode carries no parameters."""
-    def conv(cin, cout, k):
-        w = Tensor(he_uniform(rng, (cout, cin, k, k), cin * k * k, dtype), requires_grad=True)
-        b = Tensor(np.zeros(cout, dtype=dtype), requires_grad=True)
-        return w, b
+def build_skip_block(store: ParamStore, prefix: str, channels: int, deeper_channels: int,
+                     ave: bool, cbam: bool, reduction: int = 4,
+                     spatial_width: int = 2) -> SkipBlockParams:
+    """Allocate only what the mode uses; plain mode carries no parameters.
 
-    pool_w, pool_b = [], []
+    ``channels`` is the width of the encoder level the block wraps,
+    ``deeper_channels`` that of the next (half-resolution) level.
+    """
+    pool = []
     fuse_w = fuse_b = reduce_w = reduce_b = None
     attention = None
     if ave:
-        for _ in range(2):
-            w, b = conv(channels, channels, 3)
-            pool_w.append(w)
-            pool_b.append(b)
-        fuse_w, fuse_b = conv(channels + deeper_channels, deeper_channels, 1)
+        pool = [store.conv(f"{prefix}.pool_conv{i}", channels, channels, 3) for i in range(2)]
+        fuse_w, fuse_b = store.conv(f"{prefix}.fuse", channels + deeper_channels,
+                                    deeper_channels, 1)
         if cbam:
-            attention = build_cbam(deeper_channels, rng, reduction, spatial_width, dtype)
-        reduce_w, reduce_b = conv(channels + deeper_channels, channels, 1)
+            attention = build_cbam(store, f"{prefix}.cbam", deeper_channels, reduction,
+                                   spatial_width)
+        reduce_w, reduce_b = store.conv(f"{prefix}.reduce", channels + deeper_channels,
+                                        channels, 1)
     elif cbam:
-        attention = build_cbam(channels, rng, reduction, spatial_width, dtype)
-        reduce_w, reduce_b = conv(2 * channels, channels, 1)
-    return SkipBlockParams(channels, deeper_channels, ave, cbam,
-                           pool_w, pool_b, fuse_w, fuse_b, attention, reduce_w, reduce_b)
-
-
-def skip_parameters(p: SkipBlockParams, prefix: str = "skip"):
-    out = []
-    for i, (w, b) in enumerate(zip(p.pool_conv_w, p.pool_conv_b)):
-        out.append((f"{prefix}.pool_conv{i}.w", w))
-        out.append((f"{prefix}.pool_conv{i}.b", b))
-    if p.fuse_w is not None:
-        out.append((f"{prefix}.fuse.w", p.fuse_w))
-        out.append((f"{prefix}.fuse.b", p.fuse_b))
-    if p.attention is not None:
-        out.extend(cbam_parameters(p.attention, prefix=f"{prefix}.cbam"))
-    if p.reduce_w is not None:
-        out.append((f"{prefix}.reduce.w", p.reduce_w))
-        out.append((f"{prefix}.reduce.b", p.reduce_b))
-    return out
+        attention = build_cbam(store, f"{prefix}.cbam", channels, reduction, spatial_width)
+        reduce_w, reduce_b = store.conv(f"{prefix}.reduce", 2 * channels, channels, 1)
+    return SkipBlockParams(ave, cbam, [w for w, _ in pool], [b for _, b in pool],
+                           fuse_w, fuse_b, attention, reduce_w, reduce_b)
 
 
 def dualpool_fuse(shallow: Tensor, deeper: Tensor, p: SkipBlockParams) -> Tensor:

@@ -26,8 +26,8 @@ from . import metrics as MT
 from . import tensor as T
 from .data import DrawingDataset, Sample, augment, kfold_split, random_augment_spec
 from .losses import LossSpec, segmentation_loss
-from .models import (EncoderConfig, ModelVariant, SegModel, build_model,
-                     load_checkpoint, save_checkpoint)
+from .models import (ALL_VARIANTS, FAMILIES, EncoderConfig, ModelVariant, SegModel,
+                     build_model, load_checkpoint, save_checkpoint)
 from .optim import Adam, LrSchedule, NumericalError, cosine_lr
 from .tensor import Tensor, zero_grads
 
@@ -215,8 +215,9 @@ def train(cfg: TrainConfig, dataset, train_ids: Sequence[str],
 
     Deterministic for a fixed (config, seed) on one platform: the shuffle
     stream, augmentation draws and initialisation all derive from cfg.seed.
-    On a non-finite loss the last completed epoch's checkpoint is kept and
-    NumericalError propagates. The encoder is frozen by switching off its
+    On a non-finite loss or gradient the weights go back to the start of the
+    epoch, they are written as the final checkpoint, run.log notes the abort
+    and NumericalError propagates. The encoder is frozen by switching off its
     parameters' gradients; however the epoch loop ends, they are on again.
     """
     if model is None:
@@ -231,10 +232,7 @@ def train(cfg: TrainConfig, dataset, train_ids: Sequence[str],
     best_iou = None
     last_good = [p.data.copy() for p in model.parameters()]
 
-    def restore_last_good():
-        for p, saved in zip(model.parameters(), last_good):
-            p.data = saved.copy()
-
+    epoch = batch = 0
     try:
         try:
             for epoch in range(cfg.epochs):
@@ -242,7 +240,7 @@ def train(cfg: TrainConfig, dataset, train_ids: Sequence[str],
                 model.set_frozen(epoch < cfg.unfreeze_epoch)
                 order = epoch_shuffle(train_ids, cfg.seed, epoch)
                 total, seen = 0.0, 0
-                for start in range(0, len(order), cfg.batch_size):
+                for batch, start in enumerate(range(0, len(order), cfg.batch_size)):
                     chunk_ids = order[start:start + cfg.batch_size]
                     chunk = [_train_sample(dataset, sid, cfg, epoch, start + i)
                              for i, sid in enumerate(chunk_ids)]
@@ -250,12 +248,7 @@ def train(cfg: TrainConfig, dataset, train_ids: Sequence[str],
                     loss = segmentation_loss(cfg.loss, model.forward(Tensor(images)), masks)
                     value = float(loss.data)
                     if not np.isfinite(value):
-                        restore_last_good()
-                        out.checkpoint(model, "final")
-                        out.note(f"aborted: non-finite loss at epoch {epoch}, "
-                                 f"batch {start // cfg.batch_size}")
-                        raise NumericalError(
-                            f"non-finite training loss at epoch {epoch}; last good checkpoint kept")
+                        raise NumericalError(f"non-finite training loss {value}")
                     loss.backward()
                     adam.step([p for p in model.parameters() if p.requires_grad], lr)
                     zero_grads(model.parameters())
@@ -276,6 +269,14 @@ def train(cfg: TrainConfig, dataset, train_ids: Sequence[str],
                 log.rows.append(row)
                 out.row(row)
                 last_good = [p.data.copy() for p in model.parameters()]
+        except NumericalError as err:
+            for p, saved in zip(model.parameters(), last_good):
+                p.data = saved
+            zero_grads(model.parameters())
+            out.checkpoint(model, "final")
+            out.note(f"aborted at epoch {epoch}, batch {batch}: {err}; "
+                     f"weights from the start of the epoch kept as final")
+            raise
         finally:
             model.set_frozen(False)
         out.checkpoint(model, "final")
@@ -363,9 +364,6 @@ def run_kfold(cfg: TrainConfig, dataset, out_dir,
 # ablation harness
 
 
-ABLATION_MODES = ((False, False), (True, False), (False, True), (True, True))
-
-
 def _read_wall_seconds(run_log_path) -> float:
     for line in Path(run_log_path).read_text().splitlines():
         if line.startswith("wall_seconds"):
@@ -382,7 +380,9 @@ def run_ablation(cfg: TrainConfig, dataset, family: str, out_dir,
     split = kfold_split(dataset.ids, cfg.folds, cfg.seed)
     val = split.validation(0)
     tr = split.training(0)
-    variants = [ModelVariant(family, ave, cbam) for ave, cbam in ABLATION_MODES]
+    if family not in FAMILIES:
+        raise ValueError(f"unknown family {family!r}")
+    variants = [v for v in ALL_VARIANTS if v.family == family]
     queue = [(replace(cfg, variant=v).to_json(), str(dataset.root), out / v.cli_name, tr, val)
              for v in variants]
     _run_jobs(queue, jobs, dataset)

@@ -8,9 +8,8 @@ from drawseg.tensor import Tensor
 
 
 def make_block(channels, seed=0, reduction=4, spatial_width=2):
-    rng = np.random.default_rng(seed)
-    return C.build_cbam(channels, rng, reduction=reduction,
-                        spatial_width=spatial_width, dtype=np.float64)
+    return C.build_cbam(C.ParamStore(seed, np.float64), "cbam", channels, reduction,
+                        spatial_width)
 
 
 def rand64(rng, shape, requires_grad=False):
@@ -185,10 +184,11 @@ class TestFullBlock:
         assert not np.allclose(both, avg_only)
 
     def test_full_block_gradient_check(self):
-        block = make_block(4, seed=21)
+        store = C.ParamStore(21, np.float64)
+        block = C.build_cbam(store, "cbam", 4)
         rng = np.random.default_rng(22)
         x = Tensor(rng.standard_normal((1, 4, 4, 4)), requires_grad=True)
-        params = dict(C.cbam_parameters(block))
+        params = dict(store.named)
         params["input"] = x
 
         def build():

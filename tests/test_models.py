@@ -104,7 +104,7 @@ class TestBuild:
         enc = M.EncoderConfig(depth=5, base_width=64, in_channels=1,
                               convs_per_block=(2, 2, 3, 3, 3))
         model = M.build_model(M.ModelVariant("unet", True, True), enc, 6, seed=0)
-        assert model.decoder_final_width == 64
+        assert model.head[0][0].shape[1] == 64
         assert model.enc.divisor == 16  # 512x512 inputs are compatible
 
     def test_num_classes_lower_bound(self):
@@ -262,6 +262,61 @@ class TestCheckpoint:
                                           cnn_blocks=2, cnn_attach_after=1)):
             model = M.build_model(variant, enc, 4, seed=0)
             assert M._conv_weight_count(variant.family, enc, 4) <= model.count_params()
+
+
+UNET_FULL_DEPTH2_NAMES = [
+    "enc.l0.conv0.w", "enc.l0.conv0.b", "enc.l0.conv1.w", "enc.l0.conv1.b",
+    "enc.l1.conv0.w", "enc.l1.conv0.b", "enc.l1.conv1.w", "enc.l1.conv1.b",
+    "skip.l0.pool_conv0.w", "skip.l0.pool_conv0.b", "skip.l0.pool_conv1.w", "skip.l0.pool_conv1.b",
+    "skip.l0.fuse.w", "skip.l0.fuse.b", "skip.l0.cbam.mlp.w1", "skip.l0.cbam.mlp.w2",
+    "skip.l0.cbam.spatial.conv0.w", "skip.l0.cbam.spatial.conv0.b",
+    "skip.l0.cbam.spatial.conv1.w", "skip.l0.cbam.spatial.conv1.b",
+    "skip.l0.cbam.spatial.conv2.w", "skip.l0.cbam.spatial.conv2.b",
+    "skip.l0.reduce.w", "skip.l0.reduce.b",
+    "dec.l0.conv0.w", "dec.l0.conv0.b", "dec.l0.conv1.w", "dec.l0.conv1.b",
+    "head.conv3.w", "head.conv3.b", "head.conv1.w", "head.conv1.b",
+]
+
+CNN_FULL_TWO_BLOCK_NAMES = [
+    "cnn.b0.conv0.w", "cnn.b0.conv0.b", "cnn.b1.conv0.w", "cnn.b1.conv0.b",
+    "cnn.ave.conv0.w", "cnn.ave.conv0.b", "cnn.ave.conv1.w", "cnn.ave.conv1.b",
+    "cnn.ave_fuse.w", "cnn.ave_fuse.b", "cnn.cbam.mlp.w1", "cnn.cbam.mlp.w2",
+    "cnn.cbam.spatial.conv0.w", "cnn.cbam.spatial.conv0.b",
+    "cnn.cbam.spatial.conv1.w", "cnn.cbam.spatial.conv1.b",
+    "cnn.cbam.spatial.conv2.w", "cnn.cbam.spatial.conv2.b",
+    "head.conv3.w", "head.conv3.b", "head.conv1.w", "head.conv1.b",
+]
+
+
+class TestCheckpointLayout:
+    """The checkpoint stores parameters in named_parameters() order, so these
+    pin both the initial weights a seed gives and the file layout."""
+
+    @pytest.mark.parametrize("variant", M.ALL_VARIANTS, ids=lambda v: v.cli_name)
+    def test_init_replays_one_seeded_stream(self, variant):
+        for enc in (DESK, M.EncoderConfig(depth=3, base_width=4, in_channels=2,
+                                          convs_per_block=(1, 3, 2), cnn_blocks=2,
+                                          cnn_attach_after=1)):
+            model = M.build_model(variant, enc, 5, seed=13)
+            rng = np.random.default_rng(13)
+            for name, t in model.named_parameters():
+                if t.data.ndim == 1:
+                    assert not t.data.any(), name
+                    continue
+                limit = np.sqrt(6.0 / np.prod(t.shape[1:]))
+                want = rng.uniform(-limit, limit, t.shape).astype(model.dtype)
+                np.testing.assert_array_equal(t.data, want, err_msg=name)
+
+    def test_unet_name_order(self):
+        model = M.build_model(M.ModelVariant("unet", True, True),
+                              M.EncoderConfig(depth=2, base_width=4), 3, seed=0)
+        assert [name for name, _ in model.named_parameters()] == UNET_FULL_DEPTH2_NAMES
+
+    def test_cnn_name_order(self):
+        model = M.build_model(M.ModelVariant("cnn", True, True),
+                              M.EncoderConfig(base_width=4, cnn_blocks=2, cnn_attach_after=1),
+                              3, seed=0)
+        assert [name for name, _ in model.named_parameters()] == CNN_FULL_TWO_BLOCK_NAMES
 
 
 class TestEncoderConfigBounds:

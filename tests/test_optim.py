@@ -82,6 +82,30 @@ class TestAdam:
         with pytest.raises(O.NumericalError):
             adam.step([p], lr=0.1)
 
+    def test_rejected_step_changes_nothing(self):
+        a = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+        b = Tensor(np.array([3.0]), requires_grad=True)
+        c = Tensor(np.array([4.0]), requires_grad=True)
+        adam = O.Adam([a, b, c])
+        a.grad, b.grad, c.grad = np.array([0.5, -0.5]), np.array([1.0]), np.array([2.0])
+        adam.step([a, b, c], lr=0.1)
+        before = {id(p): (p.data.copy(), adam._slots[id(p)].m.copy(),
+                          adam._slots[id(p)].v.copy(), adam._slots[id(p)].t) for p in (a, b, c)}
+        b.grad = np.array([np.nan])
+        with pytest.raises(O.NumericalError):
+            adam.step([a, b, c], lr=0.1)
+        stranger = Tensor(np.array([0.0]), requires_grad=True)
+        b.grad = np.array([1.0])
+        with pytest.raises(KeyError):
+            adam.step([a, b, stranger], lr=0.1)
+        for p in (a, b, c):
+            data, m, v, t = before[id(p)]
+            slot = adam._slots[id(p)]
+            np.testing.assert_array_equal(p.data, data)
+            np.testing.assert_array_equal(slot.m, m)
+            np.testing.assert_array_equal(slot.v, v)
+            assert slot.t == t
+
     def test_skipped_parameter_keeps_state(self):
         a = Tensor(np.array([1.0]), requires_grad=True)
         b = Tensor(np.array([1.0]), requires_grad=True)

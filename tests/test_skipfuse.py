@@ -5,14 +5,14 @@ import pytest
 import _oracles as oracle
 from drawseg import skipfuse as S
 from drawseg import tensor as T
+from drawseg.cbam import ParamStore
 from drawseg.tensor import Tensor
 
 MODES = [(False, False), (True, False), (False, True), (True, True)]
 
 
 def make_block(c=8, c_deep=16, ave=True, cbam=True, seed=0):
-    rng = np.random.default_rng(seed)
-    return S.build_skip_block(c, c_deep, ave, cbam, rng, dtype=np.float64)
+    return S.build_skip_block(ParamStore(seed, np.float64), "skip", c, c_deep, ave, cbam)
 
 
 def rand64(rng, shape, requires_grad=False):
@@ -66,8 +66,9 @@ class TestSkipForward:
         assert out is shallow
 
     def test_plain_mode_has_no_parameters(self):
-        p = make_block(ave=False, cbam=False)
-        assert S.skip_parameters(p) == []
+        store = ParamStore(0, np.float64)
+        S.build_skip_block(store, "skip", 8, 16, False, False)
+        assert store.named == []
 
     @pytest.mark.parametrize("ave,cbam", MODES)
     def test_output_contract_all_modes(self, ave, cbam):
@@ -86,11 +87,12 @@ class TestSkipForward:
 
     @pytest.mark.parametrize("ave,cbam", [m for m in MODES if m != (False, False)])
     def test_gradient_check_each_mode(self, ave, cbam):
-        p = make_block(c=4, c_deep=8, ave=ave, cbam=cbam, seed=7)
+        store = ParamStore(7, np.float64)
+        p = S.build_skip_block(store, "skip", 4, 8, ave, cbam)
         rng = np.random.default_rng(8)
         shallow = Tensor(rng.standard_normal((1, 4, 8, 8)), requires_grad=True)
         deeper = Tensor(rng.standard_normal((1, 8, 4, 4)), requires_grad=True)
-        params = dict(S.skip_parameters(p))
+        params = dict(store.named)
         params["shallow"] = shallow
         if ave:
             params["deeper"] = deeper
@@ -104,8 +106,9 @@ class TestSkipForward:
 
     def test_parameter_counts_grow_with_modes(self):
         def total(ave, cbam):
-            p = make_block(c=8, c_deep=16, ave=ave, cbam=cbam)
-            return sum(t.data.size for _, t in S.skip_parameters(p))
+            store = ParamStore(0, np.float64)
+            S.build_skip_block(store, "skip", 8, 16, ave, cbam)
+            return sum(t.data.size for _, t in store.named)
 
         assert total(False, False) == 0
         assert total(False, False) < total(True, False)

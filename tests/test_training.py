@@ -1,4 +1,6 @@
 """Epoch loop semantics: determinism, freezing, logging, kfold, ablation."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -137,6 +139,32 @@ class TestTrain:
         ckpt = tmp_path / "boom" / "checkpoints" / "final.segm"
         assert ckpt.exists()
         M.load_checkpoint(ckpt)   # still parseable
+
+
+    def test_nonfinite_gradient_aborts_at_epoch_start_weights(self, tiny_dataset, tmp_path,
+                                                              monkeypatch):
+        # batch_size 2 over 4 images: two steps per epoch; poison the second of epoch 1
+        cfg = tiny_config(epochs=2, unfreeze_epoch=0, batch_size=2)
+        ids = tiny_dataset.ids[:4]
+        TR.train(replace(cfg, epochs=1), tiny_dataset, ids, run_dir=tmp_path / "one")
+        calls = {"n": 0}
+        real = Adam.step
+
+        def step(adam, params, lr):
+            calls["n"] += 1
+            if calls["n"] == 4:
+                bias = next(p for p in params if p.name == "head.conv1.b")
+                bias.grad = bias.grad.copy()
+                bias.grad[0] = np.nan
+            return real(adam, params, lr)
+
+        monkeypatch.setattr(Adam, "step", step)
+        with pytest.raises(NumericalError, match="non-finite gradient"):
+            TR.train(cfg, tiny_dataset, ids, run_dir=tmp_path / "boom")
+        final = tmp_path / "boom" / "checkpoints" / "final.segm"
+        assert final.read_bytes() == (tmp_path / "one" / "checkpoints" / "final.segm").read_bytes()
+        M.load_checkpoint(final)
+        assert "aborted" in (tmp_path / "boom" / "run.log").read_text()
 
 
 class TestFrozenAndValidation:
