@@ -162,8 +162,7 @@ def cmd_eval(args) -> int:
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        MT.write_metrics_csv(out / "metrics.csv", [("eval", report)])
-        (out / "confusion.csv").write_text(MT.confusion_csv(report.confusion))
+        MT.write_report(out, "eval", report)
         print(f"wrote {out / 'metrics.csv'} and {out / 'confusion.csv'}")
     return 0
 

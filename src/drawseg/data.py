@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Optional
+from typing import Iterable
 
 import numpy as np
 
@@ -195,11 +195,9 @@ def generate_samples(n: int, size: int, seed: int):
 class AugmentSpec:
     """Geometric ops hit image and mask identically; noise hits only the image.
 
-    Applied in the order crop, horizontal mirror, vertical mirror,
-    rotation (multiples of 90 degrees, label-exact), Gaussian noise.
+    Applied in the order horizontal mirror, vertical mirror, rotation
+    (multiples of 90 degrees, label-exact), Gaussian noise.
     """
-    crop_size: Optional[int] = None
-    crop_offset: Optional[tuple] = None  # (top, left); None = seeded random
     mirror_h: bool = False
     mirror_v: bool = False
     rot90: int = 0
@@ -209,20 +207,6 @@ class AugmentSpec:
 def augment(sample: Sample, spec: AugmentSpec, seed: int) -> Sample:
     rng = np.random.default_rng(seed)
     image, mask = sample.image, sample.mask
-    if spec.crop_size is not None:
-        h, w = image.shape
-        c = spec.crop_size
-        if c > h or c > w:
-            raise ValueError(f"crop {c} larger than source {h}x{w}")
-        if spec.crop_offset is not None:
-            top, left = spec.crop_offset
-            if top + c > h or left + c > w:
-                raise ValueError(f"crop offset {(top, left)}+{c} leaves the {h}x{w} source")
-        else:
-            top = int(rng.integers(0, h - c + 1))
-            left = int(rng.integers(0, w - c + 1))
-        image = image[top:top + c, left:left + c]
-        mask = mask[top:top + c, left:left + c]
     if spec.mirror_h:
         image = image[:, ::-1]
         mask = mask[:, ::-1]

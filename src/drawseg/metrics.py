@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
@@ -151,12 +152,17 @@ def render_confusion(cm: np.ndarray, labels=CLASS_NAMES) -> str:
     return out.getvalue()
 
 
+def csv_cell(v: Optional[float]) -> str:
+    """A float at full precision, so parsing it back is exact; empty for None."""
+    return "" if v is None else repr(float(v))
+
+
 def confusion_csv(cm: np.ndarray, labels=CLASS_NAMES) -> str:
     """Row-normalized rates at full precision, so parsing them back is exact."""
     labels = list(labels)[:cm.shape[0]]
     lines = ["predicted\\true," + ",".join(labels)]
     for p, rates in enumerate(_row_rates(cm)):
-        cells = ",".join("" if v is None else repr(float(v)) for v in rates)
+        cells = ",".join(csv_cell(v) for v in rates)
         lines.append(f"{labels[p]},{cells}")
     return "\n".join(lines) + "\n"
 
@@ -176,12 +182,10 @@ METRICS_CSV_HEADER = (
 
 
 def metrics_csv_row(row_id: str, report: MetricsReport) -> str:
-    fmt = lambda v: "" if v is None else repr(float(v))
-    cells = [row_id, fmt(report.iou_mean), fmt(report.map), fmt(report.accuracy),
-             fmt(report.iou_mean_with_bg)]
-    cells += [fmt(v) for v in report.per_class_iou]
-    cells += [fmt(report.per_class_ap.get(c)) for c in range(1, report.confusion.shape[0])]
-    return ",".join(cells)
+    cells = [report.iou_mean, report.map, report.accuracy, report.iou_mean_with_bg]
+    cells += report.per_class_iou
+    cells += [report.per_class_ap.get(c) for c in range(1, report.confusion.shape[0])]
+    return ",".join([row_id] + [csv_cell(v) for v in cells])
 
 
 def write_metrics_csv(path, rows: list[tuple[str, MetricsReport]]) -> None:
@@ -189,3 +193,9 @@ def write_metrics_csv(path, rows: list[tuple[str, MetricsReport]]) -> None:
         f.write(METRICS_CSV_HEADER + "\n")
         for row_id, report in rows:
             f.write(metrics_csv_row(row_id, report) + "\n")
+
+
+def write_report(out_dir, row_id: str, report: MetricsReport) -> None:
+    """One report as out_dir/metrics.csv (a single row) and out_dir/confusion.csv."""
+    write_metrics_csv(Path(out_dir) / "metrics.csv", [(row_id, report)])
+    (Path(out_dir) / "confusion.csv").write_text(confusion_csv(report.confusion))

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -24,8 +25,10 @@ import numpy as np
 
 from . import metrics as MT
 from . import tensor as T
-from .data import DrawingDataset, Sample, augment, kfold_split, random_augment_spec
+from .data import Sample, augment, kfold_split, random_augment_spec
 from .losses import LossSpec, segmentation_loss
+# load_checkpoint is unused here but stays importable as training.load_checkpoint,
+# a name perfbench's tracer wraps.
 from .models import (ALL_VARIANTS, FAMILIES, EncoderConfig, ModelVariant, SegModel,
                      build_model, load_checkpoint, save_checkpoint)
 from .optim import Adam, LrSchedule, NumericalError, cosine_lr
@@ -66,19 +69,13 @@ class TrainConfig:
         return LrSchedule(self.lr0, max(self.epochs, 1), self.eta_min)
 
     def to_json(self) -> str:
-        def enc(o):
-            if dataclasses.is_dataclass(o):
-                return dataclasses.asdict(o)
-            raise TypeError(o)
-        return json.dumps(dataclasses.asdict(self), indent=2, default=enc, sort_keys=True)
+        return json.dumps(dataclasses.asdict(self), indent=2, sort_keys=True)
 
     @staticmethod
     def from_json(text: str) -> "TrainConfig":
         raw = json.loads(text)
         raw["variant"] = ModelVariant(**raw["variant"])
-        enc = raw["encoder"]
-        enc["convs_per_block"] = tuple(enc["convs_per_block"]) if enc["convs_per_block"] else None
-        raw["encoder"] = EncoderConfig(**enc)
+        raw["encoder"] = EncoderConfig(**raw["encoder"])
         raw["loss"] = LossSpec(**raw["loss"])
         return TrainConfig(**raw)
 
@@ -98,15 +95,15 @@ LOG_CSV_HEADER = "epoch,lr,train_loss,val_loss,val_iou,val_map,val_accuracy"
 
 
 def _row_csv(row: EpochRow) -> str:
-    opt = lambda v: "" if v is None else repr(float(v))
-    return (f"{row.epoch},{repr(float(row.lr))},{repr(float(row.train_loss))},"
-            f"{opt(row.val_loss)},{opt(row.val_iou)},{opt(row.val_map)},{opt(row.val_accuracy)}")
+    cells = (row.lr, row.train_loss, row.val_loss, row.val_iou, row.val_map, row.val_accuracy)
+    return ",".join([str(row.epoch)] + [MT.csv_cell(v) for v in cells])
 
 
 @dataclass
 class RunLog:
     rows: list[EpochRow] = field(default_factory=list)
     wall_seconds: float = 0.0
+    final: Optional[MT.MetricsReport] = None   # the final model on val_ids; None without them
 
     def csv(self) -> str:
         return "\n".join([LOG_CSV_HEADER] + [_row_csv(r) for r in self.rows]) + "\n"
@@ -198,8 +195,7 @@ class _RunDir:
     def metrics(self, report: MT.MetricsReport):
         if self.path is None:
             return
-        MT.write_metrics_csv(self.path / "metrics.csv", [("final", report)])
-        (self.path / "confusion.csv").write_text(MT.confusion_csv(report.confusion))
+        MT.write_report(self.path, "final", report)
 
     def close(self):
         if self.path is None:
@@ -211,7 +207,8 @@ class _RunDir:
 def train(cfg: TrainConfig, dataset, train_ids: Sequence[str],
           val_ids: Sequence[str] = (), run_dir=None,
           model: Optional[SegModel] = None) -> tuple[SegModel, RunLog]:
-    """Run the epoch loop; returns the trained model and its log.
+    """Run the epoch loop; returns the trained model and its log, whose
+    ``final`` is the final model's report on val_ids.
 
     Deterministic for a fixed (config, seed) on one platform: the shuffle
     stream, augmentation draws and initialisation all derive from cfg.seed.
@@ -283,7 +280,8 @@ def train(cfg: TrainConfig, dataset, train_ids: Sequence[str],
         if best_iou is None:
             out.checkpoint(model, "best")   # never validated: best == final
         if val_ids:
-            out.metrics(evaluate(model, val_ids, dataset, batch_size=cfg.batch_size))
+            log.final = evaluate(model, val_ids, dataset, batch_size=cfg.batch_size)
+            out.metrics(log.final)
     finally:
         log.wall_seconds = time.time() - started
         out.note(f"wall_seconds {log.wall_seconds:.1f}")
@@ -299,82 +297,75 @@ def fold_seed(seed: int, k: int) -> int:
     return int(np.random.SeedSequence([seed, k]).generate_state(1)[0])
 
 
-def _train_job(args):
-    """Worker for --jobs parallelism: one independent run per process."""
-    cfg_json, dataset_root, run_dir, train_ids, val_ids = args
-    cfg = TrainConfig.from_json(cfg_json)
-    ds = DrawingDataset(dataset_root)
-    train(cfg, ds, train_ids, val_ids, run_dir=run_dir)
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
-def _run_jobs(jobs: list, n_workers: int, dataset) -> None:
+def _run_job(job) -> tuple[Optional[MT.MetricsReport], int, float]:
+    cfg, dataset, run_dir, train_ids, val_ids = job
+    model, log = train(cfg, dataset, train_ids, val_ids, run_dir=run_dir)
+    return log.final, model.count_params(), log.wall_seconds
+
+
+def _run_jobs(jobs: list, n_workers: int) -> list[tuple[Optional[MT.MetricsReport], int, float]]:
+    """Each job's (final report, parameter count, wall seconds), in job order.
+
+    Workers are spawned with one BLAS thread each: forked ones would inherit
+    the parent's BLAS threads and run more threads than there are cores."""
     if n_workers <= 1:
-        for cfg_json, _, run_dir, tr, val in jobs:
-            train(TrainConfig.from_json(cfg_json), dataset, tr, val, run_dir=run_dir)
-        return
-    import multiprocessing
-    with multiprocessing.Pool(n_workers) as pool:
-        pool.map(_train_job, jobs)
+        return [_run_job(job) for job in jobs]
+    import multiprocessing   # here, so importing training loads no pool machinery
+    from concurrent.futures import ProcessPoolExecutor
+    saved = {name: os.environ[name] for name in _BLAS_THREAD_VARS if name in os.environ}
+    os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, "1"))
+    try:
+        with ProcessPoolExecutor(n_workers, mp_context=multiprocessing.get_context("spawn")) as pool:
+            return list(pool.map(_run_job, jobs))
+    finally:
+        for name in _BLAS_THREAD_VARS:
+            del os.environ[name]
+        os.environ.update(saved)
 
 
 def run_kfold(cfg: TrainConfig, dataset, out_dir,
               jobs: int = 1) -> tuple[list[MT.MetricsReport], dict]:
     """One independent training per fold, fresh init from derived seeds;
-    aggregate is mean and population stddev per metric over folds."""
-    if cfg.folds < 2:
-        raise ValueError("K must be >= 2")
+    aggregate is mean and population stddev per metric over folds. With
+    jobs > 1 the folds run in spawned workers, which re-import __main__: a
+    calling script without an ``if __name__ == "__main__":`` guard fails."""
+    split = kfold_split(dataset.ids, cfg.folds, cfg.seed)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    split = kfold_split(dataset.ids, cfg.folds, cfg.seed)
     queue = []
     for k in range(cfg.folds):
         val = split.validation(k)
         tr = split.training(k)
         assert not set(val) & set(tr), f"fold {k} leaks validation ids into training"
-        fold_cfg = replace(cfg, seed=fold_seed(cfg.seed, k))
-        queue.append((fold_cfg.to_json(), str(dataset.root), out / f"fold{k}", tr, val))
-    _run_jobs(queue, jobs, dataset)
-    metrics_rows = []
-    for k in range(cfg.folds):
-        model = load_checkpoint(out / f"fold{k}" / "checkpoints" / "final.segm")
-        report = evaluate(model, split.validation(k), dataset, batch_size=cfg.batch_size)
-        metrics_rows.append((k, report))
-
-    def series(get):
-        return np.array([v for _, r in metrics_rows if (v := get(r)) is not None], dtype=float)
-
-    names = {"iou_mean": lambda r: r.iou_mean, "map": lambda r: r.map,
-             "accuracy": lambda r: r.accuracy}
+        queue.append((replace(cfg, seed=fold_seed(cfg.seed, k)), dataset, out / f"fold{k}",
+                      tr, val))
+    reports = [report for report, _, _ in _run_jobs(queue, jobs)]
     aggregate = {}
-    for name, get in names.items():
-        vals = series(get)
-        aggregate[name] = {"mean": float(vals.mean()) if vals.size else None,
-                           "std": float(vals.std()) if vals.size else None}
-    lines = ["metric,mean,std"]
-    for name, stats in aggregate.items():
-        fmt = lambda v: "" if v is None else repr(v)
-        lines.append(f"{name},{fmt(stats['mean'])},{fmt(stats['std'])}")
+    for name in ("iou_mean", "map", "accuracy"):
+        vals = [v for r in reports if (v := getattr(r, name)) is not None]
+        aggregate[name] = {"mean": float(np.mean(vals)) if vals else None,
+                           "std": float(np.std(vals)) if vals else None}
+    lines = ["metric,mean,std"] + [f"{name},{MT.csv_cell(s['mean'])},{MT.csv_cell(s['std'])}"
+                                   for name, s in aggregate.items()]
     (out / "aggregate.csv").write_text("\n".join(lines) + "\n")
     MT.write_metrics_csv(out / "metrics.csv",
-                         [(f"fold{k}", r) for k, r in metrics_rows])
-    return [r for _, r in metrics_rows], aggregate
+                         [(f"fold{k}", r) for k, r in enumerate(reports)])
+    return reports, aggregate
 
 
 # ---------------------------------------------------------------------------
 # ablation harness
 
 
-def _read_wall_seconds(run_log_path) -> float:
-    for line in Path(run_log_path).read_text().splitlines():
-        if line.startswith("wall_seconds"):
-            return float(line.split()[1])
-    return float("nan")
-
-
 def run_ablation(cfg: TrainConfig, dataset, family: str, out_dir,
                  jobs: int = 1) -> list[dict]:
     """Train the four variants of one family under identical data, seed and
-    schedule; evaluate each final model on the shared held-out fold."""
+    schedule; report each final model on the shared held-out fold. With
+    jobs > 1 the variants run in spawned workers, which re-import __main__: a
+    calling script without an ``if __name__ == "__main__":`` guard fails."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     split = kfold_split(dataset.ids, cfg.folds, cfg.seed)
@@ -383,29 +374,15 @@ def run_ablation(cfg: TrainConfig, dataset, family: str, out_dir,
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}")
     variants = [v for v in ALL_VARIANTS if v.family == family]
-    queue = [(replace(cfg, variant=v).to_json(), str(dataset.root), out / v.cli_name, tr, val)
-             for v in variants]
-    _run_jobs(queue, jobs, dataset)
-    rows = []
-    for variant in variants:
-        run_dir = out / variant.cli_name
-        model = load_checkpoint(run_dir / "checkpoints" / "final.segm")
-        report = evaluate(model, val, dataset, batch_size=cfg.batch_size)
-        wall = _read_wall_seconds(run_dir / "run.log")
-        rows.append({
-            "method": variant.row_name,
-            "iou": report.iou_mean,
-            "map": report.map,
-            "accuracy": report.accuracy,
-            "params": model.count_params(),
-            "wall_seconds": wall,
-        })
+    queue = [(replace(cfg, variant=v), dataset, out / v.cli_name, tr, val) for v in variants]
+    rows = [{"method": variant.row_name, "iou": report.iou_mean, "map": report.map,
+             "accuracy": report.accuracy, "params": params, "wall_seconds": wall}
+            for variant, (report, params, wall) in zip(variants, _run_jobs(queue, jobs))]
 
-    opt = lambda v: "" if v is None else repr(float(v))
     csv_lines = ["method,IoU,mAP,Accu,params"]
     for r in rows:
-        csv_lines.append(f"{r['method']},{opt(r['iou'])},{opt(r['map'])},"
-                         f"{opt(r['accuracy'])},{r['params']}")
+        cells = [MT.csv_cell(r[key]) for key in ("iou", "map", "accuracy")]
+        csv_lines.append(",".join([r["method"]] + cells + [str(r["params"])]))
     (out / "ablation.csv").write_text("\n".join(csv_lines) + "\n")
 
     fmt = lambda v: "  -   " if v is None else f"{v:.4f}"

@@ -114,6 +114,49 @@ class TestTrainEvalPredict:
                 == (run_dir / "checkpoints" / "final.segm").read_bytes())
 
 
+def tree_bytes(root, skip=("run.log",)):
+    return {str(p.relative_to(root)): p.read_bytes()
+            for p in sorted(root.rglob("*")) if p.is_file() and p.name not in skip}
+
+
+class TestParallelJobs:
+    def test_pool_matches_serial(self, tmp_path):
+        data = tmp_path / "data"
+        assert cli.main(["gen-data", "--n", "12", "--size", "32", "--seed", "2",
+                         "--out", str(data)]) == 0
+        common = ["--data", str(data), "--epochs", "2", "--unfreeze-epoch", "1",
+                  "--depth", "3", "--base-width", "4", "--folds", "3", "--seed", "6"]
+        env_before = dict(os.environ)
+        for jobs in ("1", "2"):
+            assert cli.main(["ablate", "--family", "cnn", "--out", str(tmp_path / f"abl{jobs}"),
+                             "--jobs", jobs] + common) == 0
+            assert cli.main(["kfold", "--variant", "unet-full",
+                             "--out", str(tmp_path / f"kf{jobs}"), "--jobs", jobs] + common) == 0
+        assert dict(os.environ) == env_before
+        skip = ("run.log", "ablation.txt")
+        serial = tree_bytes(tmp_path / "abl1", skip)
+        assert len(serial) == 4 * 6 + 1
+        assert tree_bytes(tmp_path / "abl2", skip) == serial
+        wall_free = [[line.rsplit(None, 1)[0] for line in
+                      (tmp_path / d / "ablation.txt").read_text().splitlines()]
+                     for d in ("abl1", "abl2")]
+        assert wall_free[0] == wall_free[1]
+        serial = tree_bytes(tmp_path / "kf1")
+        assert len(serial) == 3 * 6 + 2
+        assert tree_bytes(tmp_path / "kf2") == serial
+
+        # each fold's row is the report of its reloaded final checkpoint
+        dataset = drawseg.DrawingDataset(data)
+        split = drawseg.data.kfold_split(dataset.ids, 3, 6)
+        rows = (tmp_path / "kf1" / "metrics.csv").read_text().splitlines()[1:]
+        assert len(rows) == 3
+        for k, row in enumerate(rows):
+            model = drawseg.models.load_checkpoint(
+                tmp_path / "kf1" / f"fold{k}" / "checkpoints" / "final.segm")
+            report = drawseg.training.evaluate(model, split.validation(k), dataset, batch_size=4)
+            assert row == drawseg.metrics.metrics_csv_row(f"fold{k}", report)
+
+
 class TestExitCodes:
     def test_missing_dataset_is_2(self, tmp_path):
         assert cli.main(["train", "--data", str(tmp_path / "nope"),

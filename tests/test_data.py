@@ -109,14 +109,6 @@ class TestAugment:
         out = D.augment(s, D.AugmentSpec(rot90=1), 0)
         np.testing.assert_array_equal(out.mask, np.rot90(s.mask, 1))
 
-    def test_crop_window_and_rejection(self):
-        s = self.sample()
-        out = D.augment(s, D.AugmentSpec(crop_size=16, crop_offset=(4, 6)), 0)
-        np.testing.assert_array_equal(out.image, s.image[4:20, 6:22])
-        np.testing.assert_array_equal(out.mask, s.mask[4:20, 6:22])
-        with pytest.raises(ValueError, match="crop"):
-            D.augment(s, D.AugmentSpec(crop_size=64), 0)
-
     def test_noise_statistics_and_mask_untouched(self):
         s = self.sample()
         sigma = 0.05

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from drawseg import data as D
+from drawseg import metrics as MT
 from drawseg import models as M
 from drawseg import training as TR
 from drawseg.losses import LossSpec, segmentation_loss
@@ -58,6 +59,7 @@ class TestTrain:
         init = M.build_model(cfg.variant, cfg.encoder, cfg.num_classes, cfg.seed)
         model, log = TR.train(cfg, tiny_dataset, tiny_dataset.ids[:4])
         assert log.rows == []
+        assert log.final is None  # no validation ids, no final report
         for a, b in zip(model.parameters(), init.parameters()):
             np.testing.assert_array_equal(a.data, b.data)
 
@@ -111,8 +113,10 @@ class TestTrain:
     def test_run_dir_contents(self, tiny_dataset, tmp_path):
         cfg = tiny_config(epochs=2, unfreeze_epoch=0)
         ids = tiny_dataset.ids
-        TR.train(cfg, tiny_dataset, ids[:8], ids[8:], run_dir=tmp_path / "run")
+        _, log = TR.train(cfg, tiny_dataset, ids[:8], ids[8:], run_dir=tmp_path / "run")
         root = tmp_path / "run"
+        assert ((root / "metrics.csv").read_text().splitlines()[1]
+                == MT.metrics_csv_row("final", log.final))
         for name in ("config.json", "log.csv", "metrics.csv", "confusion.csv", "run.log",
                      "checkpoints/final.segm", "checkpoints/best.segm"):
             assert (root / name).exists(), name
