@@ -49,101 +49,65 @@ class ParamStore:
 
 
 @dataclass
-class ChannelAttentionParams:
-    """Shared-MLP weights for the channel gate. w1: (C/r, C), w2: (C, C/r).
-
-    One storage for both pooled branches; reduction r is clamped so the
-    bottleneck keeps at least one unit.
-    """
+class CbamBlock:
+    """Shared-MLP weights w1: (C/r, C) and w2: (C, C/r) for the channel gate,
+    and three (w, b) 3x3 convs, 2 -> hidden -> hidden -> 1 channels, for the
+    spatial gate."""
     w1: Tensor
     w2: Tensor
-
-
-@dataclass
-class SpatialAttentionParams:
-    """Three chained 3x3 convs: 2 -> hidden -> hidden -> 1 channels."""
-    conv_w: list
-    conv_b: list
-
-
-@dataclass
-class CbamBlock:
-    channels: int
-    channel: ChannelAttentionParams
-    spatial: SpatialAttentionParams
+    spatial: list
 
 
 def build_cbam(store: ParamStore, prefix: str, channels: int, reduction: int = 4,
                spatial_width: int = 2) -> CbamBlock:
-    """Parameters ``prefix.mlp.w1``, ``prefix.mlp.w2``, ``prefix.spatial.conv{0,1,2}``."""
+    """Parameters ``prefix.mlp.w1``, ``prefix.mlp.w2``, ``prefix.spatial.conv{0,1,2}``.
+
+    One MLP storage serves both pooled branches; the reduction r is clamped
+    so the bottleneck keeps at least one unit.
+    """
     if channels < 1:
         raise ValueError(f"cbam needs >= 1 channel, got {channels}")
     hidden = max(1, channels // max(1, reduction))
     w1 = store.weight(f"{prefix}.mlp.w1", (hidden, channels), channels)
     w2 = store.weight(f"{prefix}.mlp.w2", (channels, hidden), hidden)
     widths = [(2, spatial_width), (spatial_width, spatial_width), (spatial_width, 1)]
-    convs = [store.conv(f"{prefix}.spatial.conv{i}", cin, cout, 3)
-             for i, (cin, cout) in enumerate(widths)]
-    return CbamBlock(channels, ChannelAttentionParams(w1, w2),
-                     SpatialAttentionParams([w for w, _ in convs], [b for _, b in convs]))
+    return CbamBlock(w1, w2, [store.conv(f"{prefix}.spatial.conv{i}", cin, cout, 3)
+                              for i, (cin, cout) in enumerate(widths)])
 
 
-def _shared_mlp(pooled: Tensor, p: ChannelAttentionParams) -> Tensor:
-    return T.dense(T.relu(T.dense(pooled, p.w1)), p.w2)
+def _shared_mlp(pooled: Tensor, block: CbamBlock) -> Tensor:
+    return T.dense(T.relu(T.dense(pooled, block.w1)), block.w2)
 
 
-def channel_attention(x: Tensor, p: ChannelAttentionParams) -> Tensor:
+def channel_attention(x: Tensor, block: CbamBlock) -> Tensor:
     """Per-channel gate in (0,1), shape N-C-1-1.
 
     sigmoid(MLP(global_max_pool(x)) + MLP(global_avg_pool(x))) with the
     MLP weights shared between the two branches.
     """
-    c = x.shape[1]
-    if p.w1.shape[1] != c:
-        raise T.ShapeError(
-            f"channel attention built for {p.w1.shape[1]} channels, input has {c}")
-    branch_max = _shared_mlp(T.global_max_pool(x), p)
-    branch_avg = _shared_mlp(T.global_avg_pool(x), p)
+    branch_max = _shared_mlp(T.global_max_pool(x), block)
+    branch_avg = _shared_mlp(T.global_avg_pool(x), block)
     return T.sigmoid(T.add(branch_max, branch_avg))
 
 
-def apply_channel(x: Tensor, weights: Tensor) -> Tensor:
-    """Broadcast-multiply an N-C-1-1 gate over H and W."""
-    n, c = x.shape[0], x.shape[1]
-    if weights.shape != (n, c, 1, 1):
-        raise T.ShapeError(
-            f"channel weights must have shape {(n, c, 1, 1)}, got {weights.shape}")
-    return T.mul(x, weights)
-
-
-def spatial_attention(x: Tensor, p: SpatialAttentionParams) -> Tensor:
+def spatial_attention(x: Tensor, block: CbamBlock) -> Tensor:
     """Per-pixel gate in (0,1), shape N-1-H-W.
 
     Channel-pools the input to a 2-channel map (mean and max), then three
     3x3 same-padded convs with ReLU between them and a sigmoid at the end.
     """
-    stacked = T.concat_channels(T.channel_avg_pool(x), T.channel_max_pool(x))
-    y = T.conv2d(stacked, p.conv_w[0], p.conv_b[0])
-    y = T.relu(y)
-    y = T.conv2d(y, p.conv_w[1], p.conv_b[1])
-    y = T.relu(y)
-    y = T.conv2d(y, p.conv_w[2], p.conv_b[2])
-    return T.sigmoid(y)
-
-
-def apply_spatial(x: Tensor, weights: Tensor) -> Tensor:
-    """Broadcast-multiply an N-1-H-W gate over channels."""
-    n, _, h, w = x.shape
-    if weights.shape != (n, 1, h, w):
-        raise T.ShapeError(
-            f"spatial weights must have shape {(n, 1, h, w)}, got {weights.shape}")
-    return T.mul(x, weights)
+    (w0, b0), (w1, b1), (w2, b2) = block.spatial
+    y = T.concat_channels(T.channel_avg_pool(x), T.channel_max_pool(x))
+    y = T.relu(T.conv2d(y, w0, b0))
+    y = T.relu(T.conv2d(y, w1, b1))
+    return T.sigmoid(T.conv2d(y, w2, b2))
 
 
 def cbam_forward(x: Tensor, block: CbamBlock) -> Tensor:
-    """Channel gate, then spatial gate computed on the channel-attended map."""
-    if x.shape[1] != block.channels:
-        raise T.ShapeError(
-            f"cbam block built for {block.channels} channels, input has {x.shape[1]}")
-    attended = apply_channel(x, channel_attention(x, block.channel))
-    return apply_spatial(attended, spatial_attention(attended, block.spatial))
+    """Channel gate, then spatial gate computed on the channel-attended map.
+
+    Both gates broadcast-multiply into the map: N-C-1-1 over H and W, then
+    N-1-H-W over channels.
+    """
+    attended = T.mul(x, channel_attention(x, block))
+    return T.mul(attended, spatial_attention(attended, block))

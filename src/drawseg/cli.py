@@ -2,10 +2,11 @@
 
 Subcommands: gen-data, train, eval, predict, ablate, kfold, gradcheck.
 Every command echoes its resolved configuration as JSON before acting.
-Exit codes: 0 success, 1 verification failure, 2 usage or path error,
-3 numerical failure. gen-data, train, ablate and kfold take --seed, whose
-default comes from the SEGSEED environment variable (else 0); eval and
-predict are deterministic and take no seed.
+Exit codes: 0 success, 1 verification failure, 2 usage or path error
+(including a --jobs worker that died), 3 numerical failure. gen-data,
+train, ablate and kfold take --seed, whose default comes from the SEGSEED
+environment variable (else 0); eval and predict are deterministic and
+take no seed.
 """
 from __future__ import annotations
 
@@ -13,6 +14,7 @@ import argparse
 import json
 import os
 import sys
+from concurrent.futures import BrokenExecutor
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +26,8 @@ from .losses import LOSS_KINDS, LossSpec
 from .models import ALL_VARIANTS, EncoderConfig, ModelVariant, load_checkpoint
 from .netpbm import write_pgm, write_ppm
 from .optim import NumericalError
-from .training import TrainConfig, evaluate, run_ablation, run_kfold, train
+from .tensor import Tensor, no_grad
+from .training import TrainConfig, _batch_arrays, evaluate, run_ablation, run_kfold, train
 
 # overlay palette, one RGB triple per class id
 PALETTE = {
@@ -186,14 +189,10 @@ def cmd_predict(args) -> int:
     ids = _read_ids(args, dataset)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    from . import tensor as T
-    from .tensor import Tensor
     for sid in ids:
         sample = dataset.load(sid)
-        image = sample.image.astype(model.dtype)[None, None]
-        if model.enc.in_channels > 1:
-            image = np.repeat(image, model.enc.in_channels, axis=1)
-        with T.no_grad():
+        image, _ = _batch_arrays([sample], model.enc.in_channels, model.dtype)
+        with no_grad():
             logits = model.forward(Tensor(image))
         pred = logits.data.argmax(axis=1)[0].astype(np.uint8)
         write_pgm(out / f"{sid}_pred.pgm", pred, maxval=model.num_classes - 1)
@@ -302,7 +301,8 @@ def main(argv=None) -> int:
     except NumericalError as e:
         print(f"numerical failure: {e}", file=sys.stderr)
         return 3
-    except (FileNotFoundError, NotADirectoryError, PermissionError, KeyError, ValueError) as e:
+    except (FileNotFoundError, NotADirectoryError, PermissionError, KeyError, ValueError,
+            BrokenExecutor) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

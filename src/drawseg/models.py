@@ -232,8 +232,7 @@ class SegModel:
                 if self.cnn_branch is not None:
                     side = self.cnn_branch.forward(T.avg_pool2d(y))
                     side = T.upsample2x(side)
-                    fw, fb = self.cnn_fuse
-                    y = T.conv2d(T.concat_channels(y, side), fw, fb)
+                    y = T.conv2d(T.concat_channels(y, side), *self.cnn_fuse)
                 if self.cnn_attention is not None:
                     y = cbam_forward(y, self.cnn_attention)
         return self._head_forward(y)

@@ -28,15 +28,12 @@ from .tensor import Tensor
 
 @dataclass
 class SkipBlockParams:
-    ave: bool
-    cbam: bool
-    pool_conv_w: list           # two 3x3 convs on the average-pooled branch
-    pool_conv_b: list
-    fuse_w: Optional[Tensor]    # 1x1: (C + C_deeper) -> C_deeper
-    fuse_b: Optional[Tensor]
+    """The (w, b) convs and attention its mode uses: plain mode holds no
+    ``reduce``, only ave modes hold ``pool`` and ``fuse``."""
+    pool: list                      # two 3x3 convs on the average-pooled branch
+    fuse: Optional[tuple]           # 1x1: (C + C_deeper) -> C_deeper
     attention: Optional[CbamBlock]
-    reduce_w: Optional[Tensor]  # 1x1 back to C after re-fusion
-    reduce_b: Optional[Tensor]
+    reduce: Optional[tuple]         # 1x1 back to C after re-fusion
 
 
 def build_skip_block(store: ParamStore, prefix: str, channels: int, deeper_channels: int,
@@ -47,23 +44,18 @@ def build_skip_block(store: ParamStore, prefix: str, channels: int, deeper_chann
     ``channels`` is the width of the encoder level the block wraps,
     ``deeper_channels`` that of the next (half-resolution) level.
     """
-    pool = []
-    fuse_w = fuse_b = reduce_w = reduce_b = None
-    attention = None
+    block = SkipBlockParams([], None, None, None)
+    if not (ave or cbam):
+        return block
+    lateral = deeper_channels if ave else channels   # width that re-fuses with ``channels``
     if ave:
-        pool = [store.conv(f"{prefix}.pool_conv{i}", channels, channels, 3) for i in range(2)]
-        fuse_w, fuse_b = store.conv(f"{prefix}.fuse", channels + deeper_channels,
-                                    deeper_channels, 1)
-        if cbam:
-            attention = build_cbam(store, f"{prefix}.cbam", deeper_channels, reduction,
-                                   spatial_width)
-        reduce_w, reduce_b = store.conv(f"{prefix}.reduce", channels + deeper_channels,
-                                        channels, 1)
-    elif cbam:
-        attention = build_cbam(store, f"{prefix}.cbam", channels, reduction, spatial_width)
-        reduce_w, reduce_b = store.conv(f"{prefix}.reduce", 2 * channels, channels, 1)
-    return SkipBlockParams(ave, cbam, [w for w, _ in pool], [b for _, b in pool],
-                           fuse_w, fuse_b, attention, reduce_w, reduce_b)
+        block.pool = [store.conv(f"{prefix}.pool_conv{i}", channels, channels, 3)
+                      for i in range(2)]
+        block.fuse = store.conv(f"{prefix}.fuse", channels + deeper_channels, deeper_channels, 1)
+    if cbam:
+        block.attention = build_cbam(store, f"{prefix}.cbam", lateral, reduction, spatial_width)
+    block.reduce = store.conv(f"{prefix}.reduce", channels + lateral, channels, 1)
+    return block
 
 
 def dualpool_fuse(shallow: Tensor, deeper: Tensor, p: SkipBlockParams) -> Tensor:
@@ -74,24 +66,24 @@ def dualpool_fuse(shallow: Tensor, deeper: Tensor, p: SkipBlockParams) -> Tensor
     if deeper.shape[2] * 2 != h or deeper.shape[3] * 2 != w:
         raise T.ShapeError(
             f"deeper feature must be half resolution: got {deeper.shape[2:]} vs {shallow.shape[2:]}")
+    (w0, b0), (w1, b1) = p.pool
     a = T.relu(T.avg_pool2d(shallow))
-    a = T.relu(T.conv2d(a, p.pool_conv_w[0], p.pool_conv_b[0]))
-    a = T.conv2d(a, p.pool_conv_w[1], p.pool_conv_b[1])
-    return T.conv2d(T.concat_channels(a, deeper), p.fuse_w, p.fuse_b)
+    a = T.relu(T.conv2d(a, w0, b0))
+    a = T.conv2d(a, w1, b1)
+    return T.conv2d(T.concat_channels(a, deeper), *p.fuse)
 
 
 def skip_forward(shallow: Tensor, deeper: Optional[Tensor], p: SkipBlockParams) -> Tensor:
     """Produce the decoder-facing feature, same shape as ``shallow``."""
-    if not p.ave and not p.cbam:
+    if p.reduce is None:
         return shallow
-    if p.ave:
+    if p.fuse is not None:
         if deeper is None:
             raise T.ShapeError("ave mode needs the deeper encoder feature")
-        fused = dualpool_fuse(shallow, deeper, p)
-        if p.cbam:
-            fused = cbam_forward(fused, p.attention)
-        lateral = T.upsample2x(fused)
+        lateral = dualpool_fuse(shallow, deeper, p)
+        if p.attention is not None:
+            lateral = cbam_forward(lateral, p.attention)
+        lateral = T.upsample2x(lateral)
     else:
         lateral = cbam_forward(shallow, p.attention)
-    merged = T.concat_channels(shallow, lateral)
-    return T.conv2d(merged, p.reduce_w, p.reduce_b)
+    return T.conv2d(T.concat_channels(shallow, lateral), *p.reduce)

@@ -179,7 +179,7 @@ def _zero_pad(a: np.ndarray, top: int, bottom: int, left: int, right: int) -> np
     return out
 
 
-def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
+def conv2d(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     """Same-padded 2-D cross-correlation over N-C-H-W input with an O-C-k-k kernel.
 
     Layout: x is zero-padded by (p, p+1) rows and (p, p) columns (p = k // 2,
@@ -217,9 +217,9 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
         raise ShapeError(f"conv2d channel mismatch on axis 1: input has {cin}, weight expects {cw}")
     if k % 2 == 0:
         raise ShapeError(f"same padding requires an odd kernel, got k={k}")
-    if bias is not None and bias.shape != (cout,):
+    if bias.shape != (cout,):
         raise ShapeError(f"conv2d bias must have shape ({cout},), got {bias.shape}")
-    _check_same_dtype(*([x, weight] + ([bias] if bias is not None else [])))
+    _check_same_dtype(x, weight, bias)
 
     p = k // 2
     wp = w + 2 * p
@@ -239,13 +239,10 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
         tmp = np.empty_like(wide)
         for u, v, s in taps[1:]:
             wide += np.matmul(wt[u, v], xf[:, :, s:s + span], out=tmp)
-    out = wide.reshape(n, cout, h, wp)[..., :w]
-    out = out + bias.data[:, None, None] if bias is not None else np.ascontiguousarray(out)
-
-    parents = [x, weight] if bias is None else [x, weight, bias]
+    out = wide.reshape(n, cout, h, wp)[..., :w] + bias.data[:, None, None]
 
     def backward(g: np.ndarray) -> None:
-        if bias is not None and bias.requires_grad:
+        if bias.requires_grad:
             _accumulate(bias, g.sum(axis=(0, 2, 3)))
         gw = (_zero_pad(g, 0, 0, 0, 2 * p) if p else g).reshape(n, cout, span)
         if weight.requires_grad:
@@ -262,7 +259,7 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
                 gx[:, :, s:s + span] += np.matmul(wt[u, v].T, gw, out=tmp)
             _accumulate(x, gx.reshape(xp.shape)[:, :, p:p + h, p:p + w])
 
-    return _result(out, parents, backward)
+    return _result(out, [x, weight, bias], backward)
 
 
 def _check_even_spatial(x: Tensor, opname: str) -> None:

@@ -105,9 +105,6 @@ class RunLog:
     wall_seconds: float = 0.0
     final: Optional[MT.MetricsReport] = None   # the final model on val_ids; None without them
 
-    def csv(self) -> str:
-        return "\n".join([LOG_CSV_HEADER] + [_row_csv(r) for r in self.rows]) + "\n"
-
 
 def epoch_shuffle(ids: Sequence[str], seed: int, epoch: int) -> list[str]:
     """Variant-independent deterministic order, so parallel ablation runs

@@ -188,6 +188,23 @@ class TestExitCodes:
                          "--base-width", "4", "--no-validation"])
         assert code == 3
 
+    def test_dead_jobs_worker_is_2(self, tmp_path):
+        # spawned workers re-import __main__; without a __main__ guard each
+        # worker tries to start its own pool and dies, breaking the parent's
+        data = tmp_path / "data"
+        assert cli.main(["gen-data", "--n", "6", "--size", "16", "--seed", "0",
+                         "--out", str(data)]) == 0
+        argv = ["ablate", "--family", "unet", "--data", str(data), "--out", str(tmp_path / "abl"),
+                "--jobs", "2", "--epochs", "1", "--depth", "2", "--base-width", "2"]
+        script = tmp_path / "unguarded.py"
+        script.write_text(f"from drawseg import cli\nraise SystemExit(cli.main({argv!r}))\n")
+        src = str(Path(drawseg.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run([sys.executable, str(script)], env=env, capture_output=True,
+                              text=True, timeout=300)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.splitlines()[-1].startswith("error:")
+
     # header fields are u32 at byte 8 + 4 * index (layout above models._MAGIC)
     _FIELD = {"family": 8, "base_width": 24, "in_channels": 28, "width_cap": 32,
               "spatial_width": 40, "cnn_blocks": 44}

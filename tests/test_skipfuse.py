@@ -43,10 +43,11 @@ class TestDualPoolFuse:
         out = S.dualpool_fuse(shallow, deeper, p)
 
         a = np.maximum(oracle.avg_pool2d_loops(shallow.data), 0)
-        a = np.maximum(oracle.conv2d_loops(a, p.pool_conv_w[0].data, p.pool_conv_b[0].data), 0)
-        a = oracle.conv2d_loops(a, p.pool_conv_w[1].data, p.pool_conv_b[1].data)
+        (w0, b0), (w1, b1) = p.pool
+        a = np.maximum(oracle.conv2d_loops(a, w0.data, b0.data), 0)
+        a = oracle.conv2d_loops(a, w1.data, b1.data)
         cat = np.concatenate([a, deeper.data], axis=1)
-        ref = oracle.conv2d_loops(cat, p.fuse_w.data, p.fuse_b.data)
+        ref = oracle.conv2d_loops(cat, p.fuse[0].data, p.fuse[1].data)
         np.testing.assert_allclose(out.data, ref, atol=1e-12)
 
     def test_resolution_mismatch_rejected(self):
@@ -78,6 +79,23 @@ class TestSkipForward:
         deeper = rand64(rng, (1, 16, 8, 8))
         out = S.skip_forward(shallow, deeper, p)
         assert out.shape == (1, 8, 16, 16)
+
+    @pytest.mark.parametrize("ave,cbam", MODES)
+    def test_block_holds_what_its_mode_uses(self, ave, cbam):
+        store = ParamStore(0, np.float64)
+        p = S.build_skip_block(store, "skip", 8, 16, ave, cbam)
+        assert (len(p.pool) == 2) == ave
+        assert (p.fuse is not None) == ave
+        assert (p.attention is not None) == cbam
+        assert (p.reduce is not None) == (ave or cbam)
+        def flat(pairs):
+            return [t for pair in pairs if pair is not None for t in pair]
+
+        held = flat(p.pool + [p.fuse])
+        if p.attention is not None:
+            held += [p.attention.w1, p.attention.w2] + flat(p.attention.spatial)
+        held += flat([p.reduce])
+        assert [id(t) for t in held] == [id(t) for _, t in store.named]
 
     def test_ave_mode_missing_deeper_rejected(self):
         p = make_block(ave=True, cbam=False)

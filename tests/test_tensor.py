@@ -48,18 +48,18 @@ class TestConv2d:
         for k in (1, 3, 5):
             x = rand64(rng, (1, 2, 6, 8))
             w = rand64(rng, (3, 2, k, k))
-            assert T.conv2d(x, w).shape == (1, 3, 6, 8)
+            assert T.conv2d(x, w, t64(np.zeros(3))).shape == (1, 3, 6, 8)
 
     def test_channel_mismatch_rejected(self):
         x = t64(np.zeros((1, 3, 4, 4)))
         w = t64(np.zeros((2, 4, 3, 3)))
         with pytest.raises(T.ShapeError, match="axis 1"):
-            T.conv2d(x, w)
+            T.conv2d(x, w, t64(np.zeros(2)))
 
     def test_even_kernel_rejected(self):
         x = t64(np.zeros((1, 2, 4, 4)))
         with pytest.raises(T.ShapeError, match="odd kernel"):
-            T.conv2d(x, t64(np.zeros((1, 2, 2, 2))))
+            T.conv2d(x, t64(np.zeros((1, 2, 2, 2))), t64(np.zeros(1)))
 
     @staticmethod
     def _grads(x, w, b, g, x_grad):
@@ -242,6 +242,44 @@ class TestConcatAndMul:
         w = t64(np.zeros((3, 1, 1)))
         with pytest.raises(T.ShapeError):
             T.mul(x, w)
+
+    # CBAM's gates: an N-C-1-1 channel gate and an N-1-H-W spatial gate
+    def test_mul_channel_gate_identity(self):
+        rng = np.random.default_rng(7)
+        x = rand64(rng, (1, 3, 4, 4))
+        ones = t64(np.ones((1, 3, 1, 1)))
+        np.testing.assert_array_equal(T.mul(x, ones).data, x.data)
+
+    def test_mul_channel_gate_annihilates_channel(self):
+        rng = np.random.default_rng(8)
+        x = rand64(rng, (1, 3, 4, 4))
+        w = np.ones((1, 3, 1, 1))
+        w[0, 1] = 0.0
+        out = T.mul(x, t64(w)).data
+        np.testing.assert_array_equal(out[0, 1], np.zeros((4, 4)))
+        np.testing.assert_array_equal(out[0, 0], x.data[0, 0])
+
+    def test_mul_channel_gate_matches_loop_oracle(self):
+        rng = np.random.default_rng(9)
+        x = rand64(rng, (2, 3, 2, 2))
+        w = t64(rng.random((2, 3, 1, 1)))
+        np.testing.assert_array_equal(T.mul(x, w).data, oracle.broadcast_mul_loops(x.data, w.data))
+
+    def test_mul_spatial_gate_identity_and_zero_pixel(self):
+        rng = np.random.default_rng(10)
+        x = rand64(rng, (1, 3, 2, 2))
+        w = np.ones((1, 1, 2, 2))
+        np.testing.assert_array_equal(T.mul(x, t64(w)).data, x.data)
+        w[0, 0, 1, 0] = 0.0
+        out = T.mul(x, t64(w)).data
+        np.testing.assert_array_equal(out[:, :, 1, 0], np.zeros((1, 3)))
+
+    def test_mul_gate_shape_mismatch_rejected(self):
+        x = t64(np.zeros((1, 3, 4, 4)))
+        with pytest.raises(T.ShapeError):
+            T.mul(x, t64(np.zeros((1, 2, 1, 1))))
+        with pytest.raises(T.ShapeError):
+            T.mul(x, t64(np.zeros((1, 1, 2, 2))))
 
 
 class TestActivations:
@@ -445,8 +483,9 @@ def test_forward_ops_are_pure():
     rng = np.random.default_rng(42)
     x = rand64(rng, (1, 2, 4, 4))
     w = rand64(rng, (2, 2, 3, 3))
-    a = T.conv2d(x, w).data
-    b = T.conv2d(x, w).data
+    b0 = t64(np.zeros(2))
+    a = T.conv2d(x, w, b0).data
+    b = T.conv2d(x, w, b0).data
     np.testing.assert_array_equal(a, b)
 
 
