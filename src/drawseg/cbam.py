@@ -17,6 +17,9 @@ import numpy as np
 from . import tensor as T
 from .tensor import Tensor
 
+REDUCTION = 4       # channel-MLP bottleneck: C -> C // REDUCTION -> C
+SPATIAL_WIDTH = 2   # channels inside the spatial gate's three-conv chain
+
 
 class ParamStore:
     """Creates every parameter of a network from one seeded generator.
@@ -50,27 +53,26 @@ class ParamStore:
 
 @dataclass
 class CbamBlock:
-    """Shared-MLP weights w1: (C/r, C) and w2: (C, C/r) for the channel gate,
-    and three (w, b) 3x3 convs, 2 -> hidden -> hidden -> 1 channels, for the
-    spatial gate."""
+    """Shared-MLP weights w1: (hidden, C) and w2: (C, hidden) for the channel
+    gate, and three (w, b) 3x3 convs, 2 -> SPATIAL_WIDTH -> SPATIAL_WIDTH -> 1
+    channels, for the spatial gate."""
     w1: Tensor
     w2: Tensor
     spatial: list
 
 
-def build_cbam(store: ParamStore, prefix: str, channels: int, reduction: int = 4,
-               spatial_width: int = 2) -> CbamBlock:
+def build_cbam(store: ParamStore, prefix: str, channels: int) -> CbamBlock:
     """Parameters ``prefix.mlp.w1``, ``prefix.mlp.w2``, ``prefix.spatial.conv{0,1,2}``.
 
-    One MLP storage serves both pooled branches; the reduction r is clamped
-    so the bottleneck keeps at least one unit.
+    One MLP storage serves both pooled branches; the bottleneck keeps at
+    least one unit when ``channels`` is below REDUCTION.
     """
     if channels < 1:
         raise ValueError(f"cbam needs >= 1 channel, got {channels}")
-    hidden = max(1, channels // max(1, reduction))
+    hidden = max(1, channels // REDUCTION)
     w1 = store.weight(f"{prefix}.mlp.w1", (hidden, channels), channels)
     w2 = store.weight(f"{prefix}.mlp.w2", (channels, hidden), hidden)
-    widths = [(2, spatial_width), (spatial_width, spatial_width), (spatial_width, 1)]
+    widths = [(2, SPATIAL_WIDTH), (SPATIAL_WIDTH, SPATIAL_WIDTH), (SPATIAL_WIDTH, 1)]
     return CbamBlock(w1, w2, [store.conv(f"{prefix}.spatial.conv{i}", cin, cout, 3)
                               for i, (cin, cout) in enumerate(widths)])
 

@@ -164,31 +164,30 @@ def _merge(report: GradCheckReport, sub: GradCheckReport, prefix: str) -> None:
         report.entries.append(type(e)(f"{prefix}.{e.name}", e.max_rel_err, e.checked))
 
 
-def check_primitives(tol: float = 1e-5) -> GradCheckReport:
+def check_primitives() -> GradCheckReport:
     """Every tensor primitive plus each loss kind against central differences."""
-    report = GradCheckReport(tol=tol)
+    report = GradCheckReport()
     for name, make in PRIMITIVE_BUILDERS.items():
         rng = np.random.default_rng(zlib.crc32(name.encode()))
         params, build = make(rng)
-        _merge(report, grad_check(build, params, tol=tol), name)
-    _merge(report, check_losses(tol), "loss")
+        _merge(report, grad_check(build, params), name)
+    _merge(report, check_losses(), "loss")
     return report
 
 
-def check_losses(tol: float = 1e-5) -> GradCheckReport:
-    report = GradCheckReport(tol=tol)
+def check_losses() -> GradCheckReport:
+    report = GradCheckReport()
     rng = np.random.default_rng(2024)
     logits = Tensor(rng.standard_normal((1, 3, 4, 4)), requires_grad=True)
     target = rng.integers(0, 3, size=(1, 4, 4))
     for kind in ("ce", "bce", "poly", "focal"):
         spec = L.LossSpec(kind=kind)
-        sub = grad_check(lambda: L.segmentation_loss(spec, logits, target),
-                         {"logits": logits}, tol=tol)
+        sub = grad_check(lambda: L.segmentation_loss(spec, logits, target), {"logits": logits})
         _merge(report, sub, kind)
     return report
 
 
-def check_cbam(tol: float = 1e-5) -> GradCheckReport:
+def check_cbam() -> GradCheckReport:
     store = ParamStore(7, np.float64)
     block = build_cbam(store, "cbam", 4)
     rng = store.rng
@@ -202,11 +201,11 @@ def check_cbam(tol: float = 1e-5) -> GradCheckReport:
         return T.mean_all(T.mul(out, out))
 
     # h=1e-5: composite blocks push the probe through many relu decisions
-    return grad_check(build, params, tol=tol, h=1e-5)
+    return grad_check(build, params, h=1e-5)
 
 
-def check_skip(tol: float = 1e-5) -> GradCheckReport:
-    report = GradCheckReport(tol=tol)
+def check_skip() -> GradCheckReport:
+    report = GradCheckReport()
     for ave, cbam in ((True, False), (False, True), (True, True)):
         store = ParamStore(17, np.float64)
         block = build_skip_block(store, "skip", 4, 8, ave, cbam)
@@ -224,11 +223,11 @@ def check_skip(tol: float = 1e-5) -> GradCheckReport:
             return T.mean_all(T.mul(out, out))
 
         name = {(True, False): "ave", (False, True): "cbam", (True, True): "ave+cbam"}[(ave, cbam)]
-        _merge(report, grad_check(build, params, tol=tol, h=1e-5), name)
+        _merge(report, grad_check(build, params, h=1e-5), name)
     return report
 
 
-def check_model(tol: float = 1e-4, max_elements: int = 3) -> GradCheckReport:
+def check_model() -> GradCheckReport:
     """Full unet Base+Ave+CBAM at 1x1x16x16 with sampled coordinates."""
     rng = np.random.default_rng(29)
     enc = EncoderConfig(depth=4, base_width=4, in_channels=1)
@@ -243,7 +242,7 @@ def check_model(tol: float = 1e-4, max_elements: int = 3) -> GradCheckReport:
         return T.mean_all(T.mul(out, out))
 
     # h=1e-5: a first-layer nudge sweeps hundreds of relu/pool decisions
-    return grad_check(build, params, tol=tol, h=1e-5, max_elements=max_elements)
+    return grad_check(build, params, tol=1e-4, h=1e-5, max_elements=3)
 
 
 def run_scope(scope: str) -> GradCheckReport:

@@ -4,15 +4,13 @@ Subcommands: gen-data, train, eval, predict, ablate, kfold, gradcheck.
 Every command echoes its resolved configuration as JSON before acting.
 Exit codes: 0 success, 1 verification failure, 2 usage or path error
 (including a --jobs worker that died), 3 numerical failure. gen-data,
-train, ablate and kfold take --seed, whose default comes from the SEGSEED
-environment variable (else 0); eval and predict are deterministic and
-take no seed.
+train, ablate and kfold take --seed (default 0); eval and predict are
+deterministic and take no seed.
 """
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from concurrent.futures import BrokenExecutor
 from pathlib import Path
@@ -42,17 +40,12 @@ PALETTE = {
 VARIANT_NAMES = tuple(v.cli_name for v in ALL_VARIANTS)
 
 
-def _default_seed() -> int:
-    return int(os.environ.get("SEGSEED", "0"))
-
-
 def _echo(label: str, payload: dict) -> None:
     print(f"[{label}] " + json.dumps(payload, sort_keys=True, default=str))
 
 
 def _add_seed(p):
-    p.add_argument("--seed", type=int, default=None,
-                   help="run seed (default: $SEGSEED or 0)")
+    p.add_argument("--seed", type=int, default=0, help="run seed")
 
 
 def _add_train_options(p):
@@ -80,7 +73,6 @@ def _add_train_options(p):
 
 
 def _train_config(args) -> TrainConfig:
-    seed = args.seed if args.seed is not None else _default_seed()
     unfreeze = args.unfreeze_epoch if args.unfreeze_epoch is not None else args.epochs // 2
     return TrainConfig(
         variant=ModelVariant.parse(args.variant),
@@ -95,7 +87,7 @@ def _train_config(args) -> TrainConfig:
                       poly_eps=args.poly_eps),
         lr0=args.lr,
         eta_min=args.eta_min,
-        seed=seed,
+        seed=args.seed,
         augment=args.augment,
         noise_sigma=args.noise_sigma,
         folds=args.folds,
@@ -127,10 +119,9 @@ def _read_ids(args, dataset) -> list[str]:
 
 
 def cmd_gen_data(args) -> int:
-    seed = args.seed if args.seed is not None else _default_seed()
-    _echo("gen-data", {"n": args.n, "size": args.size, "seed": seed,
+    _echo("gen-data", {"n": args.n, "size": args.size, "seed": args.seed,
                        "out": args.out, "folds": args.folds})
-    ids = generate_dataset(args.n, args.size, seed, args.out, folds=args.folds)
+    ids = generate_dataset(args.n, args.size, args.seed, args.out, folds=args.folds)
     print(f"wrote {len(ids)} samples to {args.out}")
     return 0
 
@@ -301,11 +292,14 @@ def main(argv=None) -> int:
     except NumericalError as e:
         print(f"numerical failure: {e}", file=sys.stderr)
         return 3
-    except (FileNotFoundError, NotADirectoryError, PermissionError, KeyError, ValueError,
-            BrokenExecutor) as e:
+    except (OSError, KeyError, ValueError, BrokenExecutor) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 
 
 def entry() -> None:
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    entry()

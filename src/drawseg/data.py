@@ -258,10 +258,7 @@ def load_sample(root, sid: str) -> Sample:
 def generate_dataset(n: int, size: int, seed: int, out_dir, folds: int = 5) -> list[str]:
     """Write n samples plus manifest and K-fold split lists; returns the ids."""
     out = Path(out_dir)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as e:
-        raise OSError(f"cannot create dataset directory {out}: {e}") from e
+    out.mkdir(parents=True, exist_ok=True)
     ids = []
     for sid, sample in generate_samples(n, size, seed):
         save_sample(out, sid, sample)

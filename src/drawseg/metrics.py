@@ -87,7 +87,7 @@ class MetricsReport:
     excluded: list = field(default_factory=list)
     loss: Optional[float] = None   # per-image mean, when evaluate() is given a loss
 
-    def summary(self, labels=CLASS_NAMES) -> str:
+    def summary(self) -> str:
         out = io.StringIO()
         fmt = lambda v: "-" if v is None else f"{v:.4f}"
         out.write(f"pixel accuracy      {self.accuracy:.4f}\n")
@@ -96,7 +96,7 @@ class MetricsReport:
         out.write(f"mAP                 {fmt(self.map)}\n")
         for c, v in enumerate(self.per_class_iou):
             ap = self.per_class_ap.get(c)
-            out.write(f"  {labels[c]:12s} IoU {fmt(v)}   AP {fmt(ap)}\n")
+            out.write(f"  {CLASS_NAMES[c]:12s} IoU {fmt(v)}   AP {fmt(ap)}\n")
         if self.excluded:
             out.write("undefined (excluded from means): " + ", ".join(self.excluded) + "\n")
         return out.getvalue()
@@ -140,9 +140,9 @@ def _row_rates(cm: np.ndarray) -> list[list[Optional[float]]]:
     return rows
 
 
-def render_confusion(cm: np.ndarray, labels=CLASS_NAMES) -> str:
+def render_confusion(cm: np.ndarray) -> str:
     """Row-normalized text grid to four decimals; empty rows show dashes."""
-    labels = list(labels)[:cm.shape[0]]
+    labels = CLASS_NAMES[:cm.shape[0]]
     width = max(len(s) for s in labels) + 2
     out = io.StringIO()
     out.write(" " * width + "".join(f"{s:>{width}}" for s in labels) + "   (columns: true)\n")
@@ -157,9 +157,9 @@ def csv_cell(v: Optional[float]) -> str:
     return "" if v is None else repr(float(v))
 
 
-def confusion_csv(cm: np.ndarray, labels=CLASS_NAMES) -> str:
+def confusion_csv(cm: np.ndarray) -> str:
     """Row-normalized rates at full precision, so parsing them back is exact."""
-    labels = list(labels)[:cm.shape[0]]
+    labels = CLASS_NAMES[:cm.shape[0]]
     lines = ["predicted\\true," + ",".join(labels)]
     for p, rates in enumerate(_row_rates(cm)):
         cells = ",".join(csv_cell(v) for v in rates)

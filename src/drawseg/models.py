@@ -22,7 +22,7 @@ from typing import Optional
 import numpy as np
 
 from . import tensor as T
-from .cbam import CbamBlock, ParamStore, build_cbam, cbam_forward
+from .cbam import REDUCTION, SPATIAL_WIDTH, CbamBlock, ParamStore, build_cbam, cbam_forward
 from .skipfuse import SkipBlockParams, build_skip_block, skip_forward
 from .tensor import Tensor
 
@@ -30,6 +30,9 @@ FAMILIES = ("unet", "cnn")
 # attention modes in ablation order: (ave, cbam) -> (CLI suffix, ablation row name)
 MODES = {(False, False): ("base", "Base"), (True, False): ("ave", "Base+Ave"),
          (False, True): ("cbam", "Base+CBAM"), (True, True): ("full", "Base+Ave+CBAM")}
+WIDTH_CAP = 8          # unet widths stop doubling at base_width * WIDTH_CAP
+CNN_BLOCKS = 6         # cnn family: conv blocks in the stack
+CNN_ATTACH_AFTER = 3   # cnn family: dual-pool/attention attach after this many blocks
 
 
 @dataclass(frozen=True)
@@ -64,26 +67,22 @@ ALL_VARIANTS = tuple(ModelVariant(f, ave, cbam) for f in FAMILIES for ave, cbam 
 
 @dataclass(frozen=True)
 class EncoderConfig:
-    """Widths and depth of the backbone.
+    """Depth, widths and convs per level of the unet backbone; the cnn
+    family uses base_width and in_channels only.
 
-    Desk default is depth 4 / base 8; the full-scale shape is depth 5 /
-    base 64 with convs_per_block (2, 2, 3, 3, 3), whose widths reproduce
-    the familiar 64-128-256-512-512 ladder via the 8x cap.
+    Desk default is depth 4 / base 8; the paper's VGG16 backbone is depth
+    5 / base 64 with convs_per_block (2, 2, 3, 3, 3), whose widths give the
+    64-128-256-512-512 ladder via WIDTH_CAP.
     """
     depth: int = 4
     base_width: int = 8
     in_channels: int = 1
-    convs_per_block: Optional[tuple] = None
-    width_cap: int = 8            # widths cap at base_width * width_cap
-    cbam_reduction: int = 4
-    spatial_width: int = 2
-    cnn_blocks: int = 6           # cnn family: conv blocks in the stack
-    cnn_attach_after: int = 3     # cnn family: attention/dual-pool insertion point
+    convs_per_block: Optional[tuple] = None   # None -> 2 per level
 
     def __post_init__(self):
         if self.depth < 2:
             raise ValueError(f"depth must be >= 2, got {self.depth}")
-        for name in ("base_width", "in_channels", "width_cap", "spatial_width", "cnn_blocks"):
+        for name in ("base_width", "in_channels"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         resolved = tuple(self.convs_per_block) if self.convs_per_block else tuple([2] * self.depth)
@@ -93,12 +92,10 @@ class EncoderConfig:
         if min(resolved) < 1:
             raise ValueError(f"every level needs at least one conv, got {resolved}")
         object.__setattr__(self, "convs_per_block", resolved)
-        if not 1 <= self.cnn_attach_after <= self.cnn_blocks:
-            raise ValueError("cnn_attach_after must lie within the block stack")
 
     def widths(self) -> list[int]:
-        """base_width * 2**level, capped at base_width * width_cap."""
-        cap = self.base_width * self.width_cap
+        """base_width * 2**level, capped at base_width * WIDTH_CAP."""
+        cap = self.base_width * WIDTH_CAP
         out, w = [], self.base_width
         for _ in range(self.depth):
             out.append(min(w, cap))
@@ -154,8 +151,7 @@ class SegModel:
         self._encoder = [t for _, t in store.named]   # built first: a prefix of the store
         self.skip_blocks: list[SkipBlockParams] = [
             build_skip_block(store, f"skip.l{lvl}", widths[lvl], widths[lvl + 1],
-                             self.variant.ave, self.variant.cbam,
-                             enc.cbam_reduction, enc.spatial_width)
+                             self.variant.ave, self.variant.cbam)
             for lvl in range(enc.depth - 1)]
         self.decoder_stacks = [
             _ConvStack(store, f"dec.l{lvl}", widths[lvl + 1] + widths[lvl], widths[lvl], 2)
@@ -166,7 +162,7 @@ class SegModel:
         enc, store = self.enc, self._store
         w = enc.base_width
         self.cnn_stacks = [_ConvStack(store, f"cnn.b{i}", enc.in_channels if i == 0 else w, w, 1)
-                           for i in range(enc.cnn_blocks)]
+                           for i in range(CNN_BLOCKS)]
         self._encoder = [t for _, t in store.named]   # built first: a prefix of the store
         self.cnn_branch = None
         self.cnn_fuse = None
@@ -175,8 +171,7 @@ class SegModel:
             self.cnn_fuse = store.conv("cnn.ave_fuse", 2 * w, w, 1)
         self.cnn_attention: Optional[CbamBlock] = None
         if self.variant.cbam:
-            self.cnn_attention = build_cbam(store, "cnn.cbam", w, enc.cbam_reduction,
-                                            enc.spatial_width)
+            self.cnn_attention = build_cbam(store, "cnn.cbam", w)
         self._build_head(w)
 
     def _build_head(self, width):
@@ -228,7 +223,7 @@ class SegModel:
         y = x
         for i, stack in enumerate(self.cnn_stacks):
             y = stack.forward(y)
-            if i + 1 == self.enc.cnn_attach_after:
+            if i + 1 == CNN_ATTACH_AFTER:
                 if self.cnn_branch is not None:
                     side = self.cnn_branch.forward(T.avg_pool2d(y))
                     side = T.upsample2x(side)
@@ -272,8 +267,10 @@ def build_model(variant: ModelVariant, enc: EncoderConfig, num_classes: int,
 #   bytes  0-3    magic b"SEGM"
 #   bytes  4-7    u32 version (1)
 #   bytes  8-55   12 x u32: family (index into FAMILIES), ave, cbam, depth,
-#                 base_width, in_channels, width_cap, cbam_reduction,
-#                 spatial_width, cnn_blocks, cnn_attach_after, num_classes
+#                 base_width, in_channels, then fields 6-10, which hold the
+#                 constants _FIXED (WIDTH_CAP, cbam.REDUCTION,
+#                 cbam.SPATIAL_WIDTH, CNN_BLOCKS, CNN_ATTACH_AFTER), then
+#                 num_classes
 #   then          depth x u32 convs_per_block
 #   then          u64 parameter count n
 #   then          n x f32: every parameter flattened row-major, in
@@ -282,6 +279,7 @@ def build_model(variant: ModelVariant, enc: EncoderConfig, num_classes: int,
 _MAGIC = b"SEGM"
 _VERSION = 1
 _HEADER = struct.Struct("<4sI12I")
+_FIXED = (WIDTH_CAP, REDUCTION, SPATIAL_WIDTH, CNN_BLOCKS, CNN_ATTACH_AFTER)
 
 
 def save_checkpoint(model: SegModel, path) -> None:
@@ -289,9 +287,7 @@ def save_checkpoint(model: SegModel, path) -> None:
     header = _HEADER.pack(
         _MAGIC, _VERSION,
         FAMILIES.index(model.variant.family), int(model.variant.ave), int(model.variant.cbam),
-        enc.depth, enc.base_width, enc.in_channels, enc.width_cap,
-        enc.cbam_reduction, enc.spatial_width, enc.cnn_blocks, enc.cnn_attach_after,
-        model.num_classes)
+        enc.depth, enc.base_width, enc.in_channels, *_FIXED, model.num_classes)
     convs = struct.pack(f"<{enc.depth}I", *enc.convs_per_block)
     flat = np.concatenate([t.data.astype("<f4").reshape(-1) for t in model.parameters()])
     count = struct.pack("<Q", flat.size)
@@ -312,7 +308,7 @@ def _conv_weight_count(family: str, enc: EncoderConfig, num_classes: int) -> int
     b = enc.base_width
     total = 9 * b * b + b * num_classes                        # head
     if family == "cnn":
-        return total + 9 * b * (enc.in_channels + (enc.cnn_blocks - 1) * b)
+        return total + 9 * b * (enc.in_channels + (CNN_BLOCKS - 1) * b)
     widths = enc.widths()
     cin = enc.in_channels
     for w, convs in zip(widths, enc.convs_per_block):          # encoder
@@ -328,14 +324,16 @@ def load_checkpoint(path) -> SegModel:
         raw = f.read()
     if len(raw) < _HEADER.size:
         raise ValueError(f"checkpoint truncated at byte {len(raw)}: header needs {_HEADER.size}")
-    magic, version, fam, ave, cbam, depth, base, cin, cap, red, sw, blocks, attach, k = \
-        _HEADER.unpack_from(raw, 0)
+    magic, version, fam, ave, cbam, depth, base, cin, *fixed, k = _HEADER.unpack_from(raw, 0)
     if magic != _MAGIC:
         raise ValueError(f"bad checkpoint magic {magic!r}")
     if version != _VERSION:
         raise ValueError(f"unsupported checkpoint version {version}")
     if fam >= len(FAMILIES):
         raise ValueError(f"bad checkpoint family index {fam}; expected < {len(FAMILIES)}")
+    if tuple(fixed) != _FIXED:
+        raise ValueError(f"checkpoint header fields 6-10 are {tuple(fixed)}; "
+                         f"this build only reads {_FIXED}")
     off = _HEADER.size
     if len(raw) < off + 4 * depth + 8:
         raise ValueError(f"checkpoint truncated at byte {len(raw)}: depth {depth} needs "
@@ -350,9 +348,7 @@ def load_checkpoint(path) -> SegModel:
 
     variant = ModelVariant(FAMILIES[fam], bool(ave), bool(cbam))
     enc = EncoderConfig(depth=depth, base_width=base, in_channels=cin,
-                        convs_per_block=tuple(convs), width_cap=cap,
-                        cbam_reduction=red, spatial_width=sw,
-                        cnn_blocks=blocks, cnn_attach_after=attach)
+                        convs_per_block=tuple(convs))
     floor = _conv_weight_count(variant.family, enc, k)
     if floor > count:
         raise ValueError(f"checkpoint holds {count} parameters, but its header describes a "

@@ -55,11 +55,11 @@ class Adam:
     update.
     """
 
-    def __init__(self, params: Sequence[Tensor], beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8):
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
+    beta1 = 0.9
+    beta2 = 0.999
+    eps = 1e-8
+
+    def __init__(self, params: Sequence[Tensor]):
         self._slots: dict[int, _Slot] = {
             id(p): _Slot(np.zeros_like(p.data), np.zeros_like(p.data)) for p in params}
 

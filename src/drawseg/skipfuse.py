@@ -37,8 +37,7 @@ class SkipBlockParams:
 
 
 def build_skip_block(store: ParamStore, prefix: str, channels: int, deeper_channels: int,
-                     ave: bool, cbam: bool, reduction: int = 4,
-                     spatial_width: int = 2) -> SkipBlockParams:
+                     ave: bool, cbam: bool) -> SkipBlockParams:
     """Allocate only what the mode uses; plain mode carries no parameters.
 
     ``channels`` is the width of the encoder level the block wraps,
@@ -53,7 +52,7 @@ def build_skip_block(store: ParamStore, prefix: str, channels: int, deeper_chann
                       for i in range(2)]
         block.fuse = store.conv(f"{prefix}.fuse", channels + deeper_channels, deeper_channels, 1)
     if cbam:
-        block.attention = build_cbam(store, f"{prefix}.cbam", lateral, reduction, spatial_width)
+        block.attention = build_cbam(store, f"{prefix}.cbam", lateral)
     block.reduce = store.conv(f"{prefix}.reduce", channels + lateral, channels, 1)
     return block
 

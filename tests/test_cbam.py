@@ -7,9 +7,8 @@ from drawseg import tensor as T
 from drawseg.tensor import Tensor
 
 
-def make_block(channels, seed=0, reduction=4, spatial_width=2):
-    return C.build_cbam(C.ParamStore(seed, np.float64), "cbam", channels, reduction,
-                        spatial_width)
+def make_block(channels, seed=0):
+    return C.build_cbam(C.ParamStore(seed, np.float64), "cbam", channels)
 
 
 def rand64(rng, shape, requires_grad=False):
@@ -127,8 +126,8 @@ class TestFullBlock:
         assert [id(t) for t in held] == [id(t) for _, t in store.named]
 
     def test_reduction_clamped_to_one_unit(self):
-        block = make_block(2, reduction=8)
-        assert block.w1.shape == (1, 2)
+        block = make_block(C.REDUCTION - 1)
+        assert block.w1.shape == (1, C.REDUCTION - 1)
 
     def test_shared_mlp_gets_gradient_from_both_branches(self):
         # make the avg and max branches see different pooled values, then

@@ -60,15 +60,17 @@ class TestGenData:
         assert head.startswith("[gen-data]")
         assert json.loads(head.split("] ", 1)[1])["seed"] == 3
 
-    def test_segseed_env_default_and_flag_wins(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("SEGSEED", "7")
-        cli.main(["gen-data", "--n", "1", "--size", "16", "--out", str(tmp_path / "a")])
-        head = capsys.readouterr().out.splitlines()[0]
-        assert json.loads(head.split("] ", 1)[1])["seed"] == 7
-        cli.main(["gen-data", "--n", "1", "--size", "16", "--seed", "9",
-                  "--out", str(tmp_path / "b")])
-        head = capsys.readouterr().out.splitlines()[0]
-        assert json.loads(head.split("] ", 1)[1])["seed"] == 9
+    def test_runs_as_module(self, tmp_path):
+        src = str(Path(drawseg.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        module = [sys.executable, "-m", "drawseg.cli", "gen-data", "--n", "2", "--size", "16",
+                  "--folds", "2"]
+        proc = subprocess.run(module + ["--out", str(tmp_path / "d")], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert (tmp_path / "d" / "manifest.txt").exists()
+        proc = subprocess.run(module, env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 2
 
 
 class TestTrainEvalPredict:
@@ -203,7 +205,21 @@ class TestExitCodes:
         proc = subprocess.run([sys.executable, str(script)], env=env, capture_output=True,
                               text=True, timeout=300)
         assert proc.returncode == 2, proc.stderr
-        assert proc.stderr.splitlines()[-1].startswith("error:")
+        # the resource tracker, another process, may warn about leaked
+        # semaphores on stderr after the CLI's own last line
+        own = [line for line in proc.stderr.splitlines() if "resource_tracker" not in line]
+        assert own[-1].startswith("error:"), proc.stderr
+
+    @pytest.mark.parametrize("command", ["gen-data", "eval", "predict", "ablate", "kfold"])
+    def test_out_naming_a_file_is_2(self, data_dir, run_dir, tmp_path, capsys, command):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        ckpt = ["--ckpt", str(run_dir / "checkpoints" / "final.segm"), "--data", str(data_dir)]
+        argv = {"gen-data": ["--n", "1", "--size", "16"], "eval": ckpt, "predict": ckpt,
+                "ablate": ["--family", "unet", "--data", str(data_dir)],
+                "kfold": ["--data", str(data_dir)]}[command]
+        assert cli.main([command, *argv, "--out", str(taken)]) == 2
+        assert capsys.readouterr().err.startswith("error:")
 
     # header fields are u32 at byte 8 + 4 * index (layout above models._MAGIC)
     _FIELD = {"family": 8, "base_width": 24, "in_channels": 28, "width_cap": 32,

@@ -4,6 +4,7 @@ import struct
 import numpy as np
 import pytest
 
+from drawseg import cbam as C
 from drawseg import models as M
 from drawseg import tensor as T
 from drawseg.tensor import Tensor
@@ -32,11 +33,12 @@ def unet_base_param_count(enc: M.EncoderConfig, k: int) -> int:
     return total
 
 
-def skip_full_param_count(c: int, d: int, reduction: int = 4, sw: int = 2) -> int:
+def skip_full_param_count(c: int, d: int) -> int:
     """Closed-form parameter total of one ave+cbam skip block."""
+    sw = C.SPATIAL_WIDTH
     total = 2 * (9 * c * c + c)        # two 3x3 convs on the pooled branch
     total += (c + d) * d + d           # 1x1 fuse
-    hidden = max(1, d // reduction)
+    hidden = max(1, d // C.REDUCTION)
     total += hidden * d + d * hidden   # shared MLP
     total += 9 * 2 * sw + sw           # spatial conv 2 -> sw
     total += 9 * sw * sw + sw          # spatial conv sw -> sw
@@ -179,6 +181,10 @@ class TestFreezing:
         assert any(n.startswith("cnn.cbam") for n in names)
 
 
+def _no_build(*args, **kwargs):
+    raise AssertionError("model built from an unchecked header")
+
+
 class TestCheckpoint:
     def test_roundtrip_bitwise(self, tmp_path):
         model = M.build_model(M.ModelVariant("unet", True, True), DESK, 6, seed=9)
@@ -231,35 +237,40 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="family"):
             M.load_checkpoint(path)
 
-    @pytest.mark.parametrize("edits", [
-        {"base_width": 4096},
-        {"family": 1, "cnn_blocks": 10 ** 6},
-        {"convs_level3": 10 ** 6},
-    ], ids=["base_width", "cnn_blocks", "convs_per_block"])
-    def test_oversized_header_rejected_before_build(self, tmp_path, monkeypatch, edits):
+    @pytest.mark.parametrize("offset, value", [
+        (24, 4096),
+        (56 + 12, 10 ** 6),
+    ], ids=["base_width", "convs_per_block"])
+    def test_oversized_header_rejected_before_build(self, tmp_path, monkeypatch, offset, value):
         # u32 header fields sit at byte 8 + 4 * index; the conv list follows at byte 56
-        offsets = {"family": 8, "base_width": 24, "cnn_blocks": 44, "convs_level3": 56 + 12}
         model = M.build_model(M.ModelVariant("unet", True, True), DESK, 6, seed=0)
         path = tmp_path / "m.segm"
         M.save_checkpoint(model, path)
         raw = path.read_bytes()
-        for name, value in edits.items():
-            off = offsets[name]
-            raw = raw[:off] + struct.pack("<I", value) + raw[off + 4:]
-        path.write_bytes(raw)
-
-        def no_build(*args, **kwargs):
-            raise AssertionError("model built from an unchecked header")
-
-        monkeypatch.setattr(M, "build_model", no_build)
+        path.write_bytes(raw[:offset] + struct.pack("<I", value) + raw[offset + 4:])
+        monkeypatch.setattr(M, "build_model", _no_build)
         with pytest.raises(ValueError, match="at least"):
+            M.load_checkpoint(path)
+
+    @pytest.mark.parametrize("index", range(5), ids=[
+        "width_cap", "reduction", "spatial_width", "cnn_blocks", "cnn_attach_after"])
+    def test_fixed_shape_field_rejected_before_build(self, tmp_path, monkeypatch, index):
+        # header fields 6-10 hold the model-shape constants, field i at byte 8 + 4 * i
+        model = M.build_model(M.ModelVariant("cnn", True, True), DESK, 6, seed=0)
+        path = tmp_path / "m.segm"
+        M.save_checkpoint(model, path)
+        raw = path.read_bytes()
+        offset = 8 + 4 * (6 + index)
+        assert struct.unpack_from("<I", raw, offset) == (M._FIXED[index],)
+        path.write_bytes(raw[:offset] + struct.pack("<I", M._FIXED[index] + 1) + raw[offset + 4:])
+        monkeypatch.setattr(M, "build_model", _no_build)
+        with pytest.raises(ValueError, match="fields 6-10"):
             M.load_checkpoint(path)
 
     @pytest.mark.parametrize("variant", M.ALL_VARIANTS, ids=lambda v: v.cli_name)
     def test_conv_weight_floor_within_count(self, variant):
         for enc in (DESK, M.EncoderConfig(depth=3, base_width=3, in_channels=2,
-                                          convs_per_block=(1, 3, 2), width_cap=2,
-                                          cnn_blocks=2, cnn_attach_after=1)):
+                                          convs_per_block=(1, 3, 2))):
             model = M.build_model(variant, enc, 4, seed=0)
             assert M._conv_weight_count(variant.family, enc, 4) <= model.count_params()
 
@@ -277,8 +288,10 @@ UNET_FULL_DEPTH2_NAMES = [
     "head.conv3.w", "head.conv3.b", "head.conv1.w", "head.conv1.b",
 ]
 
-CNN_FULL_TWO_BLOCK_NAMES = [
+CNN_FULL_NAMES = [
     "cnn.b0.conv0.w", "cnn.b0.conv0.b", "cnn.b1.conv0.w", "cnn.b1.conv0.b",
+    "cnn.b2.conv0.w", "cnn.b2.conv0.b", "cnn.b3.conv0.w", "cnn.b3.conv0.b",
+    "cnn.b4.conv0.w", "cnn.b4.conv0.b", "cnn.b5.conv0.w", "cnn.b5.conv0.b",
     "cnn.ave.conv0.w", "cnn.ave.conv0.b", "cnn.ave.conv1.w", "cnn.ave.conv1.b",
     "cnn.ave_fuse.w", "cnn.ave_fuse.b", "cnn.cbam.mlp.w1", "cnn.cbam.mlp.w2",
     "cnn.cbam.spatial.conv0.w", "cnn.cbam.spatial.conv0.b",
@@ -295,8 +308,7 @@ class TestCheckpointLayout:
     @pytest.mark.parametrize("variant", M.ALL_VARIANTS, ids=lambda v: v.cli_name)
     def test_init_replays_one_seeded_stream(self, variant):
         for enc in (DESK, M.EncoderConfig(depth=3, base_width=4, in_channels=2,
-                                          convs_per_block=(1, 3, 2), cnn_blocks=2,
-                                          cnn_attach_after=1)):
+                                          convs_per_block=(1, 3, 2))):
             model = M.build_model(variant, enc, 5, seed=13)
             rng = np.random.default_rng(13)
             for name, t in model.named_parameters():
@@ -314,14 +326,12 @@ class TestCheckpointLayout:
 
     def test_cnn_name_order(self):
         model = M.build_model(M.ModelVariant("cnn", True, True),
-                              M.EncoderConfig(base_width=4, cnn_blocks=2, cnn_attach_after=1),
-                              3, seed=0)
-        assert [name for name, _ in model.named_parameters()] == CNN_FULL_TWO_BLOCK_NAMES
+                              M.EncoderConfig(base_width=4), 3, seed=0)
+        assert [name for name, _ in model.named_parameters()] == CNN_FULL_NAMES
 
 
 class TestEncoderConfigBounds:
-    @pytest.mark.parametrize("field", ["base_width", "in_channels", "width_cap",
-                                       "spatial_width", "cnn_blocks"])
+    @pytest.mark.parametrize("field", ["base_width", "in_channels"])
     def test_zero_rejected(self, field):
         with pytest.raises(ValueError, match=field):
             M.EncoderConfig(**{field: 0})
@@ -331,5 +341,5 @@ class TestEncoderConfigBounds:
             M.EncoderConfig(depth=2, convs_per_block=(2, 0))
 
     def test_widths_double_up_to_cap(self):
-        enc = M.EncoderConfig(depth=6, base_width=3, width_cap=4)
-        assert enc.widths() == [3, 6, 12, 12, 12, 12]
+        enc = M.EncoderConfig(depth=6, base_width=3)
+        assert enc.widths() == [3, 6, 12, 24, 24, 24]
