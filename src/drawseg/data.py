@@ -181,10 +181,14 @@ def sample_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng([seed, index])
 
 
+def sample_ids(n: int) -> list[str]:
+    return [f"{i:05d}" for i in range(n)]
+
+
 def generate_samples(n: int, size: int, seed: int):
     """Yield (id, Sample); each id draws from its own seed-derived stream."""
-    for i in range(n):
-        yield f"{i:05d}", make_sample(size, sample_rng(seed, i))
+    for i, sid in enumerate(sample_ids(n)):
+        yield sid, make_sample(size, sample_rng(seed, i))
 
 
 # ---------------------------------------------------------------------------
@@ -256,17 +260,20 @@ def load_sample(root, sid: str) -> Sample:
 
 
 def generate_dataset(n: int, size: int, seed: int, out_dir, folds: int = 5) -> list[str]:
-    """Write n samples plus manifest and K-fold split lists; returns the ids."""
+    """Write n samples plus manifest and K-fold split lists; returns the ids.
+
+    The split comes first, so an n below ``folds`` raises ValueError before
+    anything is written.
+    """
+    ids = sample_ids(n)
+    split = kfold_split(ids, folds, seed)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    ids = []
     for sid, sample in generate_samples(n, size, seed):
         save_sample(out, sid, sample)
-        ids.append(sid)
     with open(out / "manifest.txt", "w") as f:
         for sid in ids:
             f.write(f"{sid} {size} {size}\n")
-    split = kfold_split(ids, folds, seed)
     (out / "splits").mkdir(exist_ok=True)
     for k, fold in enumerate(split.folds):
         with open(out / "splits" / f"fold{k}.txt", "w") as f:

@@ -60,7 +60,7 @@ class Tensor:
 
     def __init__(self, data, requires_grad: bool = False, dtype=None, name: Optional[str] = None):
         arr = np.asarray(data, dtype=dtype)
-        if not np.issubdtype(arr.dtype, np.floating):
+        if arr.dtype.kind != "f":
             arr = arr.astype(CHECK64)
         self.data = arr
         self.requires_grad = bool(requires_grad)
@@ -131,11 +131,19 @@ def zero_grads(params: Iterable[Tensor]) -> None:
 
 
 def _accumulate(t: Tensor, g: np.ndarray) -> None:
+    """Add g into t.grad; g must have t's shape, never broadcast.
+
+    The first gradient is stored as 0 + g in one pass, an array t owns
+    that equals the zero-filled sum bit for bit (a -0.0 becomes +0.0).
+    """
     if not t.requires_grad:
         return
+    if g.shape != t.data.shape:
+        raise ShapeError(f"gradient of shape {g.shape} for a tensor of shape {t.data.shape}")
     if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += g
+        t.grad = np.add(g, 0, out=np.empty_like(t.data))
+    else:
+        t.grad += g
 
 
 def _result(data: np.ndarray, parents: Sequence[Tensor], backward) -> Tensor:
@@ -179,30 +187,48 @@ def _zero_pad(a: np.ndarray, top: int, bottom: int, left: int, right: int) -> np
     return out
 
 
+def _tap_sum(mats, src: np.ndarray, offsets: Sequence[int], span: int) -> np.ndarray:
+    """Sum over taps t of mats[t] @ src[..., s_t : s_t + span], in tap order.
+
+    One GEMM per tap; the first product initialises the sum and each later
+    one is added in place, so every output element is summed in the same
+    order whichever caller asks.
+    """
+    out = np.matmul(mats[0], src[:, :, offsets[0]:offsets[0] + span])
+    tmp = np.empty_like(out)
+    for m, s in zip(mats[1:], offsets[1:]):
+        out += np.matmul(m, src[:, :, s:s + span], out=tmp)
+    return out
+
+
 def conv2d(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     """Same-padded 2-D cross-correlation over N-C-H-W input with an O-C-k-k kernel.
 
     Layout: x is zero-padded by (p, p+1) rows and (p, p) columns (p = k // 2,
     Wp = W+2p) and flattened per channel to xf of shape (N, C, (H+2p+1)*Wp).
-    Tap (u, v) then reads xf[..., s : s+H*Wp] with s = u*Wp + v, a
+    Tap t = (u, v), taken in row-major order t = 0..k*k-1, then reads
+    xf[..., s_t : s_t+span] with s_t = u*Wp + v and span = H*Wp, a
     unit-stride matrix BLAS takes without a copy. Output rows come out Wp
     wide; the last 2p columns straddle two input rows and are dropped, and
-    the spare bottom row takes the last tap's overrun. Backward zero-pads g
-    to Wp columns (g_wide) and reads the same slices.
+    the spare bottom row takes the last tap's overrun.
 
-    Forward runs one GEMM per tap and sums W_tap @ slice, except when
-    C = 1: then the k*k slices are first copied into one transient
-    (N, k*k, span) operand, so forward is a single GEMM with inner
-    dimension k*k instead of k*k GEMMs with inner dimension 1. Stacking is
-    kept to C = 1: at C = 8 it was slower than the per-tap GEMMs, and at
-    C = 2 or 4 its reordered sums moved float64 results enough to fail
-    the skip-block gradient check.
+    Forward is _tap_sum of W_t @ slice_t, except when C = 1: then the k*k
+    slices are first copied into one transient (N, k*k, span) operand, so
+    forward is a single GEMM with inner dimension k*k instead of k*k GEMMs
+    with inner dimension 1. Stacking is kept to C = 1: at C = 8 it was
+    slower than the per-tap GEMMs, and at C = 2 or 4 its reordered sums
+    moved float64 results enough to fail the skip-block gradient check.
 
-    Backward is per tap for every C. The weight gradient of a tap is
-    slice @ g_wide.T, shape (N, C, O), summed over N and transposed (BLAS
-    runs this orientation up to twice as fast as g_wide @ slice.T here),
-    and W_tap.T @ g_wide is added into the input gradient at offset s.
-    k = 1 is one matmul with no padding.
+    Backward zero-pads g the way forward pads x and flattens it to gp, so
+    one copy of g serves both gradients. The weight gradient of tap t is
+    xf-slice_t @ gp[..., m : m+span].T with m = p*Wp + p (the unpadded g,
+    Wp wide), shape (N, C, O), summed over N and transposed (BLAS runs this
+    orientation up to twice as fast as the other one here). The input
+    gradient is forward's tap loop run on gp: _tap_sum of W_t.T @
+    gp[..., s_max - s_t : s_max - s_t + span] over the same tap order
+    (s_max = s of the last tap), cropped to W columns. It is never stacked,
+    because a stacked GEMM sums in another order. k = 1 needs no padding,
+    and its input gradient is one matmul.
     """
     if x.data.ndim != 4:
         raise ShapeError(f"conv2d input must be rank 4, got {x.data.ndim}")
@@ -224,40 +250,37 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     p = k // 2
     wp = w + 2 * p
     span = h * wp
-    xp = _zero_pad(x.data, p, p + 1, p, p) if p else x.data
-    xf = xp.reshape(n, cin, -1)
-    taps = [(u, v, u * wp + v) for u in range(k) for v in range(k)]
+    xf = (_zero_pad(x.data, p, p + 1, p, p) if p else x.data).reshape(n, cin, -1)
+    offsets = [u * wp + v for u in range(k) for v in range(k)]
+
+    def tap_weights() -> np.ndarray:
+        """W_t for t = 0..k*k-1 as one (k*k, O, C) array, made when needed, never kept."""
+        return np.ascontiguousarray(weight.data.transpose(2, 3, 0, 1)).reshape(k * k, cout, cin)
 
     if cin == 1:
         cols = np.empty((n, k * k, span), dtype=xf.dtype)
-        for t, (_, _, s) in enumerate(taps):
+        for t, s in enumerate(offsets):
             cols[:, t] = xf[:, 0, s:s + span]
         wide = np.matmul(weight.data.reshape(cout, k * k), cols)
     else:
-        wt = np.ascontiguousarray(weight.data.transpose(2, 3, 0, 1))  # k,k,O,C
-        wide = np.matmul(wt[0, 0], xf[:, :, :span])
-        tmp = np.empty_like(wide)
-        for u, v, s in taps[1:]:
-            wide += np.matmul(wt[u, v], xf[:, :, s:s + span], out=tmp)
+        wide = _tap_sum(tap_weights(), xf, offsets, span)
     out = wide.reshape(n, cout, h, wp)[..., :w] + bias.data[:, None, None]
 
     def backward(g: np.ndarray) -> None:
         if bias.requires_grad:
             _accumulate(bias, g.sum(axis=(0, 2, 3)))
-        gw = (_zero_pad(g, 0, 0, 0, 2 * p) if p else g).reshape(n, cout, span)
+        gp = (_zero_pad(g, p, p + 1, p, p) if p else g).reshape(n, cout, -1)
         if weight.requires_grad:
-            dw = np.empty((k, k, cin, cout), dtype=g.dtype)
-            gwt = gw.transpose(0, 2, 1)
-            for u, v, s in taps:
-                dw[u, v] = np.matmul(xf[:, :, s:s + span], gwt).sum(axis=0)
-            _accumulate(weight, dw.transpose(3, 2, 0, 1))
+            mid = p * wp + p
+            gwt = gp[:, :, mid:mid + span].transpose(0, 2, 1)
+            dw = np.empty((k * k, cin, cout), dtype=g.dtype)
+            for t, s in enumerate(offsets):
+                dw[t] = np.matmul(xf[:, :, s:s + span], gwt).sum(axis=0)
+            _accumulate(weight, dw.reshape(k, k, cin, cout).transpose(3, 2, 0, 1))
         if x.requires_grad:
-            wt = np.ascontiguousarray(weight.data.transpose(2, 3, 0, 1))
-            gx = np.zeros_like(xf)
-            tmp = np.empty((n, cin, span), dtype=g.dtype)
-            for u, v, s in taps:
-                gx[:, :, s:s + span] += np.matmul(wt[u, v].T, gw, out=tmp)
-            _accumulate(x, gx.reshape(xp.shape)[:, :, p:p + h, p:p + w])
+            back = [offsets[-1] - s for s in offsets]   # s_max - s_t
+            gx = _tap_sum(tap_weights().transpose(0, 2, 1), gp, back, span)
+            _accumulate(x, gx.reshape(n, cin, h, wp)[..., :w])
 
     return _result(out, [x, weight, bias], backward)
 

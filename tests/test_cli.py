@@ -54,11 +54,17 @@ class TestGenData:
         assert dir_digest(data_dir) == dir_digest(twin)
 
     def test_prints_resolved_config(self, tmp_path, capsys):
-        cli.main(["gen-data", "--n", "2", "--size", "16", "--seed", "3",
-                  "--out", str(tmp_path / "d")])
+        assert cli.main(["gen-data", "--n", "2", "--size", "16", "--seed", "3", "--folds", "2",
+                         "--out", str(tmp_path / "d")]) == 0
         head = capsys.readouterr().out.splitlines()[0]
         assert head.startswith("[gen-data]")
         assert json.loads(head.split("] ", 1)[1])["seed"] == 3
+
+    def test_fewer_samples_than_folds_writes_nothing(self, tmp_path, capsys):
+        out = tmp_path / "gd"
+        assert cli.main(["gen-data", "--n", "2", "--size", "16", "--out", str(out)]) == 2
+        assert "need at least K=5 ids" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_runs_as_module(self, tmp_path):
         src = str(Path(drawseg.__file__).resolve().parents[1])

@@ -74,12 +74,14 @@ class TestConv2d:
     @pytest.mark.parametrize("x_grad", [True, False])
     @pytest.mark.parametrize("k", [1, 3, 5])
     @pytest.mark.parametrize("plane", [(1, 4), (5, 7), (6, 2)])
-    @pytest.mark.parametrize("n, cin", [
-        pytest.param(1, 3, id="1"), pytest.param(3, 3, id="3"),
-        pytest.param(1, 1, id="1-cin1"), pytest.param(3, 1, id="3-cin1")])   # cin 1: stacked taps
-    def test_gradients_match_loop_oracle(self, n, cin, plane, k, x_grad):
+    @pytest.mark.parametrize("n, cin, cout", [
+        pytest.param(1, 3, 2, id="1"), pytest.param(3, 3, 2, id="3"),
+        # cin 1: stacked taps
+        pytest.param(1, 1, 2, id="1-cin1"), pytest.param(3, 1, 2, id="3-cin1"),
+        pytest.param(3, 3, 1, id="3-cout1"), pytest.param(3, 3, 5, id="3-cout5"),
+        pytest.param(1, 1, 5, id="1-cin1-cout5")])
+    def test_gradients_match_loop_oracle(self, n, cin, cout, plane, k, x_grad):
         rng = np.random.default_rng(zlib.crc32(f"{n}{plane}{k}".encode()))
-        cout = 2
         x = rng.standard_normal((n, cin) + plane)
         w = rng.standard_normal((cout, cin, k, k))
         b = rng.standard_normal(cout)
@@ -96,6 +98,19 @@ class TestConv2d:
             np.testing.assert_allclose(dx, rdx, rtol=1e-12, atol=1e-12)
         else:
             assert dx is None
+
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    @pytest.mark.parametrize("cin, cout", [(1, 4), (6, 2)])
+    def test_frozen_weight_runs_input_gradient_only(self, cin, cout, k):
+        rng = np.random.default_rng(zlib.crc32(f"frozen{cin}{cout}{k}".encode()))
+        x = Tensor(rng.standard_normal((2, cin, 5, 6)), requires_grad=True)
+        w = Tensor(rng.standard_normal((cout, cin, k, k)))
+        b = Tensor(rng.standard_normal(cout))
+        g = rng.standard_normal((2, cout, 5, 6))
+        T.sum_all(T.mul(T.conv2d(x, w, b), Tensor(g))).backward()
+        assert w.grad is None and b.grad is None
+        rdx, _, _ = oracle.conv2d_backward_loops(x.data, w.data, g)
+        np.testing.assert_allclose(x.grad, rdx, rtol=1e-12, atol=1e-12)
 
     def test_float32_gradients_track_float64(self):
         rng = np.random.default_rng(31)
@@ -412,6 +427,33 @@ class TestBackward:
         loss = T.sum_all(T.add(x, x))
         loss.backward()
         assert x.grad[0, 0, 0, 0] == 2.0
+
+    def test_add_gradients_share_no_memory(self):
+        a = t64(np.ones((2, 3)), requires_grad=True)
+        b = t64(np.ones((2, 3)), requires_grad=True)
+        out = T.add(a, b)
+        T.sum_all(out).backward()
+        for u, v in ((a.grad, b.grad), (a.grad, out.grad), (b.grad, out.grad)):
+            assert not np.shares_memory(u, v)
+        np.testing.assert_array_equal(a.grad, np.ones((2, 3)))
+
+    def test_first_gradient_is_an_owned_copy(self):
+        t = t64(np.zeros(3), requires_grad=True)
+        g = np.array([1.5, -0.0, -2.0])
+        T._accumulate(t, g)
+        g[:] = 7.0
+        np.testing.assert_array_equal(t.grad, [1.5, 0.0, -2.0])
+        assert not np.signbit(t.grad[1])   # stored as 0 + g, as a zero-filled sum would be
+
+    @pytest.mark.parametrize("shape", [(1,), (2, 3), ()])
+    def test_gradient_of_another_shape_rejected(self, shape):
+        t = t64(np.zeros(3), requires_grad=True)
+        with pytest.raises(T.ShapeError, match="gradient of shape"):
+            T._accumulate(t, np.ones(shape))
+        assert t.grad is None
+        T._accumulate(t, np.ones(3))
+        with pytest.raises(T.ShapeError, match="gradient of shape"):
+            T._accumulate(t, np.ones(shape))
 
     def test_no_grad_builds_no_graph(self):
         x = t64(np.ones((1, 1, 2, 2)), requires_grad=True)
