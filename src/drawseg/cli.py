@@ -68,7 +68,6 @@ def _add_train_options(p):
     p.add_argument("--num-classes", type=int, default=6)
     p.add_argument("--augment", action="store_true", help="on-the-fly train augmentation")
     p.add_argument("--noise-sigma", type=float, default=0.02)
-    p.add_argument("--folds", type=int, default=5)
     _add_seed(p)
 
 
@@ -90,7 +89,6 @@ def _train_config(args) -> TrainConfig:
         seed=args.seed,
         augment=args.augment,
         noise_sigma=args.noise_sigma,
-        folds=args.folds,
     )
 
 
@@ -131,11 +129,9 @@ def cmd_train(args) -> int:
     _echo("train", json.loads(cfg.to_json()) | {"data": args.data, "out": args.out})
     dataset = _open_dataset(args.data)
     if args.no_validation:
-        val_ids: list[str] = []
-        train_ids = list(dataset.ids)
+        train_ids, val_ids = list(dataset.ids), []
     else:
-        val_ids = dataset.split_ids(args.val_fold)
-        train_ids = [sid for sid in dataset.ids if sid not in set(val_ids)]
+        train_ids, val_ids = dataset.fold(args.val_fold)
     model, log = train(cfg, dataset, train_ids, val_ids, run_dir=args.out)
     last = log.rows[-1].train_loss if log.rows else float("nan")
     print(f"finished {len(log.rows)} epochs in {log.wall_seconds:.1f}s; "
@@ -197,7 +193,7 @@ def cmd_ablate(args) -> int:
     _echo("ablate", json.loads(cfg.to_json()) | {
         "family": args.family, "data": args.data, "out": args.out, "jobs": args.jobs})
     dataset = _open_dataset(args.data)
-    rows = run_ablation(cfg, dataset, args.family, args.out, jobs=args.jobs)
+    run_ablation(cfg, dataset, args.family, args.out, jobs=args.jobs)
     print((Path(args.out) / "ablation.txt").read_text())
     return 0
 
@@ -207,7 +203,7 @@ def cmd_kfold(args) -> int:
     _echo("kfold", json.loads(cfg.to_json()) | {
         "data": args.data, "out": args.out, "jobs": args.jobs})
     dataset = _open_dataset(args.data)
-    reports, aggregate = run_kfold(cfg, dataset, args.out, jobs=args.jobs)
+    _, aggregate = run_kfold(cfg, dataset, args.out, jobs=args.jobs)
     for name, stats in aggregate.items():
         mean = "-" if stats["mean"] is None else f"{stats['mean']:.4f}"
         std = "-" if stats["std"] is None else f"{stats['std']:.4f}"
@@ -232,14 +228,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=200)
     p.add_argument("--size", type=int, default=64)
     p.add_argument("--out", required=True)
-    p.add_argument("--folds", type=int, default=5)
+    p.add_argument("--folds", type=int, default=5, help="K: writes splits/fold0..K-1.txt")
     _add_seed(p)
     p.set_defaults(fn=cmd_gen_data)
 
     p = sub.add_parser("train", help="train one variant")
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--val-fold", type=int, default=0)
+    p.add_argument("--val-fold", type=int, default=0, help="hold out the ids in splits/fold<k>.txt")
     p.add_argument("--no-validation", action="store_true")
     _add_train_options(p)
     p.set_defaults(fn=cmd_train)
@@ -259,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_predict)
 
-    p = sub.add_parser("ablate", help="run the four-variant ladder of one family")
+    p = sub.add_parser("ablate", help="train the four variants of one family on splits/fold0.txt")
     p.add_argument("--family", choices=("unet", "cnn"), required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
@@ -267,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_train_options(p)
     p.set_defaults(fn=cmd_ablate)
 
-    p = sub.add_parser("kfold", help="K-fold cross-validation")
+    p = sub.add_parser("kfold", help="one train run per split file (gen-data --folds sets K)")
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--jobs", type=int, default=1)

@@ -275,7 +275,7 @@ def generate_dataset(n: int, size: int, seed: int, out_dir, folds: int = 5) -> l
         for sid in ids:
             f.write(f"{sid} {size} {size}\n")
     (out / "splits").mkdir(exist_ok=True)
-    for k, fold in enumerate(split.folds):
+    for k, fold in enumerate(split):
         with open(out / "splits" / f"fold{k}.txt", "w") as f:
             for sid in fold:
                 f.write(sid + "\n")
@@ -283,7 +283,9 @@ def generate_dataset(n: int, size: int, seed: int, out_dir, folds: int = 5) -> l
 
 
 class DrawingDataset:
-    """Directory-backed dataset with an in-memory sample cache."""
+    """Directory-backed dataset with an in-memory sample cache. Fold k holds
+    out the ids in splits/fold<k>.txt; manifest and split files come from
+    outside the program, so a malformed line or unknown id is a ValueError."""
 
     def __init__(self, root):
         self.root = Path(root)
@@ -292,10 +294,13 @@ class DrawingDataset:
             raise FileNotFoundError(f"no manifest.txt under {self.root}")
         self.ids: list[str] = []
         self.sizes: dict[str, tuple[int, int]] = {}
-        for line in manifest.read_text().splitlines():
-            sid, w, h = line.split()
-            self.ids.append(sid)
-            self.sizes[sid] = (int(w), int(h))
+        for n, line in enumerate(manifest.read_text().splitlines(), 1):
+            fields = line.split()
+            if len(fields) != 3 or fields[0] in self.sizes:
+                raise ValueError(f"{manifest}:{n}: expected '<id> <width> <height>' "
+                                 f"with a new id, got {line!r}")
+            self.ids.append(fields[0])
+            self.sizes[fields[0]] = (int(fields[1]), int(fields[2]))
         self._cache: dict[str, Sample] = {}
 
     def load(self, sid: str) -> Sample:
@@ -311,30 +316,44 @@ class DrawingDataset:
             self._cache[sid] = sample
         return self._cache[sid]
 
+    @property
+    def num_folds(self) -> int:
+        """K, the count of consecutive split files from fold0.txt on."""
+        k = 0
+        while (self.root / "splits" / f"fold{k}.txt").exists():
+            k += 1
+        return k
+
     def split_ids(self, k: int) -> list[str]:
         path = self.root / "splits" / f"fold{k}.txt"
         if not path.exists():
             raise FileNotFoundError(f"missing split file {path}")
-        return path.read_text().split()
+        ids = path.read_text().split()
+        if not ids:
+            raise ValueError(f"{path} names no ids")
+        unknown = [sid for sid in ids if sid not in self.sizes]
+        if unknown:
+            raise ValueError(f"{path} names ids not in the manifest: "
+                             + ", ".join(map(repr, unknown[:3])))
+        return ids
+
+    def fold(self, k: int) -> tuple[list[str], list[str]]:
+        """(training ids in manifest order, validation ids) of fold k."""
+        val = self.split_ids(k)
+        held = set(val)
+        train = [sid for sid in self.ids if sid not in held]
+        if not train:
+            raise ValueError(f"fold {k} holds out every id in the manifest")
+        return train, val
 
 
 # ---------------------------------------------------------------------------
 # folds
 
 
-@dataclass
-class FoldSplit:
-    folds: list[list[str]]
-
-    def validation(self, k: int) -> list[str]:
-        return list(self.folds[k])
-
-    def training(self, k: int) -> list[str]:
-        return [sid for j, fold in enumerate(self.folds) if j != k for sid in fold]
-
-
-def kfold_split(ids: Iterable[str], k: int, seed: int) -> FoldSplit:
-    """Seeded shuffle then round-robin deal, so fold sizes differ by <= 1."""
+def kfold_split(ids: Iterable[str], k: int, seed: int) -> list[list[str]]:
+    """The K folds: a seeded shuffle, then a round-robin deal, so fold sizes
+    differ by <= 1."""
     ids = list(ids)
     if k < 2:
         raise ValueError(f"K must be >= 2, got {k}")
@@ -344,4 +363,4 @@ def kfold_split(ids: Iterable[str], k: int, seed: int) -> FoldSplit:
     folds: list[list[str]] = [[] for _ in range(k)]
     for pos, idx in enumerate(order):
         folds[pos % k].append(ids[idx])
-    return FoldSplit(folds)
+    return folds

@@ -1,6 +1,11 @@
 """Training protocol: epoch loop with freeze/unfreeze, validation window,
 loss logging, checkpoints, K-fold orchestration and the ablation harness.
 
+Folds are the dataset's split files. Each kfold and ablation run is the run
+``drawseg train --variant v --val-fold k`` makes, cfg's seed included. With
+jobs > 1 they run in spawned workers, which re-import __main__: a calling
+script without an ``if __name__ == "__main__":`` guard fails.
+
 Epochs are numbered 0..epochs-1. The encoder stays frozen while
 epoch < unfreeze_epoch and validation runs from validate_from on
 (defaulting to unfreeze_epoch, mirroring the protocol where both happen
@@ -25,7 +30,7 @@ import numpy as np
 
 from . import metrics as MT
 from . import tensor as T
-from .data import Sample, augment, kfold_split, random_augment_spec
+from .data import Sample, augment, random_augment_spec
 from .losses import LossSpec, segmentation_loss
 # load_checkpoint is unused here but stays importable as training.load_checkpoint,
 # a name perfbench's tracer wraps.
@@ -50,7 +55,6 @@ class TrainConfig:
     seed: int = 0
     augment: bool = False
     noise_sigma: float = 0.02
-    folds: int = 5
 
     def __post_init__(self):
         if self.epochs < 0:
@@ -70,14 +74,6 @@ class TrainConfig:
 
     def to_json(self) -> str:
         return json.dumps(dataclasses.asdict(self), indent=2, sort_keys=True)
-
-    @staticmethod
-    def from_json(text: str) -> "TrainConfig":
-        raw = json.loads(text)
-        raw["variant"] = ModelVariant(**raw["variant"])
-        raw["encoder"] = EncoderConfig(**raw["encoder"])
-        raw["loss"] = LossSpec(**raw["loss"])
-        return TrainConfig(**raw)
 
 
 @dataclass
@@ -287,36 +283,36 @@ def train(cfg: TrainConfig, dataset, train_ids: Sequence[str],
 
 
 # ---------------------------------------------------------------------------
-# K-fold orchestration
-
-
-def fold_seed(seed: int, k: int) -> int:
-    return int(np.random.SeedSequence([seed, k]).generate_state(1)[0])
+# K-fold orchestration and the ablation harness
 
 
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def _run_job(job) -> tuple[Optional[MT.MetricsReport], int, float]:
-    cfg, dataset, run_dir, train_ids, val_ids = job
-    model, log = train(cfg, dataset, train_ids, val_ids, run_dir=run_dir)
+    model, log = train(*job)
     return log.final, model.count_params(), log.wall_seconds
 
 
-def _run_jobs(jobs: list, n_workers: int) -> list[tuple[Optional[MT.MetricsReport], int, float]]:
-    """Each job's (final report, parameter count, wall seconds), in job order.
-
-    Workers are spawned with one BLAS thread each: forked ones would inherit
-    the parent's BLAS threads and run more threads than there are cores."""
-    if n_workers <= 1:
-        return [_run_job(job) for job in jobs]
+def _run_cells(cfg: TrainConfig, dataset, out_dir, cells: list[tuple[ModelVariant, int, str]],
+               jobs: int) -> list[tuple[MT.MetricsReport, int, float]]:
+    """Train each (variant, fold, dir name) cell into out_dir/<dir name>, after
+    reading every fold; returns each cell's (final report, parameter count,
+    wall seconds). Spawned workers get one BLAS thread each: forked ones would
+    inherit the parent's BLAS threads and run more threads than cores."""
+    out = Path(out_dir)
+    queue = [(replace(cfg, variant=v), dataset, *dataset.fold(k), out / name)
+             for v, k, name in cells]
+    out.mkdir(parents=True, exist_ok=True)
+    if jobs <= 1:
+        return [_run_job(job) for job in queue]
     import multiprocessing   # here, so importing training loads no pool machinery
     from concurrent.futures import ProcessPoolExecutor
     saved = {name: os.environ[name] for name in _BLAS_THREAD_VARS if name in os.environ}
     os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, "1"))
     try:
-        with ProcessPoolExecutor(n_workers, mp_context=multiprocessing.get_context("spawn")) as pool:
-            return list(pool.map(_run_job, jobs))
+        with ProcessPoolExecutor(jobs, mp_context=multiprocessing.get_context("spawn")) as pool:
+            return list(pool.map(_run_job, queue))
     finally:
         for name in _BLAS_THREAD_VARS:
             del os.environ[name]
@@ -325,21 +321,16 @@ def _run_jobs(jobs: list, n_workers: int) -> list[tuple[Optional[MT.MetricsRepor
 
 def run_kfold(cfg: TrainConfig, dataset, out_dir,
               jobs: int = 1) -> tuple[list[MT.MetricsReport], dict]:
-    """One independent training per fold, fresh init from derived seeds;
-    aggregate is mean and population stddev per metric over folds. With
-    jobs > 1 the folds run in spawned workers, which re-import __main__: a
-    calling script without an ``if __name__ == "__main__":`` guard fails."""
-    split = kfold_split(dataset.ids, cfg.folds, cfg.seed)
+    """Train cfg once per split file of the dataset, into out_dir/fold<k>;
+    all folds share cfg's seed, so their spread is the split's alone. The
+    aggregate is mean and population stddev per metric over folds."""
+    folds = dataset.num_folds
+    if folds < 2:
+        raise ValueError(f"kfold needs at least 2 split files under {dataset.root / 'splits'}, "
+                         f"found {folds}")
+    cells = [(cfg.variant, k, f"fold{k}") for k in range(folds)]
+    reports = [report for report, _, _ in _run_cells(cfg, dataset, out_dir, cells, jobs)]
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    queue = []
-    for k in range(cfg.folds):
-        val = split.validation(k)
-        tr = split.training(k)
-        assert not set(val) & set(tr), f"fold {k} leaks validation ids into training"
-        queue.append((replace(cfg, seed=fold_seed(cfg.seed, k)), dataset, out / f"fold{k}",
-                      tr, val))
-    reports = [report for report, _, _ in _run_jobs(queue, jobs)]
     aggregate = {}
     for name in ("iou_mean", "map", "accuracy"):
         vals = [v for r in reports if (v := getattr(r, name)) is not None]
@@ -353,29 +344,20 @@ def run_kfold(cfg: TrainConfig, dataset, out_dir,
     return reports, aggregate
 
 
-# ---------------------------------------------------------------------------
-# ablation harness
-
-
 def run_ablation(cfg: TrainConfig, dataset, family: str, out_dir,
                  jobs: int = 1) -> list[dict]:
-    """Train the four variants of one family under identical data, seed and
-    schedule; report each final model on the shared held-out fold. With
-    jobs > 1 the variants run in spawned workers, which re-import __main__: a
-    calling script without an ``if __name__ == "__main__":`` guard fails."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    split = kfold_split(dataset.ids, cfg.folds, cfg.seed)
-    val = split.validation(0)
-    tr = split.training(0)
+    """Train the four variants of one family on fold 0 of the dataset's split
+    files, into out_dir/<cli name>, and report each final model on that
+    fold's held-out ids."""
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}")
     variants = [v for v in ALL_VARIANTS if v.family == family]
-    queue = [(replace(cfg, variant=v), dataset, out / v.cli_name, tr, val) for v in variants]
+    results = _run_cells(cfg, dataset, out_dir, [(v, 0, v.cli_name) for v in variants], jobs)
     rows = [{"method": variant.row_name, "iou": report.iou_mean, "map": report.map,
              "accuracy": report.accuracy, "params": params, "wall_seconds": wall}
-            for variant, (report, params, wall) in zip(variants, _run_jobs(queue, jobs))]
+            for variant, (report, params, wall) in zip(variants, results)]
 
+    out = Path(out_dir)
     csv_lines = ["method,IoU,mAP,Accu,params"]
     for r in rows:
         cells = [MT.csv_cell(r[key]) for key in ("iou", "map", "accuracy")]

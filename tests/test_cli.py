@@ -2,6 +2,7 @@
 import hashlib
 import json
 import os
+import shutil
 import struct
 import subprocess
 import sys
@@ -130,10 +131,10 @@ def tree_bytes(root, skip=("run.log",)):
 class TestParallelJobs:
     def test_pool_matches_serial(self, tmp_path):
         data = tmp_path / "data"
-        assert cli.main(["gen-data", "--n", "12", "--size", "32", "--seed", "2",
+        assert cli.main(["gen-data", "--n", "12", "--size", "32", "--seed", "2", "--folds", "3",
                          "--out", str(data)]) == 0
         common = ["--data", str(data), "--epochs", "2", "--unfreeze-epoch", "1",
-                  "--depth", "3", "--base-width", "4", "--folds", "3", "--seed", "6"]
+                  "--depth", "3", "--base-width", "4", "--seed", "6"]
         env_before = dict(os.environ)
         for jobs in ("1", "2"):
             assert cli.main(["ablate", "--family", "cnn", "--out", str(tmp_path / f"abl{jobs}"),
@@ -155,14 +156,38 @@ class TestParallelJobs:
 
         # each fold's row is the report of its reloaded final checkpoint
         dataset = drawseg.DrawingDataset(data)
-        split = drawseg.data.kfold_split(dataset.ids, 3, 6)
         rows = (tmp_path / "kf1" / "metrics.csv").read_text().splitlines()[1:]
         assert len(rows) == 3
         for k, row in enumerate(rows):
             model = drawseg.models.load_checkpoint(
                 tmp_path / "kf1" / f"fold{k}" / "checkpoints" / "final.segm")
-            report = drawseg.training.evaluate(model, split.validation(k), dataset, batch_size=4)
+            report = drawseg.training.evaluate(model, dataset.split_ids(k), dataset, batch_size=4)
             assert row == drawseg.metrics.metrics_csv_row(f"fold{k}", report)
+
+    def test_cells_are_train_runs(self, tmp_path):
+        # the dataset's seed differs from the run seed, so folds drawn from
+        # the run seed would differ from the split files
+        data = tmp_path / "data"
+        assert cli.main(["gen-data", "--n", "6", "--size", "16", "--seed", "5", "--folds", "2",
+                         "--out", str(data)]) == 0
+        common = ["--data", str(data), "--epochs", "2", "--unfreeze-epoch", "1",
+                  "--depth", "2", "--base-width", "2", "--seed", "7"]
+        # (harness out dir, cell dir, variant, fold)
+        cells = [("abl", v, v, 0) for v in ("cnn-base", "cnn-ave", "cnn-cbam", "cnn-full")]
+        cells += [("kf", f"fold{k}", "unet-cbam", k) for k in range(2)]
+        for _, _, variant, k in cells:
+            assert cli.main(["train", "--variant", variant, "--val-fold", str(k),
+                             "--out", str(tmp_path / f"{variant}-{k}")] + common) == 0
+        for jobs in ("1", "2"):
+            assert cli.main(["ablate", "--family", "cnn", "--out", str(tmp_path / f"abl{jobs}"),
+                             "--jobs", jobs] + common) == 0
+            assert cli.main(["kfold", "--variant", "unet-cbam", "--out", str(tmp_path / f"kf{jobs}"),
+                             "--jobs", jobs] + common) == 0
+            assert sorted(p.name for p in (tmp_path / f"kf{jobs}").glob("fold*")) == ["fold0", "fold1"]
+            for harness, cell, variant, k in cells:
+                run = tree_bytes(tmp_path / f"{variant}-{k}")
+                assert len(run) == 6
+                assert tree_bytes(tmp_path / f"{harness}{jobs}" / cell) == run, (jobs, cell)
 
 
 class TestExitCodes:
@@ -204,8 +229,17 @@ class TestExitCodes:
                          "--out", str(data)]) == 0
         argv = ["ablate", "--family", "unet", "--data", str(data), "--out", str(tmp_path / "abl"),
                 "--jobs", "2", "--epochs", "1", "--depth", "2", "--base-width", "2"]
+        # The parent kills the workers still alive once one has died, and a
+        # worker killed halfway through its traceback leaves a partial line.
+        # On a shared stderr the parent's last line would run on from it, so
+        # the workers, which run this script as __mp_main__, write elsewhere.
+        workers_err = tmp_path / "workers.err"
         script = tmp_path / "unguarded.py"
-        script.write_text(f"from drawseg import cli\nraise SystemExit(cli.main({argv!r}))\n")
+        script.write_text(
+            "import os\nfrom drawseg import cli\n"
+            "if __name__ == '__mp_main__':\n"
+            f"    os.dup2(os.open({str(workers_err)!r}, os.O_WRONLY | os.O_CREAT | os.O_APPEND), 2)\n"
+            f"raise SystemExit(cli.main({argv!r}))\n")
         src = str(Path(drawseg.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
         proc = subprocess.run([sys.executable, str(script)], env=env, capture_output=True,
@@ -215,6 +249,21 @@ class TestExitCodes:
         # semaphores on stderr after the CLI's own last line
         own = [line for line in proc.stderr.splitlines() if "resource_tracker" not in line]
         assert own[-1].startswith("error:"), proc.stderr
+        # the first worker to die ran to the end of its own traceback
+        assert "if __name__ == '__main__':" in workers_err.read_text()
+
+    @pytest.mark.parametrize("command", ["train", "kfold"])
+    def test_unknown_split_id_is_2_and_writes_nothing(self, data_dir, tmp_path, capsys, command):
+        data = tmp_path / "data"
+        shutil.copytree(data_dir, data)
+        with open(data / "splits" / "fold0.txt", "a") as f:
+            f.write("ghost\n")
+        out = tmp_path / "out"
+        assert cli.main([command, "--data", str(data), "--out", str(out), "--epochs", "1",
+                         "--depth", "2", "--base-width", "2"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "fold0.txt" in err and "'ghost'" in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["gen-data", "eval", "predict", "ablate", "kfold"])
     def test_out_naming_a_file_is_2(self, data_dir, run_dir, tmp_path, capsys, command):

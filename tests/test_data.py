@@ -1,11 +1,14 @@
-"""Generator determinism, augmentation exactness, codec, fold arithmetic."""
+"""Generator determinism, augmentation exactness, codec, folds, dataset text."""
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from drawseg import cli
 from drawseg import data as D
 from drawseg.netpbm import read_pgm, write_pgm
 
@@ -192,29 +195,29 @@ class TestCodec:
 
 class TestKFold:
     def test_ten_ids_five_folds(self):
-        split = D.kfold_split([f"s{i}" for i in range(10)], 5, 0)
-        assert [len(f) for f in split.folds] == [2] * 5
-        all_ids = sorted(sid for f in split.folds for sid in f)
+        folds = D.kfold_split([f"s{i}" for i in range(10)], 5, 0)
+        assert [len(f) for f in folds] == [2] * 5
+        all_ids = sorted(sid for f in folds for sid in f)
         assert all_ids == sorted(f"s{i}" for i in range(10))
 
     def test_4094_ids_fold_sizes(self):
-        split = D.kfold_split([str(i) for i in range(4094)], 5, 0)
-        assert [len(f) for f in split.folds] == [819, 819, 819, 819, 818]
+        folds = D.kfold_split([str(i) for i in range(4094)], 5, 0)
+        assert [len(f) for f in folds] == [819, 819, 819, 819, 818]
 
     def test_same_seed_same_folds(self):
         ids = [str(i) for i in range(23)]
-        a = D.kfold_split(ids, 5, 3)
-        b = D.kfold_split(ids, 5, 3)
-        assert a.folds == b.folds
+        assert D.kfold_split(ids, 5, 3) == D.kfold_split(ids, 5, 3)
 
-    def test_training_validation_partition(self):
-        ids = [str(i) for i in range(17)]
-        split = D.kfold_split(ids, 4, 1)
+    def test_training_validation_partition(self, tmp_path):
+        D.generate_dataset(17, 16, 1, tmp_path / "d", folds=4)
+        ds = D.DrawingDataset(tmp_path / "d")
+        assert ds.num_folds == 4
         for k in range(4):
-            val = set(split.validation(k))
-            train = set(split.training(k))
-            assert not val & train
-            assert val | train == set(ids)
+            train, val = ds.fold(k)
+            assert val == ds.split_ids(k)
+            assert not set(val) & set(train)
+            assert set(val) | set(train) == set(ds.ids)
+            assert train == [sid for sid in ds.ids if sid in set(train)]   # manifest order
 
     def test_k_below_two_rejected(self):
         with pytest.raises(ValueError):
@@ -224,7 +227,93 @@ class TestKFold:
            st.integers(min_value=8, max_value=60))
     @settings(max_examples=30, deadline=None)
     def test_fold_sizes_differ_by_at_most_one(self, k, seed, n):
-        split = D.kfold_split([str(i) for i in range(n)], k, seed)
-        sizes = [len(f) for f in split.folds]
+        sizes = [len(f) for f in D.kfold_split([str(i) for i in range(n)], k, seed)]
         assert max(sizes) - min(sizes) <= 1
         assert sum(sizes) == n
+
+
+def write_dataset_text(root, manifest: bytes, splits: list) -> None:
+    """A dataset directory holding only manifest.txt and splits/fold<k>.txt."""
+    (root / "splits").mkdir(parents=True)
+    (root / "manifest.txt").write_bytes(manifest)
+    for k, text in enumerate(splits):
+        (root / "splits" / f"fold{k}.txt").write_bytes(text)
+
+
+_IDS = ["00000", "00001", "00002"]
+_TOKEN = st.one_of(st.sampled_from(_IDS + ["16", "-1", "0", "x"]),
+                   st.text(st.characters(exclude_categories=("Cs",)), max_size=5))
+_LINE = st.one_of(
+    st.tuples(st.sampled_from(_IDS), st.sampled_from(["16", "0", "-3", "x"]),
+              st.sampled_from(["16", "1e3", ""])).map(" ".join),
+    st.lists(_TOKEN, max_size=4).map(" ".join))
+_GOOD_IDS = st.lists(st.sampled_from(_IDS), min_size=1, max_size=3, unique=True)
+_MANIFEST = st.one_of(
+    _GOOD_IDS.map(lambda ids: "".join(f"{sid} 16 16\n" for sid in ids).encode()),
+    st.lists(_LINE, max_size=5).map(lambda lines: "\n".join(lines).encode()),
+    st.binary(max_size=30))
+_SPLIT = st.one_of(_GOOD_IDS.map(lambda ids: "\n".join(ids).encode()),
+                   st.lists(_TOKEN, max_size=4).map(lambda tokens: " ".join(tokens).encode()),
+                   st.binary(max_size=12))
+
+
+class TestDatasetText:
+    def make(self, root, manifest="00000 16 16\n00001 16 16\n00002 16 16\n",
+             splits=("00000\n", "00001\n00002\n")):
+        write_dataset_text(root, manifest.encode(), [s.encode() for s in splits])
+        return D.DrawingDataset(root)
+
+    def test_well_formed_folds(self, tmp_path):
+        ds = self.make(tmp_path / "d")
+        assert ds.num_folds == 2
+        assert ds.fold(0) == (["00001", "00002"], ["00000"])
+        assert ds.fold(1) == (["00000"], ["00001", "00002"])
+
+    def test_folds_counted_up_to_the_first_gap(self, tmp_path):
+        ds = self.make(tmp_path / "d")
+        (tmp_path / "d" / "splits" / "fold1.txt").rename(tmp_path / "d" / "splits" / "fold2.txt")
+        assert ds.num_folds == 1
+        with pytest.raises(FileNotFoundError, match="fold1.txt"):
+            ds.fold(1)
+
+    def test_unknown_split_id_named(self, tmp_path):
+        ds = self.make(tmp_path / "d", splits=("00000\nghost\n00009\n", "00001\n"))
+        with pytest.raises(ValueError, match=r"fold0\.txt names ids not in the manifest: "
+                                             r"'ghost', '00009'"):
+            ds.fold(0)
+
+    @pytest.mark.parametrize("splits, match", [
+        (("", "00001\n"), "names no ids"),
+        (("00000 00001 00002\n", "00001\n"), "holds out every id"),
+    ])
+    def test_degenerate_fold_rejected(self, tmp_path, splits, match):
+        ds = self.make(tmp_path / "d", splits=splits)
+        with pytest.raises(ValueError, match=match):
+            ds.fold(0)
+
+    @pytest.mark.parametrize("manifest, match", [
+        ("00000 16 16\n\n00001 16 16\n", r"manifest\.txt:2: expected"),
+        ("00000 16\n", r"manifest\.txt:1: expected"),
+        ("00000 16 16\n00000 16 16\n", r"manifest\.txt:2: .*new id"),
+        ("00000 16 x\n", "invalid literal"),
+    ])
+    def test_malformed_manifest_rejected(self, tmp_path, manifest, match):
+        with pytest.raises(ValueError, match=match):
+            self.make(tmp_path / "d", manifest=manifest)
+
+    @given(manifest=_MANIFEST, splits=st.lists(_SPLIT, max_size=3))
+    @settings(max_examples=60, deadline=None)
+    def test_fuzzed_text_is_read_or_rejected(self, manifest, splits):
+        with tempfile.TemporaryDirectory() as tmp:
+            root, out = Path(tmp) / "d", Path(tmp) / "kf"
+            write_dataset_text(root, manifest, splits)
+            try:
+                ds = D.DrawingDataset(root)
+                rejected = len([ds.fold(k) for k in range(ds.num_folds)]) < 2
+            except (ValueError, FileNotFoundError):
+                rejected = True
+            # no images exist, so an accepted dataset fails in training, also with exit 2
+            assert cli.main(["kfold", "--data", str(root), "--out", str(out), "--epochs", "1",
+                             "--depth", "2", "--base-width", "2"]) == 2
+            if rejected:
+                assert not out.exists()
