@@ -6,7 +6,7 @@ from .losses import LossSpec, segmentation_loss
 from .metrics import MetricsReport, compute_report, confusion
 from .models import (ALL_VARIANTS, EncoderConfig, ModelVariant, SegModel,
                      build_model, load_checkpoint, save_checkpoint)
-from .optim import Adam, LrSchedule, cosine_lr
+from .optim import Adam, cosine_lr
 from .skipfuse import SkipBlockParams, build_skip_block, skip_forward
 from .tensor import Tensor, grad_check
 from .training import RunLog, TrainConfig, evaluate, run_ablation, run_kfold, train
@@ -15,7 +15,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Adam", "ALL_VARIANTS", "AugmentSpec", "CbamBlock", "DrawingDataset",
-    "EncoderConfig", "LossSpec", "LrSchedule", "MetricsReport", "ModelVariant",
+    "EncoderConfig", "LossSpec", "MetricsReport", "ModelVariant",
     "ParamStore", "RunLog", "Sample", "SegModel", "SkipBlockParams", "Tensor", "TrainConfig",
     "augment", "build_cbam", "build_model", "build_skip_block", "cbam_forward",
     "compute_report", "confusion", "cosine_lr", "evaluate", "generate_dataset",

@@ -24,10 +24,11 @@ SPATIAL_WIDTH = 2   # channels inside the spatial gate's three-conv chain
 class ParamStore:
     """Creates every parameter of a network from one seeded generator.
 
-    Each tensor is registered under its name as it is drawn, so ``named``
-    lists the parameters in draw order, which is also the order a model
-    reports and checkpoints them in. It lives here because this is the
-    lowest module that both skipfuse and models import.
+    Each tensor is registered under its name as it is created, so ``named``
+    lists the parameters in creation order, which is also the order a model
+    reports and checkpoints them in. All values come from ``weight`` and
+    ``bias``, which the checkpoint loader's store overrides. It lives here
+    because this is the lowest module that both skipfuse and models import.
     """
 
     def __init__(self, seed: int, dtype=T.TRAIN32):
@@ -40,10 +41,14 @@ class ParamStore:
         limit = np.sqrt(6.0 / fan_in)
         return self._register(name, self.rng.uniform(-limit, limit, size=shape))
 
+    def bias(self, name: str, n: int) -> Tensor:
+        """n zeros."""
+        return self._register(name, np.zeros(n))
+
     def conv(self, name: str, cin: int, cout: int, k: int) -> tuple[Tensor, Tensor]:
-        """A k x k conv: He-uniform weight ``name.w``, then zero bias ``name.b``."""
-        w = self.weight(f"{name}.w", (cout, cin, k, k), cin * k * k)
-        return w, self._register(f"{name}.b", np.zeros(cout))
+        """A k x k conv: weight ``name.w``, then bias ``name.b``."""
+        return (self.weight(f"{name}.w", (cout, cin, k, k), cin * k * k),
+                self.bias(f"{name}.b", cout))
 
     def _register(self, name: str, data: np.ndarray) -> Tensor:
         t = Tensor(data, requires_grad=True, dtype=self.dtype, name=name)

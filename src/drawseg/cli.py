@@ -19,7 +19,7 @@ import numpy as np
 
 from . import checks
 from . import metrics as MT
-from .data import DrawingDataset, generate_dataset
+from .data import NUM_CLASSES, DrawingDataset, generate_dataset
 from .losses import LOSS_KINDS, LossSpec
 from .models import ALL_VARIANTS, EncoderConfig, ModelVariant, load_checkpoint
 from .netpbm import write_pgm, write_ppm
@@ -49,25 +49,25 @@ def _add_seed(p):
 
 
 def _add_train_options(p):
-    p.add_argument("--variant", choices=VARIANT_NAMES, default="unet-full")
-    p.add_argument("--loss", choices=LOSS_KINDS, default="focal")
-    p.add_argument("--gamma", type=float, default=2.0, help="focal gamma")
-    p.add_argument("--alpha", type=float, default=0.25, help="focal alpha")
-    p.add_argument("--poly-eps", type=float, default=1.0, help="poly loss epsilon")
-    p.add_argument("--epochs", type=int, default=100)
+    cfg = TrainConfig()   # the defaults
+    p.add_argument("--variant", choices=VARIANT_NAMES, default=cfg.variant.cli_name)
+    p.add_argument("--loss", choices=LOSS_KINDS, default=cfg.loss.kind)
+    p.add_argument("--gamma", type=float, default=cfg.loss.gamma, help="focal gamma")
+    p.add_argument("--alpha", type=float, default=cfg.loss.alpha, help="focal alpha")
+    p.add_argument("--poly-eps", type=float, default=cfg.loss.poly_eps, help="poly loss epsilon")
+    p.add_argument("--epochs", type=int, default=cfg.epochs)
     p.add_argument("--unfreeze-epoch", type=int, default=None,
                    help="epoch index where the encoder unfreezes (default epochs//2)")
     p.add_argument("--validate-from", type=int, default=None,
                    help="first epoch with validation (default: unfreeze epoch)")
-    p.add_argument("--batch-size", type=int, default=4)
-    p.add_argument("--lr", type=float, default=1e-4, help="initial learning rate")
+    p.add_argument("--batch-size", type=int, default=cfg.batch_size)
+    p.add_argument("--lr", type=float, default=cfg.lr0, help="initial learning rate")
     p.add_argument("--eta-min", type=float, default=None, help="cosine floor (default lr/100)")
-    p.add_argument("--depth", type=int, default=4)
-    p.add_argument("--base-width", type=int, default=8)
-    p.add_argument("--in-channels", type=int, default=1)
-    p.add_argument("--num-classes", type=int, default=6)
+    p.add_argument("--depth", type=int, default=cfg.encoder.depth)
+    p.add_argument("--base-width", type=int, default=cfg.encoder.base_width)
+    p.add_argument("--in-channels", type=int, default=cfg.encoder.in_channels)
     p.add_argument("--augment", action="store_true", help="on-the-fly train augmentation")
-    p.add_argument("--noise-sigma", type=float, default=0.02)
+    p.add_argument("--noise-sigma", type=float, default=cfg.noise_sigma)
     _add_seed(p)
 
 
@@ -77,7 +77,6 @@ def _train_config(args) -> TrainConfig:
         variant=ModelVariant.parse(args.variant),
         encoder=EncoderConfig(depth=args.depth, base_width=args.base_width,
                               in_channels=args.in_channels),
-        num_classes=args.num_classes,
         epochs=args.epochs,
         unfreeze_epoch=unfreeze,
         validate_from=args.validate_from,
@@ -99,17 +98,24 @@ def _open_dataset(path) -> DrawingDataset:
         raise FileNotFoundError(f"dataset not usable: {e}") from e
 
 
+def _load_model(args):
+    if not Path(args.ckpt).exists():
+        raise FileNotFoundError(f"checkpoint {args.ckpt} not found")
+    model = load_checkpoint(args.ckpt)
+    if model.num_classes != NUM_CLASSES:
+        raise ValueError(f"checkpoint {args.ckpt} predicts {model.num_classes} classes; "
+                         f"masks hold {NUM_CLASSES}")
+    return model
+
+
 def _read_ids(args, dataset) -> list[str]:
+    """--ids from the working directory, else the dataset root; default: the manifest."""
     if args.ids is None:
         return list(dataset.ids)
     path = Path(args.ids)
-    if not path.exists():
-        candidate = dataset.root / args.ids
-        if candidate.exists():
-            path = candidate
-        else:
-            raise FileNotFoundError(f"ids file {args.ids} not found")
-    return path.read_text().split()
+    if not path.exists() and (dataset.root / args.ids).exists():
+        path = dataset.root / args.ids
+    return dataset.read_ids(path)
 
 
 # ---------------------------------------------------------------------------
@@ -141,9 +147,7 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     _echo("eval", {"ckpt": args.ckpt, "data": args.data, "ids": args.ids, "out": args.out})
-    if not Path(args.ckpt).exists():
-        raise FileNotFoundError(f"checkpoint {args.ckpt} not found")
-    model = load_checkpoint(args.ckpt)
+    model = _load_model(args)
     dataset = _open_dataset(args.data)
     ids = _read_ids(args, dataset)
     report = evaluate(model, ids, dataset, batch_size=args.batch_size)
@@ -169,9 +173,7 @@ def _overlay(image: np.ndarray, pred: np.ndarray) -> np.ndarray:
 
 def cmd_predict(args) -> int:
     _echo("predict", {"ckpt": args.ckpt, "data": args.data, "ids": args.ids, "out": args.out})
-    if not Path(args.ckpt).exists():
-        raise FileNotFoundError(f"checkpoint {args.ckpt} not found")
-    model = load_checkpoint(args.ckpt)
+    model = _load_model(args)
     dataset = _open_dataset(args.data)
     ids = _read_ids(args, dataset)
     out = Path(args.out)

@@ -228,7 +228,7 @@ def augment(sample: Sample, spec: AugmentSpec, seed: int) -> Sample:
     return Sample(image=image, mask=mask)
 
 
-def random_augment_spec(rng: np.random.Generator, noise_sigma: float = 0.02) -> AugmentSpec:
+def random_augment_spec(rng: np.random.Generator, noise_sigma: float) -> AugmentSpec:
     """Train-time draw: random flips and rotation plus mild noise."""
     return AugmentSpec(mirror_h=bool(rng.integers(2)), mirror_v=bool(rng.integers(2)),
                        rot90=int(rng.integers(4)), noise_sigma=noise_sigma)
@@ -284,8 +284,8 @@ def generate_dataset(n: int, size: int, seed: int, out_dir, folds: int = 5) -> l
 
 class DrawingDataset:
     """Directory-backed dataset with an in-memory sample cache. Fold k holds
-    out the ids in splits/fold<k>.txt; manifest and split files come from
-    outside the program, so a malformed line or unknown id is a ValueError."""
+    out the ids in splits/fold<k>.txt; manifest, split and id-list files come
+    from outside the program, so a malformed line or unknown id is a ValueError."""
 
     def __init__(self, root):
         self.root = Path(root)
@@ -324,10 +324,11 @@ class DrawingDataset:
             k += 1
         return k
 
-    def split_ids(self, k: int) -> list[str]:
-        path = self.root / "splits" / f"fold{k}.txt"
+    def read_ids(self, path) -> list[str]:
+        """The ids a list file names: at least one, each in the manifest."""
+        path = Path(path)
         if not path.exists():
-            raise FileNotFoundError(f"missing split file {path}")
+            raise FileNotFoundError(f"missing id list {path}")
         ids = path.read_text().split()
         if not ids:
             raise ValueError(f"{path} names no ids")
@@ -336,6 +337,9 @@ class DrawingDataset:
             raise ValueError(f"{path} names ids not in the manifest: "
                              + ", ".join(map(repr, unknown[:3])))
         return ids
+
+    def split_ids(self, k: int) -> list[str]:
+        return self.read_ids(self.root / "splits" / f"fold{k}.txt")
 
     def fold(self, k: int) -> tuple[list[str], list[str]]:
         """(training ids in manifest order, validation ids) of fold k."""

@@ -8,13 +8,14 @@ Two families, four attention modes each:
 * cnn  -- a resolution-preserving stack of 3x3 conv + ReLU blocks with the
   same optional attention / dual-pool attachments mid-stack, same head.
 
-Every parameter is created through one ParamStore: He-uniform weights and
-zero biases drawn from the model seed and registered by name as they are
-drawn. So creation order is the initialisation order, the order of
+Every parameter is created through one ParamStore, which draws it from
+the model seed (build_model) or reads it from a checkpoint, and registers
+it by name. So creation order is the initialisation order, the order of
 named_parameters() and the checkpoint serialisation order, by construction.
 """
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from typing import Optional
@@ -121,26 +122,27 @@ class _ConvStack:
 
 
 class SegModel:
-    """One of the eight variants; maps N-Cin-H-W images to N-K-H-W logits."""
+    """One of the eight variants; maps N-Cin-H-W images to N-K-H-W logits.
+    Keeps the tensors ``store`` hands out, not the store."""
 
-    def __init__(self, variant: ModelVariant, enc: EncoderConfig, num_classes: int, seed: int,
-                 dtype=T.TRAIN32):
+    def __init__(self, variant: ModelVariant, enc: EncoderConfig, num_classes: int,
+                 store: ParamStore):
         if num_classes < 2:
             raise ValueError(f"num_classes must be >= 2, got {num_classes}")
         self.variant = variant
         self.enc = enc
         self.num_classes = num_classes
-        self._store = ParamStore(seed, dtype)
-        self.dtype = self._store.dtype
+        self.dtype = store.dtype
         if variant.family == "unet":
-            self._build_unet()
+            self._build_unet(store)
         else:
-            self._build_cnn()
+            self._build_cnn(store)
+        self._named = store.named
 
     # -- construction -------------------------------------------------
 
-    def _build_unet(self):
-        enc, store = self.enc, self._store
+    def _build_unet(self, store: ParamStore):
+        enc = self.enc
         widths = enc.widths()
         self.encoder_stacks = []
         cin = enc.in_channels
@@ -156,10 +158,10 @@ class SegModel:
         self.decoder_stacks = [
             _ConvStack(store, f"dec.l{lvl}", widths[lvl + 1] + widths[lvl], widths[lvl], 2)
             for lvl in range(enc.depth - 2, -1, -1)]
-        self._build_head(widths[0])
+        self._build_head(store, widths[0])
 
-    def _build_cnn(self):
-        enc, store = self.enc, self._store
+    def _build_cnn(self, store: ParamStore):
+        enc = self.enc
         w = enc.base_width
         self.cnn_stacks = [_ConvStack(store, f"cnn.b{i}", enc.in_channels if i == 0 else w, w, 1)
                            for i in range(CNN_BLOCKS)]
@@ -172,11 +174,11 @@ class SegModel:
         self.cnn_attention: Optional[CbamBlock] = None
         if self.variant.cbam:
             self.cnn_attention = build_cbam(store, "cnn.cbam", w)
-        self._build_head(w)
+        self._build_head(store, w)
 
-    def _build_head(self, width):
-        self.head = (self._store.conv("head.conv3", width, width, 3),
-                     self._store.conv("head.conv1", width, self.num_classes, 1))
+    def _build_head(self, store: ParamStore, width: int):
+        self.head = (store.conv("head.conv3", width, width, 3),
+                     store.conv("head.conv1", width, self.num_classes, 1))
 
     # -- forward ------------------------------------------------------
 
@@ -239,10 +241,10 @@ class SegModel:
     # -- parameters ---------------------------------------------------
 
     def parameters(self) -> list[Tensor]:
-        return [t for _, t in self._store.named]
+        return [t for _, t in self._named]
 
     def named_parameters(self) -> list[tuple[str, Tensor]]:
-        return list(self._store.named)
+        return list(self._named)
 
     def set_frozen(self, frozen: bool) -> None:
         """Switch the encoder parameters' gradients off (frozen) or on.
@@ -259,7 +261,8 @@ class SegModel:
 
 def build_model(variant: ModelVariant, enc: EncoderConfig, num_classes: int,
                 seed: int, dtype=T.TRAIN32) -> SegModel:
-    return SegModel(variant, enc, num_classes, seed, dtype)
+    """A freshly initialised model: every parameter drawn from ``seed``."""
+    return SegModel(variant, enc, num_classes, ParamStore(seed, dtype))
 
 
 # ---------------------------------------------------------------------------
@@ -275,6 +278,8 @@ def build_model(variant: ModelVariant, enc: EncoderConfig, num_classes: int,
 #   then          u64 parameter count n
 #   then          n x f32: every parameter flattened row-major, in
 #                 construction order (SegModel.parameters()); nothing follows
+# load_checkpoint builds the model to read the payload, so construction is
+# the only description of the layout.
 
 _MAGIC = b"SEGM"
 _VERSION = 1
@@ -298,28 +303,34 @@ def save_checkpoint(model: SegModel, path) -> None:
         f.write(flat.tobytes())
 
 
-def _conv_weight_count(family: str, enc: EncoderConfig, num_classes: int) -> int:
-    """Weights of the plain conv stacks and the head, from the config alone.
+class _PayloadStore(ParamStore):
+    """Hands each tensor, in creation order, an owned copy of the payload's
+    next f32 values, after checking that what is left of the payload fills it."""
 
-    A floor on SegModel.count_params() (skip, CBAM and bias parameters
-    come on top), so a header can be checked against its parameter count
-    before any of the model is allocated.
-    """
-    b = enc.base_width
-    total = 9 * b * b + b * num_classes                        # head
-    if family == "cnn":
-        return total + 9 * b * (enc.in_channels + (CNN_BLOCKS - 1) * b)
-    widths = enc.widths()
-    cin = enc.in_channels
-    for w, convs in zip(widths, enc.convs_per_block):          # encoder
-        total += 9 * w * (cin + (convs - 1) * w)
-        cin = w
-    for lo, hi in zip(widths, widths[1:]):                     # decoder
-        total += 9 * lo * (hi + 2 * lo)
-    return total
+    def __init__(self, raw: bytes, offset: int):
+        self.dtype, self.named = np.dtype(T.TRAIN32), []
+        self._raw, self._pos = raw, offset
+
+    def weight(self, name: str, shape, fan_in: int) -> Tensor:
+        return self._take(name, shape)
+
+    def bias(self, name: str, n: int) -> Tensor:
+        return self._take(name, (n,))
+
+    def _take(self, name: str, shape) -> Tensor:
+        n = math.prod(shape)
+        if 4 * n > len(self._raw) - self._pos:
+            raise ValueError(f"checkpoint payload ends inside {name}, which needs {n} values")
+        values = np.frombuffer(self._raw, "<f4", n, self._pos).reshape(shape).astype(self.dtype)
+        self._pos += 4 * n
+        return self._register(name, values)
 
 
 def load_checkpoint(path) -> SegModel:
+    """Check every header field, then build the model through a _PayloadStore;
+    the payload must be used up. Besides the file's bytes, loading allocates
+    tensor values for at most the payload, however large the header's model,
+    and the model keeps no reference to the bytes."""
     with open(path, "rb") as f:
         raw = f.read()
     if len(raw) < _HEADER.size:
@@ -349,18 +360,9 @@ def load_checkpoint(path) -> SegModel:
     variant = ModelVariant(FAMILIES[fam], bool(ave), bool(cbam))
     enc = EncoderConfig(depth=depth, base_width=base, in_channels=cin,
                         convs_per_block=tuple(convs))
-    floor = _conv_weight_count(variant.family, enc, k)
-    if floor > count:
-        raise ValueError(f"checkpoint holds {count} parameters, but its header describes a "
-                         f"model with at least {floor}")
-    model = build_model(variant, enc, k, seed=0)
-    if model.count_params() != count:
-        raise ValueError(
-            f"checkpoint holds {count} parameters, model wants {model.count_params()}")
-    flat = np.frombuffer(raw, dtype="<f4", offset=off)
-    pos = 0
-    for t in model.parameters():
-        n = t.data.size
-        t.data = flat[pos:pos + n].astype(model.dtype).reshape(t.data.shape)
-        pos += n
+    store = _PayloadStore(raw, off)
+    model = SegModel(variant, enc, k, store)
+    if store._pos != len(raw):
+        raise ValueError(f"checkpoint holds {count} parameters, the model it describes "
+                         f"uses {model.count_params()}")
     return model

@@ -10,28 +10,16 @@ import numpy as np
 from .tensor import Tensor
 
 
-@dataclass(frozen=True)
-class LrSchedule:
-    """Cosine decay from lr0 at epoch 0 to eta_min at epoch T.
-
-    eta_min defaults to lr0 / 100.
-    """
-    lr0: float = 1e-4
-    total_epochs: int = 100
-    eta_min: Optional[float] = None
-
-    def __post_init__(self):
-        if self.total_epochs < 1:
-            raise ValueError("total_epochs must be >= 1")
-        if self.eta_min is None:
-            object.__setattr__(self, "eta_min", self.lr0 / 100.0)
-
-
-def cosine_lr(sched: LrSchedule, epoch: int) -> float:
-    if not 0 <= epoch <= sched.total_epochs:
-        raise ValueError(f"epoch {epoch} outside schedule range [0, {sched.total_epochs}]")
-    span = sched.lr0 - sched.eta_min
-    return sched.eta_min + 0.5 * span * (1.0 + math.cos(math.pi * epoch / sched.total_epochs))
+def cosine_lr(lr0: float, eta_min: Optional[float], total_epochs: int, epoch: int) -> float:
+    """Cosine decay from lr0 at epoch 0 to eta_min at epoch total_epochs;
+    eta_min None means lr0 / 100."""
+    if total_epochs < 1 or not 0 <= epoch <= total_epochs:
+        raise ValueError(f"epoch {epoch} outside schedule range [0, {total_epochs}], "
+                         "or total_epochs below 1")
+    if eta_min is None:
+        eta_min = lr0 / 100.0
+    span = lr0 - eta_min
+    return eta_min + 0.5 * span * (1.0 + math.cos(math.pi * epoch / total_epochs))
 
 
 class NumericalError(RuntimeError):

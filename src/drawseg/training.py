@@ -30,13 +30,13 @@ import numpy as np
 
 from . import metrics as MT
 from . import tensor as T
-from .data import Sample, augment, random_augment_spec
+from .data import NUM_CLASSES, Sample, augment, random_augment_spec
 from .losses import LossSpec, segmentation_loss
 # load_checkpoint is unused here but stays importable as training.load_checkpoint,
 # a name perfbench's tracer wraps.
 from .models import (ALL_VARIANTS, FAMILIES, EncoderConfig, ModelVariant, SegModel,
                      build_model, load_checkpoint, save_checkpoint)
-from .optim import Adam, LrSchedule, NumericalError, cosine_lr
+from .optim import Adam, NumericalError, cosine_lr
 from .tensor import Tensor, zero_grads
 
 
@@ -44,7 +44,6 @@ from .tensor import Tensor, zero_grads
 class TrainConfig:
     variant: ModelVariant = field(default_factory=lambda: ModelVariant("unet", True, True))
     encoder: EncoderConfig = field(default_factory=EncoderConfig)
-    num_classes: int = 6
     epochs: int = 100
     unfreeze_epoch: int = 50
     validate_from: Optional[int] = None   # None -> unfreeze_epoch
@@ -55,6 +54,7 @@ class TrainConfig:
     seed: int = 0
     augment: bool = False
     noise_sigma: float = 0.02
+    num_classes = NUM_CLASSES   # not a field: every mask holds data.NUM_CLASSES classes
 
     def __post_init__(self):
         if self.epochs < 0:
@@ -68,9 +68,6 @@ class TrainConfig:
     @property
     def validation_start(self) -> int:
         return self.unfreeze_epoch if self.validate_from is None else self.validate_from
-
-    def schedule(self) -> LrSchedule:
-        return LrSchedule(self.lr0, max(self.epochs, 1), self.eta_min)
 
     def to_json(self) -> str:
         return json.dumps(dataclasses.asdict(self), indent=2, sort_keys=True)
@@ -214,7 +211,6 @@ def train(cfg: TrainConfig, dataset, train_ids: Sequence[str],
         model = build_model(cfg.variant, cfg.encoder, cfg.num_classes, cfg.seed)
     if model.variant != cfg.variant:
         raise ValueError(f"model is {model.variant}, config wants {cfg.variant}")
-    sched = cfg.schedule()
     adam = Adam(model.parameters())
     log = RunLog()
     out = _RunDir(run_dir, cfg)
@@ -226,7 +222,7 @@ def train(cfg: TrainConfig, dataset, train_ids: Sequence[str],
     try:
         try:
             for epoch in range(cfg.epochs):
-                lr = cosine_lr(sched, epoch)
+                lr = cosine_lr(cfg.lr0, cfg.eta_min, cfg.epochs, epoch)
                 model.set_frozen(epoch < cfg.unfreeze_epoch)
                 order = epoch_shuffle(train_ids, cfg.seed, epoch)
                 total, seen = 0.0, 0

@@ -252,18 +252,41 @@ class TestExitCodes:
         # the first worker to die ran to the end of its own traceback
         assert "if __name__ == '__main__':" in workers_err.read_text()
 
-    @pytest.mark.parametrize("command", ["train", "kfold"])
-    def test_unknown_split_id_is_2_and_writes_nothing(self, data_dir, tmp_path, capsys, command):
+    @pytest.mark.parametrize("command", ["train", "kfold", "eval", "predict"])
+    def test_unknown_split_id_is_2_and_writes_nothing(self, data_dir, run_dir, tmp_path, capsys,
+                                                      command):
         data = tmp_path / "data"
         shutil.copytree(data_dir, data)
         with open(data / "splits" / "fold0.txt", "a") as f:
             f.write("ghost\n")
         out = tmp_path / "out"
-        assert cli.main([command, "--data", str(data), "--out", str(out), "--epochs", "1",
-                         "--depth", "2", "--base-width", "2"]) == 2
+        if command in ("eval", "predict"):
+            argv = ["--ckpt", str(run_dir / "checkpoints" / "final.segm"),
+                    "--ids", "splits/fold0.txt"]
+        else:
+            argv = ["--epochs", "1", "--depth", "2", "--base-width", "2"]
+        assert cli.main([command, "--data", str(data), "--out", str(out), *argv]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and "fold0.txt" in err and "'ghost'" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["eval", "predict"])
+    def test_checkpoint_of_other_class_count_is_2(self, data_dir, tmp_path, capsys, command):
+        ckpt = tmp_path / "k7.segm"
+        drawseg.save_checkpoint(drawseg.build_model(
+            drawseg.ModelVariant("unet", False, False),
+            drawseg.EncoderConfig(depth=2, base_width=2), 7, seed=0), ckpt)
+        out = tmp_path / "out"
+        assert cli.main([command, "--ckpt", str(ckpt), "--data", str(data_dir),
+                         "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "7 classes" in err
+        assert not out.exists()
+
+    def test_num_classes_flag_is_gone(self, data_dir, tmp_path):
+        assert cli.main(["train", "--data", str(data_dir), "--out", str(tmp_path / "r"),
+                         "--num-classes", "7", "--epochs", "1"]) == 2
+        assert not (tmp_path / "r").exists()
 
     @pytest.mark.parametrize("command", ["gen-data", "eval", "predict", "ablate", "kfold"])
     def test_out_naming_a_file_is_2(self, data_dir, run_dir, tmp_path, capsys, command):

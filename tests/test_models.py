@@ -1,5 +1,6 @@
 """Variant construction, shape contracts, parameter accounting, checkpoints."""
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -241,16 +242,21 @@ class TestCheckpoint:
         (24, 4096),
         (56 + 12, 10 ** 6),
     ], ids=["base_width", "convs_per_block"])
-    def test_oversized_header_rejected_before_build(self, tmp_path, monkeypatch, offset, value):
+    def test_oversized_header_rejected_before_build(self, tmp_path, offset, value):
         # u32 header fields sit at byte 8 + 4 * index; the conv list follows at byte 56
         model = M.build_model(M.ModelVariant("unet", True, True), DESK, 6, seed=0)
         path = tmp_path / "m.segm"
         M.save_checkpoint(model, path)
         raw = path.read_bytes()
         path.write_bytes(raw[:offset] + struct.pack("<I", value) + raw[offset + 4:])
-        monkeypatch.setattr(M, "build_model", _no_build)
-        with pytest.raises(ValueError, match="at least"):
-            M.load_checkpoint(path)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="payload ends inside"):
+                M.load_checkpoint(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * len(raw)
 
     @pytest.mark.parametrize("index", range(5), ids=[
         "width_cap", "reduction", "spatial_width", "cnn_blocks", "cnn_attach_after"])
@@ -263,16 +269,47 @@ class TestCheckpoint:
         offset = 8 + 4 * (6 + index)
         assert struct.unpack_from("<I", raw, offset) == (M._FIXED[index],)
         path.write_bytes(raw[:offset] + struct.pack("<I", M._FIXED[index] + 1) + raw[offset + 4:])
-        monkeypatch.setattr(M, "build_model", _no_build)
+        monkeypatch.setattr(M, "SegModel", _no_build)
         with pytest.raises(ValueError, match="fields 6-10"):
             M.load_checkpoint(path)
 
-    @pytest.mark.parametrize("variant", M.ALL_VARIANTS, ids=lambda v: v.cli_name)
-    def test_conv_weight_floor_within_count(self, variant):
-        for enc in (DESK, M.EncoderConfig(depth=3, base_width=3, in_channels=2,
-                                          convs_per_block=(1, 3, 2))):
-            model = M.build_model(variant, enc, 4, seed=0)
-            assert M._conv_weight_count(variant.family, enc, 4) <= model.count_params()
+    @pytest.mark.parametrize("extra, match", [
+        (1, "uses"),
+        (-1, "payload ends inside head.conv1.b"),
+    ], ids=["one_value_long", "one_value_short"])
+    def test_payload_must_fill_the_model_exactly(self, tmp_path, extra, match):
+        model = M.build_model(M.ModelVariant("cnn", True, False), DESK, 6, seed=0)
+        path = tmp_path / "m.segm"
+        M.save_checkpoint(model, path)
+        raw = path.read_bytes()
+        at = M._HEADER.size + 4 * DESK.depth   # the u64 parameter count
+        (count,) = struct.unpack_from("<Q", raw, at)
+        payload = raw[at + 8:] + bytes(4) if extra > 0 else raw[at + 8:-4]
+        path.write_bytes(raw[:at] + struct.pack("<Q", count + extra) + payload)
+        with pytest.raises(ValueError, match=match):
+            M.load_checkpoint(path)
+
+    def test_loaded_arrays_are_owned_and_writable(self, tmp_path):
+        # gradient checks and optimizers write parameter data in place
+        model = M.build_model(M.ModelVariant("unet", True, True), DESK, 6, seed=9)
+        path = tmp_path / "m.segm"
+        M.save_checkpoint(model, path)
+        for name, t in M.load_checkpoint(path).named_parameters():
+            assert t.data.flags.owndata and t.data.flags.writeable, name
+
+    def test_load_draws_no_values(self, tmp_path, monkeypatch):
+        model = M.build_model(M.ModelVariant("cnn", True, True), DESK, 6, seed=9)
+        path = tmp_path / "m.segm"
+        M.save_checkpoint(model, path)
+
+        def no_generator(*args, **kwargs):
+            raise AssertionError("loading created a random generator")
+
+        monkeypatch.setattr(np.random, "default_rng", no_generator)
+        loaded = M.load_checkpoint(path)
+        for (na, ta), (nb, tb) in zip(model.named_parameters(), loaded.named_parameters()):
+            assert na == nb and ta.dtype == tb.dtype
+            np.testing.assert_array_equal(ta.data, tb.data)
 
 
 UNET_FULL_DEPTH2_NAMES = [

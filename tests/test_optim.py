@@ -9,26 +9,26 @@ from drawseg.tensor import Tensor
 
 class TestCosine:
     def test_endpoints_and_midpoint(self):
-        sched = O.LrSchedule(lr0=1e-4, total_epochs=100)
-        assert O.cosine_lr(sched, 0) == 1e-4
-        assert O.cosine_lr(sched, 100) == sched.eta_min
-        assert O.cosine_lr(sched, 50) == (1e-4 + sched.eta_min) / 2.0
+        floor = 1e-4 / 100.0
+        assert O.cosine_lr(1e-4, None, 100, 0) == 1e-4
+        assert O.cosine_lr(1e-4, None, 100, 100) == floor
+        assert O.cosine_lr(1e-4, None, 100, 50) == (1e-4 + floor) / 2.0
 
     def test_default_floor_is_hundredth(self):
-        sched = O.LrSchedule(lr0=3e-3, total_epochs=10)
-        assert sched.eta_min == 3e-5
+        assert O.cosine_lr(3e-3, None, 10, 10) == 3e-5
+        assert O.cosine_lr(3e-3, 1e-5, 10, 10) == 1e-5
 
     def test_monotone_non_increasing(self):
-        sched = O.LrSchedule(lr0=1e-2, total_epochs=40)
-        values = [O.cosine_lr(sched, e) for e in range(41)]
+        values = [O.cosine_lr(1e-2, None, 40, e) for e in range(41)]
         assert all(a >= b for a, b in zip(values, values[1:]))
 
     def test_out_of_range_rejected(self):
-        sched = O.LrSchedule(lr0=1e-4, total_epochs=10)
         with pytest.raises(ValueError):
-            O.cosine_lr(sched, -1)
+            O.cosine_lr(1e-4, None, 10, -1)
         with pytest.raises(ValueError):
-            O.cosine_lr(sched, 11)
+            O.cosine_lr(1e-4, None, 10, 11)
+        with pytest.raises(ValueError):
+            O.cosine_lr(1e-4, None, 0, 0)
 
 
 class TestAdam:
