@@ -8,7 +8,9 @@ throughout, which binary ops enforce.
 
 The computation graph is implicit: every op result keeps references to
 its parents together with a closure that scatters the incoming gradient
-to them. ``backward`` on a scalar loss runs one reverse topological pass.
+to them. ``backward`` on a scalar loss runs one reverse topological pass
+and frees each op result as soon as its closure has run: afterwards only
+leaves hold ``.grad``, and a freed graph cannot be walked again.
 """
 from __future__ import annotations
 
@@ -56,7 +58,8 @@ class Tensor:
     graph builds.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "name", "_prev", "_backward", "_done")
+    __slots__ = ("data", "requires_grad", "grad", "name", "_prev", "_backward", "_done",
+                 "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None, name: Optional[str] = None):
         arr = np.asarray(data, dtype=dtype)
@@ -85,9 +88,14 @@ class Tensor:
     def backward(self) -> None:
         """Populate ``grad`` on every requires_grad leaf reachable from a scalar loss.
 
-        Rejects a second call on the same graph and rejects leaves that
-        already hold a gradient (call :func:`zero_grads` between steps);
-        silent accumulation across steps is a classic correctness trap.
+        Each op result is freed once its backward has run: its ``grad``,
+        closure and parents are dropped, so the activations it captured go
+        as the pass moves on. Only leaves keep ``.grad``. A freed graph
+        cannot be walked again: a second call on the same loss, or a new
+        loss built on a freed result, raises GraphError. Leaves that
+        already hold a gradient are rejected too (call :func:`zero_grads`
+        between steps); silent accumulation across steps is a classic
+        correctness trap.
         """
         if self.data.size != 1:
             raise GraphError(f"backward requires a scalar loss, got shape {self.data.shape}")
@@ -106,23 +114,31 @@ class Tensor:
                 continue
             if id(node) in visited:
                 continue
+            if node._done:
+                raise GraphError(
+                    f"result {node.name or node.shape} was freed by an earlier backward; "
+                    "rebuild the graph from the leaves")
+            if node.requires_grad and node._backward is None and node.grad is not None:
+                raise GraphError(
+                    f"leaf {node.name or node.shape} already holds a gradient; call zero_grads first"
+                )
             visited.add(id(node))
             stack.append((node, True))
             for p in node._prev:
                 if id(p) not in visited:
                     stack.append((p, False))
 
-        for node in order:
-            if node.requires_grad and node._backward is None and node.grad is not None:
-                raise GraphError(
-                    f"leaf {node.name or node.shape} already holds a gradient; call zero_grads first"
-                )
-
         self.grad = np.ones_like(self.data)
-        for node in reversed(order):
-            if node._backward is not None and node.grad is not None:
+        while order:            # popping drops each node from the list as the pass leaves it
+            node = order.pop()
+            if node._backward is None:
+                continue
+            if node.grad is not None:
                 node._backward(node.grad)
-        self._done = True
+            node.grad = None
+            node._backward = None
+            node._prev = ()
+            node._done = True
 
 
 def zero_grads(params: Iterable[Tensor]) -> None:
@@ -130,18 +146,20 @@ def zero_grads(params: Iterable[Tensor]) -> None:
         p.grad = None
 
 
-def _accumulate(t: Tensor, g: np.ndarray) -> None:
+def _accumulate(t: Tensor, g: np.ndarray, owned: bool = False) -> None:
     """Add g into t.grad; g must have t's shape, never broadcast.
 
     The first gradient is stored as 0 + g in one pass, an array t owns
     that equals the zero-filled sum bit for bit (a -0.0 becomes +0.0).
+    An ``owned`` g is a fresh array the caller made for t alone and no
+    other node receives; it is stored as it is, without that copy.
     """
     if not t.requires_grad:
         return
     if g.shape != t.data.shape:
         raise ShapeError(f"gradient of shape {g.shape} for a tensor of shape {t.data.shape}")
     if t.grad is None:
-        t.grad = np.add(g, 0, out=np.empty_like(t.data))
+        t.grad = g if owned else np.add(g, 0, out=np.empty_like(t.data))
     else:
         t.grad += g
 
@@ -276,11 +294,11 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
             dw = np.empty((k * k, cin, cout), dtype=g.dtype)
             for t, s in enumerate(offsets):
                 dw[t] = np.matmul(xf[:, :, s:s + span], gwt).sum(axis=0)
-            _accumulate(weight, dw.reshape(k, k, cin, cout).transpose(3, 2, 0, 1))
+            _accumulate(weight, dw.reshape(k, k, cin, cout).transpose(3, 2, 0, 1), owned=True)
         if x.requires_grad:
             back = [offsets[-1] - s for s in offsets]   # s_max - s_t
             gx = _tap_sum(tap_weights().transpose(0, 2, 1), gp, back, span)
-            _accumulate(x, gx.reshape(n, cin, h, wp)[..., :w])
+            _accumulate(x, gx.reshape(n, cin, h, wp)[..., :w], owned=True)
 
     return _result(out, [x, weight, bias], backward)
 
@@ -317,7 +335,7 @@ def max_pool2d(x: Tensor) -> Tensor:
             np.multiply(rest, hit, out=claimed)
             rest -= claimed
         gx[:, :, 1::2, 1::2] = rest
-        _accumulate(x, gx)
+        _accumulate(x, gx, owned=True)
 
     return _result(out, [x], backward)
 
@@ -373,7 +391,7 @@ def upsample2x(x: Tensor) -> Tensor:
     def backward(g: np.ndarray) -> None:
         gf = g.reshape(n * c, 2 * h, 2 * w)
         gx = (rows.T[None] @ gf @ cols[None]).reshape(n, c, h, w)
-        _accumulate(x, gx)
+        _accumulate(x, gx, owned=True)
 
     return _result(out, [x], backward)
 
@@ -409,8 +427,8 @@ def mul(x: Tensor, w: Tensor) -> Tensor:
         raise ShapeError(f"non-broadcastable shapes {x.shape} and {w.shape}: {e}") from None
 
     def backward(g: np.ndarray) -> None:
-        _accumulate(x, _unbroadcast(g * w.data, x.shape))
-        _accumulate(w, _unbroadcast(g * x.data, w.shape))
+        _accumulate(x, _unbroadcast(g * w.data, x.shape), owned=True)
+        _accumulate(w, _unbroadcast(g * x.data, w.shape), owned=True)
 
     return _result(out, [x, w], backward)
 
@@ -434,7 +452,7 @@ def affine(x: Tensor, scale: float = 1.0, shift: float = 0.0) -> Tensor:
     out = x.data * scale + shift
 
     def backward(g: np.ndarray) -> None:
-        _accumulate(x, g * scale)
+        _accumulate(x, g * scale, owned=True)
 
     return _result(out, [x], backward)
 
@@ -443,7 +461,7 @@ def relu(x: Tensor) -> Tensor:
     out = np.maximum(x.data, 0)
 
     def backward(g: np.ndarray) -> None:
-        _accumulate(x, g * (x.data > 0))
+        _accumulate(x, g * (x.data > 0), owned=True)
 
     return _result(out, [x], backward)
 
@@ -456,7 +474,7 @@ def sigmoid(x: Tensor) -> Tensor:
     out = out.astype(x.data.dtype, copy=False)
 
     def backward(g: np.ndarray) -> None:
-        _accumulate(x, g * (out * (1.0 - out)))
+        _accumulate(x, g * (out * (1.0 - out)), owned=True)
 
     return _result(out, [x], backward)
 

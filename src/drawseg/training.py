@@ -211,6 +211,8 @@ def train(cfg: TrainConfig, dataset, train_ids: Sequence[str],
         model = build_model(cfg.variant, cfg.encoder, cfg.num_classes, cfg.seed)
     if model.variant != cfg.variant:
         raise ValueError(f"model is {model.variant}, config wants {cfg.variant}")
+    if model.num_classes != cfg.num_classes:
+        raise ValueError(f"model has {model.num_classes} classes, config wants {cfg.num_classes}")
     adam = Adam(model.parameters())
     log = RunLog()
     out = _RunDir(run_dir, cfg)

@@ -1,4 +1,5 @@
 """Forward oracles and gradient checks for the autodiff primitives."""
+import weakref
 import zlib
 
 import numpy as np
@@ -436,6 +437,101 @@ class TestBackward:
         for u, v in ((a.grad, b.grad), (a.grad, out.grad), (b.grad, out.grad)):
             assert not np.shares_memory(u, v)
         np.testing.assert_array_equal(a.grad, np.ones((2, 3)))
+
+    def test_backward_frees_every_intermediate(self):
+        rng = np.random.default_rng(27)
+        x = rand64(rng, (1, 2, 4, 4), requires_grad=True)
+        w = rand64(rng, (3, 2, 3, 3), requires_grad=True)
+        b = rand64(rng, (3,), requires_grad=True)
+        const = rand64(rng, (1, 3, 4, 4))
+        h = T.conv2d(x, w, b)
+        r = T.relu(h)
+        m = T.mul(r, const)
+        loss = T.mean_all(m)
+        loss.backward()
+        for node in (h, r, m, loss):
+            assert node.grad is None and node._backward is None and node._prev == ()
+            assert node._done
+        for leaf in (x, w, b):
+            assert leaf.grad is not None and leaf.grad.shape == leaf.shape
+        assert const.grad is None
+
+    def test_freed_results_released_before_backward_returns(self):
+        rng = np.random.default_rng(28)
+        seen = {}
+
+        def build():
+            x0 = rand64(rng, (1, 2, 4, 4), requires_grad=True)
+            w = rand64(rng, (2, 2, 3, 3), requires_grad=True)
+            b = rand64(rng, (2,), requires_grad=True)
+            x = T.affine(x0, 2.0)
+            h = T.conv2d(x, w, b)
+            rule = h._backward
+            padded = rule.__closure__[rule.__code__.co_freevars.index("xf")].cell_contents
+            refs = {"conv output": weakref.ref(h), "padded input": weakref.ref(padded)}
+            first = x._backward      # the last op backward reaches, after conv2d's
+
+            def spy(g):
+                seen.update({name: ref() is None for name, ref in refs.items()})
+                first(g)
+
+            x._backward = spy
+            return T.sum_all(T.relu(h)), x0
+
+        loss, x0 = build()
+        loss.backward()
+        assert seen == {"conv output": True, "padded input": True}
+        assert x0.grad is not None
+
+    def test_loss_on_freed_result_rejected(self):
+        x = t64(np.ones((1, 1, 2, 2)), requires_grad=True)
+        h = T.relu(x)
+        built_before = T.sum_all(T.affine(h, 2.0))
+        T.sum_all(h).backward()
+        T.zero_grads([x])
+        for loss in (built_before, T.sum_all(T.mul(h, h))):
+            with pytest.raises(T.GraphError, match="freed"):
+                loss.backward()
+        assert x.grad is None
+
+    def test_leaf_gradients_share_no_memory_with_flowing_gradients(self):
+        rng = np.random.default_rng(29)
+        a = rand64(rng, (1, 2, 4, 4), requires_grad=True)
+        b = rand64(rng, (1, 2, 4, 4), requires_grad=True)
+        c = rand64(rng, (1, 1, 4, 4), requires_grad=True)
+        d = rand64(rng, (1, 3, 1, 1), requires_grad=True)
+        w = rand64(rng, (2, 3, 3, 3), requires_grad=True)
+        bias = rand64(rng, (2,), requires_grad=True)
+        y = T.relu(T.mul(T.concat_channels(T.add(a, b), c), d))
+        y = T.upsample2x(T.conv2d(y, w, bias))
+        loss = T.sum_all(T.mul(y, y))
+
+        flowing = []
+
+        def record(node):
+            rule = node._backward
+
+            def spy(g):
+                flowing.append(g)
+                rule(g)
+
+            node._backward = spy
+
+        stack, visited = [loss], set()
+        while stack:
+            node = stack.pop()
+            if id(node) not in visited and node._backward is not None:
+                visited.add(id(node))
+                record(node)
+                stack.extend(node._prev)
+        loss.backward()
+
+        leaves = [a, b, c, d, w, bias]
+        assert len(flowing) == 8   # sum_all, mul, upsample2x, conv2d, relu, mul, concat, add
+        for leaf in leaves:
+            others = [o.grad for o in leaves if o is not leaf]
+            for arr in flowing + others:
+                assert not np.shares_memory(leaf.grad, arr)
 
     def test_first_gradient_is_an_owned_copy(self):
         t = t64(np.zeros(3), requires_grad=True)

@@ -73,6 +73,17 @@ class TestTrain:
         for a, b in zip(model.parameters(), init.parameters()):
             np.testing.assert_array_equal(a.data, b.data)
 
+    def test_model_with_other_class_count_rejected(self, tiny_dataset, tmp_path, monkeypatch):
+        cfg = tiny_config(epochs=1, unfreeze_epoch=0)
+        model = M.build_model(cfg.variant, cfg.encoder, cfg.num_classes + 1, cfg.seed)
+        steps = []
+        monkeypatch.setattr(Adam, "step", lambda *a: steps.append(a))
+        with pytest.raises(ValueError, match="classes"):
+            TR.train(cfg, tiny_dataset, tiny_dataset.ids[:4], tiny_dataset.ids[4:6],
+                     run_dir=tmp_path / "run", model=model)
+        assert steps == []
+        assert not (tmp_path / "run").exists()
+
     def test_two_runs_identical_logs(self, tiny_dataset, tmp_path):
         cfg = tiny_config()
         ids = tiny_dataset.ids
