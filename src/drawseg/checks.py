@@ -44,110 +44,41 @@ def _sq_loss(t: Tensor) -> Tensor:
     return T.sum_all(T.mul(t, t))
 
 
-# Each builder returns (params dict, loss builder). Pool and relu inputs
-# are ramped off ties; everything runs in float64.
-PRIMITIVE_BUILDERS = {}
+# Each builder takes a seeded generator and returns (params dict, loss
+# builder); everything runs in float64. A single-op row is
+# name -> (tensor op, {param: shape} in argument order, ramp), and its loss
+# is the op's squared sum; ramp draws the inputs of pools and relu off ties.
+_SINGLE_OPS = {
+    "conv2d": ("conv2d", {"x": (1, 2, 4, 4), "w": (3, 2, 3, 3), "b": (3,)}, False),
+    "conv2d_single_channel": ("conv2d", {"x": (2, 1, 4, 4), "w": (3, 1, 3, 3), "b": (3,)}, False),
+    "max_pool2d": ("max_pool2d", {"x": (1, 2, 4, 4)}, True),
+    "avg_pool2d": ("avg_pool2d", {"x": (1, 2, 4, 4)}, False),
+    "upsample2x_bilinear": ("upsample2x", {"x": (1, 2, 3, 3)}, False),
+    "concat_channels": ("concat_channels", {"a": (1, 2, 3, 3), "b": (1, 3, 3, 3)}, False),
+    "mul_broadcast": ("mul", {"x": (2, 3, 3, 3), "w": (3, 1, 1)}, False),
+    "relu": ("relu", {"x": (1, 3, 4, 4)}, True),
+    "sigmoid": ("sigmoid", {"x": (1, 3, 4, 4)}, False),
+    "softmax_channels": ("softmax_channels", {"x": (1, 4, 3, 3)}, False),
+    "global_avg_pool": ("global_avg_pool", {"x": (2, 3, 4, 4)}, False),
+    "global_max_pool": ("global_max_pool", {"x": (2, 3, 4, 4)}, True),
+    "channel_avg_pool": ("channel_avg_pool", {"x": (1, 4, 3, 3)}, False),
+    "channel_max_pool": ("channel_max_pool", {"x": (1, 4, 3, 3)}, True),
+    "dense": ("dense", {"x": (2, 3, 1, 1), "w": (4, 3)}, False),
+}
 
 
-def _register(name):
-    def deco(fn):
-        PRIMITIVE_BUILDERS[name] = fn
-        return fn
-    return deco
+def _single_op(op: str, shapes: dict, ramp: bool):
+    def make(rng):
+        p = {name: (_input if ramp else _rand)(rng, shape) for name, shape in shapes.items()}
+        # looked up when the loss is built, so a patched op is the one checked
+        return p, lambda: _sq_loss(getattr(T, op)(*p.values()))
+    return make
 
 
-@_register("conv2d")
-def _b_conv(rng):
-    p = {"x": _rand(rng, (1, 2, 4, 4)), "w": _rand(rng, (3, 2, 3, 3)), "b": _rand(rng, (3,))}
-    return p, lambda: _sq_loss(T.conv2d(p["x"], p["w"], p["b"]))
+PRIMITIVE_BUILDERS = {name: _single_op(*row) for name, row in _SINGLE_OPS.items()}
 
 
-@_register("conv2d_single_channel")
-def _b_conv_single(rng):
-    p = {"x": _rand(rng, (2, 1, 4, 4)), "w": _rand(rng, (3, 1, 3, 3)), "b": _rand(rng, (3,))}
-    return p, lambda: _sq_loss(T.conv2d(p["x"], p["w"], p["b"]))
-
-
-@_register("max_pool2d")
-def _b_maxpool(rng):
-    p = {"x": _input(rng, (1, 2, 4, 4))}
-    return p, lambda: _sq_loss(T.max_pool2d(p["x"]))
-
-
-@_register("avg_pool2d")
-def _b_avgpool(rng):
-    p = {"x": _rand(rng, (1, 2, 4, 4))}
-    return p, lambda: _sq_loss(T.avg_pool2d(p["x"]))
-
-
-@_register("upsample2x_bilinear")
-def _b_up_bilinear(rng):
-    p = {"x": _rand(rng, (1, 2, 3, 3))}
-    return p, lambda: _sq_loss(T.upsample2x(p["x"]))
-
-
-@_register("concat_channels")
-def _b_concat(rng):
-    p = {"a": _rand(rng, (1, 2, 3, 3)), "b": _rand(rng, (1, 3, 3, 3))}
-    return p, lambda: _sq_loss(T.concat_channels(p["a"], p["b"]))
-
-
-@_register("mul_broadcast")
-def _b_mul(rng):
-    p = {"x": _rand(rng, (2, 3, 3, 3)), "w": _rand(rng, (3, 1, 1))}
-    return p, lambda: _sq_loss(T.mul(p["x"], p["w"]))
-
-
-@_register("relu")
-def _b_relu(rng):
-    p = {"x": _input(rng, (1, 3, 4, 4))}
-    return p, lambda: _sq_loss(T.relu(p["x"]))
-
-
-@_register("sigmoid")
-def _b_sigmoid(rng):
-    p = {"x": _rand(rng, (1, 3, 4, 4))}
-    return p, lambda: _sq_loss(T.sigmoid(p["x"]))
-
-
-@_register("softmax_channels")
-def _b_softmax(rng):
-    p = {"x": _rand(rng, (1, 4, 3, 3))}
-    return p, lambda: _sq_loss(T.softmax_channels(p["x"]))
-
-
-@_register("global_avg_pool")
-def _b_gavg(rng):
-    p = {"x": _rand(rng, (2, 3, 4, 4))}
-    return p, lambda: _sq_loss(T.global_avg_pool(p["x"]))
-
-
-@_register("global_max_pool")
-def _b_gmax(rng):
-    p = {"x": _input(rng, (2, 3, 4, 4))}
-    return p, lambda: _sq_loss(T.global_max_pool(p["x"]))
-
-
-@_register("channel_avg_pool")
-def _b_cavg(rng):
-    p = {"x": _rand(rng, (1, 4, 3, 3))}
-    return p, lambda: _sq_loss(T.channel_avg_pool(p["x"]))
-
-
-@_register("channel_max_pool")
-def _b_cmax(rng):
-    p = {"x": _input(rng, (1, 4, 3, 3))}
-    return p, lambda: _sq_loss(T.channel_max_pool(p["x"]))
-
-
-@_register("dense")
-def _b_dense(rng):
-    p = {"x": _rand(rng, (2, 3, 1, 1)), "w": _rand(rng, (4, 3))}
-    return p, lambda: _sq_loss(T.dense(p["x"], p["w"]))
-
-
-@_register("log_clamp_power_affine")
-def _b_scalar_chain(rng):
+def _scalar_chain(rng):
     p = {"x": _rand(rng, (1, 2, 3, 3))}
 
     def build():
@@ -157,6 +88,9 @@ def _b_scalar_chain(rng):
         return T.mean_all(T.mul(y, z))
 
     return p, build
+
+
+PRIMITIVE_BUILDERS["log_clamp_power_affine"] = _scalar_chain
 
 
 def _merge(report: GradCheckReport, sub: GradCheckReport, prefix: str) -> None:

@@ -290,7 +290,11 @@ def main(argv=None) -> int:
     except NumericalError as e:
         print(f"numerical failure: {e}", file=sys.stderr)
         return 3
-    except (OSError, KeyError, ValueError, BrokenExecutor) as e:
+    except BrokenExecutor as e:
+        # a worker killed halfway through its traceback leaves a partial line on stderr
+        print(f"\nerror: {e}", file=sys.stderr)
+        return 2
+    except (OSError, KeyError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

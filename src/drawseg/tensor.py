@@ -11,6 +11,11 @@ its parents together with a closure that scatters the incoming gradient
 to them. ``backward`` on a scalar loss runs one reverse topological pass
 and frees each op result as soon as its closure has run: afterwards only
 leaves hold ``.grad``, and a freed graph cannot be walked again.
+
+One hand-over rule holds for every closure: each parent gets a writable
+array that the closure made for that parent alone, which ``_accumulate``
+stores as it is. An op that would pass on the gradient it received (add,
+concat_channels, power at exponent 1) hands over a copy instead.
 """
 from __future__ import annotations
 
@@ -58,8 +63,7 @@ class Tensor:
     graph builds.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "name", "_prev", "_backward", "_done",
-                 "__weakref__")
+    __slots__ = ("data", "requires_grad", "grad", "name", "_prev", "_backward", "_done")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None, name: Optional[str] = None):
         arr = np.asarray(data, dtype=dtype)
@@ -146,20 +150,19 @@ def zero_grads(params: Iterable[Tensor]) -> None:
         p.grad = None
 
 
-def _accumulate(t: Tensor, g: np.ndarray, owned: bool = False) -> None:
+def _accumulate(t: Tensor, g: np.ndarray) -> None:
     """Add g into t.grad; g must have t's shape, never broadcast.
 
-    The first gradient is stored as 0 + g in one pass, an array t owns
-    that equals the zero-filled sum bit for bit (a -0.0 becomes +0.0).
-    An ``owned`` g is a fresh array the caller made for t alone and no
-    other node receives; it is stored as it is, without that copy.
+    g is a writable array the caller made for t alone: no other node
+    receives it and the caller keeps no use for it. The first gradient is
+    stored as it is and later ones are added into it in place.
     """
     if not t.requires_grad:
         return
     if g.shape != t.data.shape:
         raise ShapeError(f"gradient of shape {g.shape} for a tensor of shape {t.data.shape}")
     if t.grad is None:
-        t.grad = g if owned else np.add(g, 0, out=np.empty_like(t.data))
+        t.grad = g
     else:
         t.grad += g
 
@@ -294,11 +297,11 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
             dw = np.empty((k * k, cin, cout), dtype=g.dtype)
             for t, s in enumerate(offsets):
                 dw[t] = np.matmul(xf[:, :, s:s + span], gwt).sum(axis=0)
-            _accumulate(weight, dw.reshape(k, k, cin, cout).transpose(3, 2, 0, 1), owned=True)
+            _accumulate(weight, dw.reshape(k, k, cin, cout).transpose(3, 2, 0, 1))
         if x.requires_grad:
             back = [offsets[-1] - s for s in offsets]   # s_max - s_t
             gx = _tap_sum(tap_weights().transpose(0, 2, 1), gp, back, span)
-            _accumulate(x, gx.reshape(n, cin, h, wp)[..., :w], owned=True)
+            _accumulate(x, gx.reshape(n, cin, h, wp)[..., :w])
 
     return _result(out, [x, weight, bias], backward)
 
@@ -335,7 +338,7 @@ def max_pool2d(x: Tensor) -> Tensor:
             np.multiply(rest, hit, out=claimed)
             rest -= claimed
         gx[:, :, 1::2, 1::2] = rest
-        _accumulate(x, gx, owned=True)
+        _accumulate(x, gx)
 
     return _result(out, [x], backward)
 
@@ -351,7 +354,8 @@ def avg_pool2d(x: Tensor) -> Tensor:
            + d[:, :, 1::2, 0::2] + d[:, :, 1::2, 1::2]) * 0.25
 
     def backward(g: np.ndarray) -> None:
-        gx = np.broadcast_to((g * 0.25)[:, :, :, None, :, None], (n, c, h2, 2, w2, 2))
+        # copied: on a 2x2 plane the reshape below would be a read-only broadcast view
+        gx = np.broadcast_to((g * 0.25)[:, :, :, None, :, None], (n, c, h2, 2, w2, 2)).copy()
         _accumulate(x, gx.reshape(n, c, h, w))
 
     return _result(out, [x], backward)
@@ -391,7 +395,7 @@ def upsample2x(x: Tensor) -> Tensor:
     def backward(g: np.ndarray) -> None:
         gf = g.reshape(n * c, 2 * h, 2 * w)
         gx = (rows.T[None] @ gf @ cols[None]).reshape(n, c, h, w)
-        _accumulate(x, gx, owned=True)
+        _accumulate(x, gx)
 
     return _result(out, [x], backward)
 
@@ -407,8 +411,8 @@ def concat_channels(a: Tensor, b: Tensor) -> Tensor:
     out = np.concatenate([a.data, b.data], axis=1)
 
     def backward(g: np.ndarray) -> None:
-        _accumulate(a, g[:, :ca])
-        _accumulate(b, g[:, ca:])
+        _accumulate(a, g[:, :ca].copy())
+        _accumulate(b, g[:, ca:].copy())
 
     return _result(out, [a, b], backward)
 
@@ -427,22 +431,22 @@ def mul(x: Tensor, w: Tensor) -> Tensor:
         raise ShapeError(f"non-broadcastable shapes {x.shape} and {w.shape}: {e}") from None
 
     def backward(g: np.ndarray) -> None:
-        _accumulate(x, _unbroadcast(g * w.data, x.shape), owned=True)
-        _accumulate(w, _unbroadcast(g * x.data, w.shape), owned=True)
+        _accumulate(x, _unbroadcast(g * w.data, x.shape))
+        _accumulate(w, _unbroadcast(g * x.data, w.shape))
 
     return _result(out, [x, w], backward)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
+    """Elementwise sum of two tensors of one shape; nothing broadcasts."""
     _check_same_dtype(a, b)
-    try:
-        out = a.data + b.data
-    except ValueError as e:
-        raise ShapeError(f"non-broadcastable shapes {a.shape} and {b.shape}: {e}") from None
+    if a.shape != b.shape:
+        raise ShapeError(f"add needs equal shapes, got {a.shape} and {b.shape}")
+    out = a.data + b.data
 
     def backward(g: np.ndarray) -> None:
-        _accumulate(a, _unbroadcast(g, a.shape))
-        _accumulate(b, _unbroadcast(g, b.shape))
+        _accumulate(a, g.copy())
+        _accumulate(b, g.copy())
 
     return _result(out, [a, b], backward)
 
@@ -452,7 +456,7 @@ def affine(x: Tensor, scale: float = 1.0, shift: float = 0.0) -> Tensor:
     out = x.data * scale + shift
 
     def backward(g: np.ndarray) -> None:
-        _accumulate(x, g * scale, owned=True)
+        _accumulate(x, g * scale)
 
     return _result(out, [x], backward)
 
@@ -461,20 +465,19 @@ def relu(x: Tensor) -> Tensor:
     out = np.maximum(x.data, 0)
 
     def backward(g: np.ndarray) -> None:
-        _accumulate(x, g * (x.data > 0), owned=True)
+        _accumulate(x, g * (x.data > 0))
 
     return _result(out, [x], backward)
 
 
 def sigmoid(x: Tensor) -> Tensor:
     # split by sign to avoid overflow in exp
-    out = np.where(x.data >= 0,
-                   1.0 / (1.0 + np.exp(-np.abs(x.data))),
-                   np.exp(-np.abs(x.data)) / (1.0 + np.exp(-np.abs(x.data))))
+    e = np.exp(-np.abs(x.data))
+    out = np.where(x.data >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
     out = out.astype(x.data.dtype, copy=False)
 
     def backward(g: np.ndarray) -> None:
-        _accumulate(x, g * (out * (1.0 - out)), owned=True)
+        _accumulate(x, g * (out * (1.0 - out)))
 
     return _result(out, [x], backward)
 
@@ -518,7 +521,7 @@ def power(x: Tensor, exponent: float) -> Tensor:
         if exponent == 0.0:
             return
         if exponent == 1.0:
-            _accumulate(x, g)
+            _accumulate(x, g.copy())
             return
         local = np.where(x.data > 0, exponent * np.power(x.data, exponent - 1.0), 0.0)
         _accumulate(x, g * local.astype(g.dtype, copy=False))

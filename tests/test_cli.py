@@ -252,6 +252,19 @@ class TestExitCodes:
         # the first worker to die ran to the end of its own traceback
         assert "if __name__ == '__main__':" in workers_err.read_text()
 
+    def test_dead_worker_error_starts_a_fresh_line(self, data_dir, tmp_path, capsys,
+                                                   monkeypatch):
+        from concurrent.futures.process import BrokenProcessPool
+
+        def dying_pool(*args, **kwargs):
+            sys.stderr.write("    ^^^^")     # a worker's traceback, cut off mid-line
+            raise BrokenProcessPool("A process in the process pool was terminated abruptly")
+
+        monkeypatch.setattr(cli, "run_ablation", dying_pool)
+        assert cli.main(["ablate", "--family", "unet", "--data", str(data_dir),
+                         "--out", str(tmp_path / "abl"), "--jobs", "2"]) == 2
+        assert capsys.readouterr().err.splitlines()[-1].startswith("error:")
+
     @pytest.mark.parametrize("command", ["train", "kfold", "eval", "predict"])
     def test_unknown_split_id_is_2_and_writes_nothing(self, data_dir, run_dir, tmp_path, capsys,
                                                       command):

@@ -20,6 +20,34 @@ def rand64(rng, shape, requires_grad=False):
     return Tensor(rng.standard_normal(shape), requires_grad=requires_grad)
 
 
+def record_flowing(loss):
+    """Wrap every closure reachable from loss; returns the list of gradients they receive."""
+    flowing = []
+    stack, visited = [loss], set()
+    while stack:
+        node = stack.pop()
+        if id(node) not in visited and node._backward is not None:
+            visited.add(id(node))
+            rule = node._backward
+
+            def spy(g, rule=rule):
+                flowing.append(g)
+                rule(g)
+
+            node._backward = spy
+            stack.extend(node._prev)
+    return flowing
+
+
+def assert_leaf_gradients_unshared(leaves, flowing):
+    """No leaf's .grad shares memory with another leaf's or with a flowing gradient."""
+    for leaf in leaves:
+        assert leaf.grad.flags.writeable
+        others = [o.grad for o in leaves if o is not leaf]
+        for arr in flowing + others:
+            assert not np.shares_memory(leaf.grad, arr)
+
+
 class TestConv2d:
     def test_identity_kernel(self):
         rng = np.random.default_rng(0)
@@ -432,11 +460,33 @@ class TestBackward:
     def test_add_gradients_share_no_memory(self):
         a = t64(np.ones((2, 3)), requires_grad=True)
         b = t64(np.ones((2, 3)), requires_grad=True)
-        out = T.add(a, b)
-        T.sum_all(out).backward()
-        for u, v in ((a.grad, b.grad), (a.grad, out.grad), (b.grad, out.grad)):
-            assert not np.shares_memory(u, v)
+        loss = T.sum_all(T.add(a, b))
+        flowing = record_flowing(loss)
+        loss.backward()
+        assert len(flowing) == 2   # into sum_all, into add
+        assert_leaf_gradients_unshared([a, b], flowing)
         np.testing.assert_array_equal(a.grad, np.ones((2, 3)))
+
+    def test_add_rejects_unequal_shapes(self):
+        a = t64(np.ones((2, 3)), requires_grad=True)
+        b = t64(np.ones((1, 3)), requires_grad=True)
+        with pytest.raises(T.ShapeError, match="equal shapes"):
+            T.add(a, b)
+
+    def test_power_one_hands_over_a_copy(self):
+        x = t64(np.arange(1.0, 4.0), requires_grad=True)
+        y = T.power(x, 1.0)
+        loss = T.sum_all(T.mul(y, y))
+        flowing = record_flowing(loss)
+        loss.backward()
+        assert_leaf_gradients_unshared([x], flowing)
+        np.testing.assert_array_equal(x.grad, 2 * x.data)
+
+    def test_avg_pool_gradient_of_one_window_accumulates(self):
+        # a 2x2 plane is one window, where a broadcast gradient reshapes to a read-only view
+        x = t64(np.ones((1, 1, 2, 2)), requires_grad=True)
+        T.sum_all(T.add(T.avg_pool2d(x), T.avg_pool2d(x))).backward()
+        np.testing.assert_array_equal(x.grad, np.full((1, 1, 2, 2), 0.5))
 
     def test_backward_frees_every_intermediate(self):
         rng = np.random.default_rng(27)
@@ -468,7 +518,7 @@ class TestBackward:
             h = T.conv2d(x, w, b)
             rule = h._backward
             padded = rule.__closure__[rule.__code__.co_freevars.index("xf")].cell_contents
-            refs = {"conv output": weakref.ref(h), "padded input": weakref.ref(padded)}
+            refs = {"conv output": weakref.ref(h.data), "padded input": weakref.ref(padded)}
             first = x._backward      # the last op backward reaches, after conv2d's
 
             def spy(g):
@@ -505,41 +555,20 @@ class TestBackward:
         y = T.relu(T.mul(T.concat_channels(T.add(a, b), c), d))
         y = T.upsample2x(T.conv2d(y, w, bias))
         loss = T.sum_all(T.mul(y, y))
-
-        flowing = []
-
-        def record(node):
-            rule = node._backward
-
-            def spy(g):
-                flowing.append(g)
-                rule(g)
-
-            node._backward = spy
-
-        stack, visited = [loss], set()
-        while stack:
-            node = stack.pop()
-            if id(node) not in visited and node._backward is not None:
-                visited.add(id(node))
-                record(node)
-                stack.extend(node._prev)
+        flowing = record_flowing(loss)
         loss.backward()
 
-        leaves = [a, b, c, d, w, bias]
         assert len(flowing) == 8   # sum_all, mul, upsample2x, conv2d, relu, mul, concat, add
-        for leaf in leaves:
-            others = [o.grad for o in leaves if o is not leaf]
-            for arr in flowing + others:
-                assert not np.shares_memory(leaf.grad, arr)
+        assert_leaf_gradients_unshared([a, b, c, d, w, bias], flowing)
 
-    def test_first_gradient_is_an_owned_copy(self):
+    def test_first_gradient_is_stored_as_handed(self):
         t = t64(np.zeros(3), requires_grad=True)
         g = np.array([1.5, -0.0, -2.0])
         T._accumulate(t, g)
-        g[:] = 7.0
-        np.testing.assert_array_equal(t.grad, [1.5, 0.0, -2.0])
-        assert not np.signbit(t.grad[1])   # stored as 0 + g, as a zero-filled sum would be
+        assert t.grad is g
+        T._accumulate(t, np.ones(3))
+        assert t.grad is g
+        np.testing.assert_array_equal(g, [2.5, 1.0, -1.0])
 
     @pytest.mark.parametrize("shape", [(1,), (2, 3), ()])
     def test_gradient_of_another_shape_rejected(self, shape):
@@ -586,6 +615,16 @@ def test_primitive_gradients_match_finite_differences(name):
     params, build = PRIMITIVE_BUILDERS[name](rng)
     report = T.grad_check(build, params, tol=1e-5)
     assert report.passed, f"{name}\n{report.summary()}"
+
+
+@pytest.mark.parametrize("name", sorted(PRIMITIVE_BUILDERS))
+def test_primitive_leaf_gradients_share_no_memory(name):
+    rng = np.random.default_rng(zlib.crc32(name.encode()))
+    params, build = PRIMITIVE_BUILDERS[name](rng)
+    loss = build()
+    flowing = record_flowing(loss)
+    loss.backward()
+    assert_leaf_gradients_unshared(list(params.values()), flowing)
 
 
 def test_grad_check_flags_corrupted_rule(monkeypatch):
