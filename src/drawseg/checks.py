@@ -164,7 +164,7 @@ def check_skip() -> GradCheckReport:
 def check_model() -> GradCheckReport:
     """Full unet Base+Ave+CBAM at 1x1x16x16 with sampled coordinates."""
     rng = np.random.default_rng(29)
-    enc = EncoderConfig(depth=4, base_width=4, in_channels=1)
+    enc = EncoderConfig(depth=4, base_width=4)
     model = build_model(ModelVariant("unet", True, True), enc, 3, seed=11, dtype=np.float64)
     _jitter(model.parameters(), rng)
     x = _input(rng, (1, 1, 16, 16))

@@ -56,29 +56,29 @@ def _add_train_options(p):
     p.add_argument("--alpha", type=float, default=cfg.loss.alpha, help="focal alpha")
     p.add_argument("--poly-eps", type=float, default=cfg.loss.poly_eps, help="poly loss epsilon")
     p.add_argument("--epochs", type=int, default=cfg.epochs)
+    # --unfreeze-epoch, --validate-from and --eta-min default to None, not to TrainConfig()'s
+    # values: TrainConfig derives them from --epochs and --lr
     p.add_argument("--unfreeze-epoch", type=int, default=None,
-                   help="epoch index where the encoder unfreezes (default epochs//2)")
+                   help="epoch index where the encoder unfreezes, in [0, epochs] "
+                        "(default: epochs // 2)")
     p.add_argument("--validate-from", type=int, default=None,
-                   help="first epoch with validation (default: unfreeze epoch)")
+                   help="first epoch with validation, >= 0 (default: the unfreeze epoch)")
     p.add_argument("--batch-size", type=int, default=cfg.batch_size)
     p.add_argument("--lr", type=float, default=cfg.lr0, help="initial learning rate")
-    p.add_argument("--eta-min", type=float, default=None, help="cosine floor (default lr/100)")
+    p.add_argument("--eta-min", type=float, default=None,
+                   help="cosine floor, in [0, lr] (default: lr / 100)")
     p.add_argument("--depth", type=int, default=cfg.encoder.depth)
     p.add_argument("--base-width", type=int, default=cfg.encoder.base_width)
-    p.add_argument("--in-channels", type=int, default=cfg.encoder.in_channels)
     p.add_argument("--augment", action="store_true", help="on-the-fly train augmentation")
-    p.add_argument("--noise-sigma", type=float, default=cfg.noise_sigma)
     _add_seed(p)
 
 
 def _train_config(args) -> TrainConfig:
-    unfreeze = args.unfreeze_epoch if args.unfreeze_epoch is not None else args.epochs // 2
     return TrainConfig(
         variant=ModelVariant.parse(args.variant),
-        encoder=EncoderConfig(depth=args.depth, base_width=args.base_width,
-                              in_channels=args.in_channels),
+        encoder=EncoderConfig(depth=args.depth, base_width=args.base_width),
         epochs=args.epochs,
-        unfreeze_epoch=unfreeze,
+        unfreeze_epoch=args.unfreeze_epoch,
         validate_from=args.validate_from,
         batch_size=args.batch_size,
         loss=LossSpec(kind=args.loss, gamma=args.gamma, alpha=args.alpha,
@@ -87,7 +87,6 @@ def _train_config(args) -> TrainConfig:
         eta_min=args.eta_min,
         seed=args.seed,
         augment=args.augment,
-        noise_sigma=args.noise_sigma,
     )
 
 
@@ -180,7 +179,7 @@ def cmd_predict(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     for sid in ids:
         sample = dataset.load(sid)
-        image, _ = _batch_arrays([sample], model.enc.in_channels, model.dtype)
+        image, _ = _batch_arrays([sample], model.dtype)
         with no_grad():
             logits = model.forward(Tensor(image))
         pred = logits.data.argmax(axis=1)[0].astype(np.uint8)

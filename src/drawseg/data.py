@@ -38,6 +38,8 @@ _MARGIN = 3
 _DASH_ON = 4
 _DASH_OFF = 4
 _GLYPH_W, _GLYPH_H = 5, 7
+MIN_SIZE = 2 * _MARGIN + 1   # the smallest canvas with room for a stroke's endpoints
+TRAIN_NOISE_SIGMA = 0.02     # std of the Gaussian noise train-time augmentation adds
 
 # seven-segment membership per digit: (top, top-right, bottom-right,
 # bottom, bottom-left, top-left, middle)
@@ -228,10 +230,10 @@ def augment(sample: Sample, spec: AugmentSpec, seed: int) -> Sample:
     return Sample(image=image, mask=mask)
 
 
-def random_augment_spec(rng: np.random.Generator, noise_sigma: float) -> AugmentSpec:
+def random_augment_spec(rng: np.random.Generator) -> AugmentSpec:
     """Train-time draw: random flips and rotation plus mild noise."""
     return AugmentSpec(mirror_h=bool(rng.integers(2)), mirror_v=bool(rng.integers(2)),
-                       rot90=int(rng.integers(4)), noise_sigma=noise_sigma)
+                       rot90=int(rng.integers(4)), noise_sigma=TRAIN_NOISE_SIGMA)
 
 
 # ---------------------------------------------------------------------------
@@ -262,9 +264,11 @@ def load_sample(root, sid: str) -> Sample:
 def generate_dataset(n: int, size: int, seed: int, out_dir, folds: int = 5) -> list[str]:
     """Write n samples plus manifest and K-fold split lists; returns the ids.
 
-    The split comes first, so an n below ``folds`` raises ValueError before
-    anything is written.
+    The size and the split are checked first, so a size below MIN_SIZE or
+    an n below ``folds`` raises ValueError before anything is written.
     """
+    if size < MIN_SIZE:
+        raise ValueError(f"--size {size} leaves no room for a stroke; the smallest is {MIN_SIZE}")
     ids = sample_ids(n)
     split = kfold_split(ids, folds, seed)
     out = Path(out_dir)
@@ -299,16 +303,23 @@ class DrawingDataset:
             if len(fields) != 3 or fields[0] in self.sizes:
                 raise ValueError(f"{manifest}:{n}: expected '<id> <width> <height>' "
                                  f"with a new id, got {line!r}")
+            w, h = int(fields[1]), int(fields[2])
+            if w < 1 or h < 1:
+                raise ValueError(f"{manifest}:{n}: image size {w}x{h} is below 1x1")
             self.ids.append(fields[0])
-            self.sizes[fields[0]] = (int(fields[1]), int(fields[2]))
+            self.sizes[fields[0]] = (w, h)
         self._cache: dict[str, Sample] = {}
+
+    def size(self, sid: str) -> tuple[int, int]:
+        """(width, height) of sid, as the manifest gives it."""
+        if sid not in self.sizes:
+            raise KeyError(f"sample id {sid!r} not in manifest")
+        return self.sizes[sid]
 
     def load(self, sid: str) -> Sample:
         if sid not in self._cache:
-            if sid not in self.sizes:
-                raise KeyError(f"sample id {sid!r} not in manifest")
+            w, h = self.size(sid)
             sample = load_sample(self.root, sid)
-            w, h = self.sizes[sid]
             if sample.image.shape != (h, w):
                 got_h, got_w = sample.image.shape
                 raise ValueError(f"sample {sid!r}: image is {got_w}x{got_h}, "

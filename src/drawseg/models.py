@@ -31,6 +31,7 @@ FAMILIES = ("unet", "cnn")
 # attention modes in ablation order: (ave, cbam) -> (CLI suffix, ablation row name)
 MODES = {(False, False): ("base", "Base"), (True, False): ("ave", "Base+Ave"),
          (False, True): ("cbam", "Base+CBAM"), (True, True): ("full", "Base+Ave+CBAM")}
+IN_CHANNELS = 1        # a drawing is one gray plane
 WIDTH_CAP = 8          # unet widths stop doubling at base_width * WIDTH_CAP
 CNN_BLOCKS = 6         # cnn family: conv blocks in the stack
 CNN_ATTACH_AFTER = 3   # cnn family: dual-pool/attention attach after this many blocks
@@ -69,7 +70,7 @@ ALL_VARIANTS = tuple(ModelVariant(f, ave, cbam) for f in FAMILIES for ave, cbam 
 @dataclass(frozen=True)
 class EncoderConfig:
     """Depth, widths and convs per level of the unet backbone; the cnn
-    family uses base_width and in_channels only.
+    family uses base_width only.
 
     Desk default is depth 4 / base 8; the paper's VGG16 backbone is depth
     5 / base 64 with convs_per_block (2, 2, 3, 3, 3), whose widths give the
@@ -77,15 +78,13 @@ class EncoderConfig:
     """
     depth: int = 4
     base_width: int = 8
-    in_channels: int = 1
     convs_per_block: Optional[tuple] = None   # None -> 2 per level
 
     def __post_init__(self):
         if self.depth < 2:
             raise ValueError(f"depth must be >= 2, got {self.depth}")
-        for name in ("base_width", "in_channels"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.base_width < 1:
+            raise ValueError(f"base_width must be >= 1, got {self.base_width}")
         resolved = tuple(self.convs_per_block) if self.convs_per_block else tuple([2] * self.depth)
         if len(resolved) != self.depth:
             raise ValueError(
@@ -122,7 +121,7 @@ class _ConvStack:
 
 
 class SegModel:
-    """One of the eight variants; maps N-Cin-H-W images to N-K-H-W logits.
+    """One of the eight variants; maps N-1-H-W images to N-K-H-W logits.
     Keeps the tensors ``store`` hands out, not the store."""
 
     def __init__(self, variant: ModelVariant, enc: EncoderConfig, num_classes: int,
@@ -145,7 +144,7 @@ class SegModel:
         enc = self.enc
         widths = enc.widths()
         self.encoder_stacks = []
-        cin = enc.in_channels
+        cin = IN_CHANNELS
         for lvl in range(enc.depth):
             self.encoder_stacks.append(
                 _ConvStack(store, f"enc.l{lvl}", cin, widths[lvl], enc.convs_per_block[lvl]))
@@ -163,7 +162,7 @@ class SegModel:
     def _build_cnn(self, store: ParamStore):
         enc = self.enc
         w = enc.base_width
-        self.cnn_stacks = [_ConvStack(store, f"cnn.b{i}", enc.in_channels if i == 0 else w, w, 1)
+        self.cnn_stacks = [_ConvStack(store, f"cnn.b{i}", IN_CHANNELS if i == 0 else w, w, 1)
                            for i in range(CNN_BLOCKS)]
         self._encoder = [t for _, t in store.named]   # built first: a prefix of the store
         self.cnn_branch = None
@@ -182,22 +181,9 @@ class SegModel:
 
     # -- forward ------------------------------------------------------
 
-    def _check_input(self, x: Tensor):
-        n, c, h, w = x.shape
-        if c != self.enc.in_channels:
-            raise T.ShapeError(
-                f"model expects {self.enc.in_channels} input channels, got {c}")
-        if self.variant.family == "unet":
-            d = self.enc.divisor
-            if h % d or w % d:
-                raise T.ShapeError(
-                    f"input {h}x{w} must be divisible by 2^(depth-1) = {d} for depth {self.enc.depth}")
-        elif self.variant.ave and (h % 2 or w % 2):
-            raise T.ShapeError(
-                f"input {h}x{w} must be divisible by 2 for the dual-pool branch")
-
     def forward(self, x: Tensor) -> Tensor:
-        self._check_input(x)
+        _, _, h, w = x.shape   # conv2d checks the channel count
+        check_input_size(self.variant, self.enc, h, w)
         if self.variant.family == "unet":
             return self._forward_unet(x)
         return self._forward_cnn(x)
@@ -259,6 +245,19 @@ class SegModel:
         return sum(t.data.size for t in self.parameters())
 
 
+def check_input_size(variant: ModelVariant, enc: EncoderConfig, h: int, w: int) -> None:
+    """Raise ShapeError unless every pooling of the variant halves an h x w input evenly."""
+    if variant.family == "unet":
+        d = enc.divisor
+        if h % d or w % d:
+            raise T.ShapeError(
+                f"input width {w} and height {h} must be divisible by 2^(depth-1) = {d} "
+                f"for depth {enc.depth}")
+    elif variant.ave and (h % 2 or w % 2):
+        raise T.ShapeError(
+            f"input width {w} and height {h} must be divisible by 2 for the dual-pool branch")
+
+
 def build_model(variant: ModelVariant, enc: EncoderConfig, num_classes: int,
                 seed: int, dtype=T.TRAIN32) -> SegModel:
     """A freshly initialised model: every parameter drawn from ``seed``."""
@@ -270,8 +269,8 @@ def build_model(variant: ModelVariant, enc: EncoderConfig, num_classes: int,
 #   bytes  0-3    magic b"SEGM"
 #   bytes  4-7    u32 version (1)
 #   bytes  8-55   12 x u32: family (index into FAMILIES), ave, cbam, depth,
-#                 base_width, in_channels, then fields 6-10, which hold the
-#                 constants _FIXED (WIDTH_CAP, cbam.REDUCTION,
+#                 base_width, then fields 5-10, which hold the constants
+#                 _FIXED (IN_CHANNELS, which is 1, WIDTH_CAP, cbam.REDUCTION,
 #                 cbam.SPATIAL_WIDTH, CNN_BLOCKS, CNN_ATTACH_AFTER), then
 #                 num_classes
 #   then          depth x u32 convs_per_block
@@ -284,7 +283,7 @@ def build_model(variant: ModelVariant, enc: EncoderConfig, num_classes: int,
 _MAGIC = b"SEGM"
 _VERSION = 1
 _HEADER = struct.Struct("<4sI12I")
-_FIXED = (WIDTH_CAP, REDUCTION, SPATIAL_WIDTH, CNN_BLOCKS, CNN_ATTACH_AFTER)
+_FIXED = (IN_CHANNELS, WIDTH_CAP, REDUCTION, SPATIAL_WIDTH, CNN_BLOCKS, CNN_ATTACH_AFTER)
 
 
 def save_checkpoint(model: SegModel, path) -> None:
@@ -292,7 +291,7 @@ def save_checkpoint(model: SegModel, path) -> None:
     header = _HEADER.pack(
         _MAGIC, _VERSION,
         FAMILIES.index(model.variant.family), int(model.variant.ave), int(model.variant.cbam),
-        enc.depth, enc.base_width, enc.in_channels, *_FIXED, model.num_classes)
+        enc.depth, enc.base_width, *_FIXED, model.num_classes)
     convs = struct.pack(f"<{enc.depth}I", *enc.convs_per_block)
     flat = np.concatenate([t.data.astype("<f4").reshape(-1) for t in model.parameters()])
     count = struct.pack("<Q", flat.size)
@@ -335,7 +334,7 @@ def load_checkpoint(path) -> SegModel:
         raw = f.read()
     if len(raw) < _HEADER.size:
         raise ValueError(f"checkpoint truncated at byte {len(raw)}: header needs {_HEADER.size}")
-    magic, version, fam, ave, cbam, depth, base, cin, *fixed, k = _HEADER.unpack_from(raw, 0)
+    magic, version, fam, ave, cbam, depth, base, *fixed, k = _HEADER.unpack_from(raw, 0)
     if magic != _MAGIC:
         raise ValueError(f"bad checkpoint magic {magic!r}")
     if version != _VERSION:
@@ -343,7 +342,7 @@ def load_checkpoint(path) -> SegModel:
     if fam >= len(FAMILIES):
         raise ValueError(f"bad checkpoint family index {fam}; expected < {len(FAMILIES)}")
     if tuple(fixed) != _FIXED:
-        raise ValueError(f"checkpoint header fields 6-10 are {tuple(fixed)}; "
+        raise ValueError(f"checkpoint header fields 5-10 are {tuple(fixed)}; "
                          f"this build only reads {_FIXED}")
     off = _HEADER.size
     if len(raw) < off + 4 * depth + 8:
@@ -358,8 +357,7 @@ def load_checkpoint(path) -> SegModel:
         raise ValueError(f"checkpoint payload is {len(raw)} bytes, expected {expected}")
 
     variant = ModelVariant(FAMILIES[fam], bool(ave), bool(cbam))
-    enc = EncoderConfig(depth=depth, base_width=base, in_channels=cin,
-                        convs_per_block=tuple(convs))
+    enc = EncoderConfig(depth=depth, base_width=base, convs_per_block=tuple(convs))
     store = _PayloadStore(raw, off)
     model = SegModel(variant, enc, k, store)
     if store._pos != len(raw):

@@ -62,12 +62,16 @@ class _Scanner:
         return raw[start:self.pos]
 
     def int_token(self, what: str) -> int:
+        """The next token as a decimal integer >= 1; else fail at the token's start."""
         tok = self.token()
         try:
-            return int(tok)
-        except ValueError:
+            value = int(tok) if tok.isdigit() else 0   # int() also takes b"+2" and b"1_0"
+        except ValueError:   # more digits than int() converts
+            value = 0
+        if value < 1:
             self.pos -= len(tok)
-            self.fail(f"malformed {what} {tok!r}")
+            self.fail(f"malformed {what} {tok!r}: not an integer >= 1")
+        return value
 
 
 def read_pgm(path) -> tuple[np.ndarray, int]:
@@ -82,7 +86,7 @@ def read_pgm(path) -> tuple[np.ndarray, int]:
     w = s.int_token("width")
     h = s.int_token("height")
     maxval = s.int_token("maxval")
-    if not 1 <= maxval <= 255:
+    if maxval > 255:
         s.fail(f"unsupported maxval {maxval}")
     if s.pos >= len(raw) or raw[s.pos] not in b" \t\r\n":
         s.fail("missing whitespace after maxval")

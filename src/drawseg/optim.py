@@ -3,21 +3,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .tensor import Tensor
 
 
-def cosine_lr(lr0: float, eta_min: Optional[float], total_epochs: int, epoch: int) -> float:
-    """Cosine decay from lr0 at epoch 0 to eta_min at epoch total_epochs;
-    eta_min None means lr0 / 100."""
+def cosine_lr(lr0: float, eta_min: float, total_epochs: int, epoch: int) -> float:
+    """Cosine decay from lr0 at epoch 0 to eta_min at epoch total_epochs."""
     if total_epochs < 1 or not 0 <= epoch <= total_epochs:
         raise ValueError(f"epoch {epoch} outside schedule range [0, {total_epochs}], "
                          "or total_epochs below 1")
-    if eta_min is None:
-        eta_min = lr0 / 100.0
     span = lr0 - eta_min
     return eta_min + 0.5 * span * (1.0 + math.cos(math.pi * epoch / total_epochs))
 

@@ -7,10 +7,12 @@ jobs > 1 they run in spawned workers, which re-import __main__: a calling
 script without an ``if __name__ == "__main__":`` guard fails.
 
 Epochs are numbered 0..epochs-1. The encoder stays frozen while
-epoch < unfreeze_epoch and validation runs from validate_from on
-(defaulting to unfreeze_epoch, mirroring the protocol where both happen
-at the 50 mark of a 100-epoch run). The learning rate for epoch e is the
-cosine schedule evaluated at e, so training starts exactly at lr0.
+epoch < unfreeze_epoch and validation runs from validate_from on. The
+learning rate for epoch e is the cosine schedule from lr0 to eta_min
+evaluated at e, so training starts exactly at lr0. TrainConfig resolves
+a None unfreeze_epoch to epochs // 2, validate_from to unfreeze_epoch and
+eta_min to lr0 / 100 (the protocol unfreezes and starts validating at the
+50 mark of a 100-epoch run), so config.json holds the values a run used.
 
 A run directory contains config.json, log.csv, checkpoints/{best,final}.segm,
 metrics.csv, confusion.csv and run.log. Everything except run.log (the one
@@ -20,6 +22,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import os
 import time
 from dataclasses import dataclass, field, replace
@@ -35,7 +38,7 @@ from .losses import LossSpec, segmentation_loss
 # load_checkpoint is unused here but stays importable as training.load_checkpoint,
 # a name perfbench's tracer wraps.
 from .models import (ALL_VARIANTS, FAMILIES, EncoderConfig, ModelVariant, SegModel,
-                     build_model, load_checkpoint, save_checkpoint)
+                     build_model, check_input_size, load_checkpoint, save_checkpoint)
 from .optim import Adam, NumericalError, cosine_lr
 from .tensor import Tensor, zero_grads
 
@@ -45,29 +48,36 @@ class TrainConfig:
     variant: ModelVariant = field(default_factory=lambda: ModelVariant("unet", True, True))
     encoder: EncoderConfig = field(default_factory=EncoderConfig)
     epochs: int = 100
-    unfreeze_epoch: int = 50
-    validate_from: Optional[int] = None   # None -> unfreeze_epoch
+    unfreeze_epoch: Optional[int] = None   # None -> epochs // 2
+    validate_from: Optional[int] = None    # None -> unfreeze_epoch
     batch_size: int = 4
     loss: LossSpec = field(default_factory=LossSpec)
     lr0: float = 1e-4
-    eta_min: Optional[float] = None       # None -> lr0 / 100
+    eta_min: Optional[float] = None        # None -> lr0 / 100
     seed: int = 0
     augment: bool = False
-    noise_sigma: float = 0.02
     num_classes = NUM_CLASSES   # not a field: every mask holds data.NUM_CLASSES classes
 
     def __post_init__(self):
         if self.epochs < 0:
             raise ValueError("epochs must be >= 0")
+        if self.batch_size < 1:
+            raise ValueError("batch_size must be >= 1")
+        if not (math.isfinite(self.lr0) and self.lr0 > 0):
+            raise ValueError(f"lr0 must be finite and > 0, got {self.lr0}")
+        if self.unfreeze_epoch is None:
+            object.__setattr__(self, "unfreeze_epoch", self.epochs // 2)
         if not 0 <= self.unfreeze_epoch <= max(self.epochs, 1):
             raise ValueError(
                 f"unfreeze_epoch {self.unfreeze_epoch} outside [0, {self.epochs}]")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-
-    @property
-    def validation_start(self) -> int:
-        return self.unfreeze_epoch if self.validate_from is None else self.validate_from
+        if self.validate_from is None:
+            object.__setattr__(self, "validate_from", self.unfreeze_epoch)
+        if self.validate_from < 0:
+            raise ValueError(f"validate_from must be >= 0, got {self.validate_from}")
+        if self.eta_min is None:
+            object.__setattr__(self, "eta_min", self.lr0 / 100.0)
+        if not 0 <= self.eta_min <= self.lr0:
+            raise ValueError(f"eta_min {self.eta_min} outside [0, lr0 = {self.lr0}]")
 
     def to_json(self) -> str:
         return json.dumps(dataclasses.asdict(self), indent=2, sort_keys=True)
@@ -106,10 +116,8 @@ def epoch_shuffle(ids: Sequence[str], seed: int, epoch: int) -> list[str]:
     return [ids[i] for i in order]
 
 
-def _batch_arrays(samples: Sequence[Sample], in_channels: int, dtype):
+def _batch_arrays(samples: Sequence[Sample], dtype):
     images = np.stack([s.image for s in samples]).astype(dtype)[:, None]
-    if in_channels > 1:
-        images = np.repeat(images, in_channels, axis=1)
     masks = np.stack([s.mask for s in samples]).astype(np.int64)
     return images, masks
 
@@ -119,7 +127,7 @@ def _train_sample(dataset, sid, cfg: TrainConfig, epoch: int, position: int) -> 
     if not cfg.augment:
         return sample
     rng = np.random.default_rng([cfg.seed, 202, epoch, position])
-    spec = random_augment_spec(rng, cfg.noise_sigma)
+    spec = random_augment_spec(rng)
     return augment(sample, spec, int(rng.integers(2 ** 31)))
 
 
@@ -132,12 +140,14 @@ def evaluate(model: SegModel, ids: Sequence[str], dataset, batch_size: int = 8,
     """
     if not ids:
         raise ValueError("evaluate needs at least one sample id")
+    if batch_size < 1:
+        raise ValueError(f"batch size must be >= 1, got {batch_size}")
     cms = []
     total = 0.0
     with T.no_grad():
         for start in range(0, len(ids), batch_size):
             chunk = [dataset.load(sid) for sid in ids[start:start + batch_size]]
-            images, masks = _batch_arrays(chunk, model.enc.in_channels, model.dtype)
+            images, masks = _batch_arrays(chunk, model.dtype)
             logits = model.forward(Tensor(images))
             if loss is not None:
                 total += float(segmentation_loss(loss, logits, masks).data) * len(chunk)
@@ -148,6 +158,12 @@ def evaluate(model: SegModel, ids: Sequence[str], dataset, batch_size: int = 8,
     if loss is not None:
         report.loss = total / len(ids)
     return report
+
+
+def _check_sizes(variant: ModelVariant, enc: EncoderConfig, dataset, ids) -> None:
+    """Check the manifest size of every id against the model's input rule."""
+    for w, h in {dataset.size(sid) for sid in ids}:
+        check_input_size(variant, enc, h, w)
 
 
 class _RunDir:
@@ -206,6 +222,8 @@ def train(cfg: TrainConfig, dataset, train_ids: Sequence[str],
     epoch, they are written as the final checkpoint, run.log notes the abort
     and NumericalError propagates. The encoder is frozen by switching off its
     parameters' gradients; however the epoch loop ends, they are on again.
+    The manifest size of every id is checked against the model's input rule
+    before anything is written.
     """
     if model is None:
         model = build_model(cfg.variant, cfg.encoder, cfg.num_classes, cfg.seed)
@@ -213,6 +231,7 @@ def train(cfg: TrainConfig, dataset, train_ids: Sequence[str],
         raise ValueError(f"model is {model.variant}, config wants {cfg.variant}")
     if model.num_classes != cfg.num_classes:
         raise ValueError(f"model has {model.num_classes} classes, config wants {cfg.num_classes}")
+    _check_sizes(model.variant, model.enc, dataset, (*train_ids, *val_ids))
     adam = Adam(model.parameters())
     log = RunLog()
     out = _RunDir(run_dir, cfg)
@@ -232,7 +251,7 @@ def train(cfg: TrainConfig, dataset, train_ids: Sequence[str],
                     chunk_ids = order[start:start + cfg.batch_size]
                     chunk = [_train_sample(dataset, sid, cfg, epoch, start + i)
                              for i, sid in enumerate(chunk_ids)]
-                    images, masks = _batch_arrays(chunk, model.enc.in_channels, model.dtype)
+                    images, masks = _batch_arrays(chunk, model.dtype)
                     loss = segmentation_loss(cfg.loss, model.forward(Tensor(images)), masks)
                     value = float(loss.data)
                     if not np.isfinite(value):
@@ -243,7 +262,7 @@ def train(cfg: TrainConfig, dataset, train_ids: Sequence[str],
                     total += value * len(chunk)
                     seen += len(chunk)
                 row = EpochRow(epoch=epoch, lr=lr, train_loss=total / max(seen, 1))
-                if val_ids and epoch >= cfg.validation_start:
+                if val_ids and epoch >= cfg.validate_from:
                     report = evaluate(model, val_ids, dataset, batch_size=cfg.batch_size,
                                       loss=cfg.loss)
                     row.val_loss = report.loss
@@ -297,12 +316,17 @@ def _run_cells(cfg: TrainConfig, dataset, out_dir, cells: list[tuple[ModelVarian
     """Train each (variant, fold, dir name) cell into out_dir/<dir name>, after
     reading every fold; returns each cell's (final report, parameter count,
     wall seconds). Spawned workers get one BLAS thread each: forked ones would
-    inherit the parent's BLAS threads and run more threads than cores."""
+    inherit the parent's BLAS threads and run more threads than cores. Every
+    cell's image sizes are checked before any cell trains."""
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     out = Path(out_dir)
     queue = [(replace(cfg, variant=v), dataset, *dataset.fold(k), out / name)
              for v, k, name in cells]
+    for v, _, _ in cells:
+        _check_sizes(v, cfg.encoder, dataset, dataset.ids)
     out.mkdir(parents=True, exist_ok=True)
-    if jobs <= 1:
+    if jobs == 1:
         return [_run_job(job) for job in queue]
     import multiprocessing   # here, so importing training loads no pool machinery
     from concurrent.futures import ProcessPoolExecutor

@@ -67,6 +67,17 @@ class TestGenData:
         assert "need at least K=5 ids" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_size_boundary(self, tmp_path, capsys):
+        # a stroke's endpoints are drawn 3 px inside the border
+        assert cli.main(["gen-data", "--n", "20", "--size", "7", "--folds", "2",
+                         "--out", str(tmp_path / "d7")]) == 0
+        assert len(list((tmp_path / "d7" / "images").glob("*.pgm"))) == 20
+        out = tmp_path / "d6"
+        assert cli.main(["gen-data", "--n", "20", "--size", "6", "--folds", "2",
+                         "--out", str(out)]) == 2
+        assert "--size 6" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_runs_as_module(self, tmp_path):
         src = str(Path(drawseg.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
@@ -294,6 +305,41 @@ class TestExitCodes:
                          "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and "7 classes" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--lr", "-1.0"), ("--lr", "0.0"), ("--lr", "nan"), ("--eta-min", "1.0"),
+        ("--eta-min", "-1e-9"), ("--validate-from", "-1")])
+    def test_invalid_train_setting_is_2_and_writes_nothing(self, data_dir, tmp_path, capsys,
+                                                           flag, value):
+        out = tmp_path / "r"
+        assert cli.main(["train", "--data", str(data_dir), "--out", str(out), "--epochs", "1",
+                         f"{flag}={value}"]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert not out.exists()
+
+    def test_image_size_the_model_cannot_pool_is_2_and_writes_nothing(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        assert cli.main(["gen-data", "--n", "4", "--size", "20", "--folds", "2",
+                         "--out", str(data)]) == 0
+        out = tmp_path / "r"
+        assert cli.main(["train", "--data", str(data), "--out", str(out), "--depth", "4",
+                         "--epochs", "1"]) == 2
+        assert "divisible by 2^(depth-1) = 8" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, flag, value", [
+        ("ablate", "--jobs", "0"), ("ablate", "--jobs", "-3"), ("kfold", "--jobs", "0"),
+        ("eval", "--batch-size", "0"), ("eval", "--batch-size", "-2")])
+    def test_count_below_one_is_2_and_writes_nothing(self, data_dir, run_dir, tmp_path, capsys,
+                                                     command, flag, value):
+        out = tmp_path / "out"
+        argv = {"ablate": ["--family", "cnn", "--epochs", "1", "--base-width", "2"],
+                "kfold": ["--epochs", "1", "--depth", "2", "--base-width", "2"],
+                "eval": ["--ckpt", str(run_dir / "checkpoints" / "final.segm")]}[command]
+        assert cli.main([command, "--data", str(data_dir), "--out", str(out), *argv,
+                         flag, value]) == 2
+        assert capsys.readouterr().err.startswith("error:")
         assert not out.exists()
 
     def test_num_classes_flag_is_gone(self, data_dir, tmp_path):

@@ -192,6 +192,90 @@ class TestCodec:
         np.testing.assert_array_equal(pixels, [[1, 2]])
         assert maxval == 255
 
+    @pytest.mark.parametrize("raw, offset", [
+        (b"P5\n0 3\n255\n", 3), (b"P5\n3 0\n255\n", 5), (b"P5\n-1 -1\n255\n\x00", 3),
+        (b"P5\n+2 1\n255\n\x00\x00", 3), (b"P5\n2 1_0\n255\n" + bytes(20), 5)],
+        ids=["width_0", "height_0", "negative", "plus_sign", "underscore"])
+    def test_size_not_a_positive_decimal_reports_file_and_offset(self, tmp_path, raw, offset):
+        path = tmp_path / "empty.pgm"
+        path.write_bytes(raw)
+        with pytest.raises(ValueError, match=rf"empty\.pgm: .* at byte {offset}$"):
+            read_pgm(path)
+
+
+def _pgm(w: int, h: int, maxval: int, payload: bytes, sep: bytes = b"\n") -> bytes:
+    return b"P5" + sep + b"%d %d" % (w, h) + sep + b"%d" % maxval + sep + payload
+
+
+_SMALL = st.integers(min_value=-2, max_value=4)
+_PGM_BYTES = st.one_of(
+    st.builds(_pgm, _SMALL, _SMALL, st.sampled_from([0, 1, 5, 255, 256]),
+              st.binary(max_size=20), st.sampled_from([b"\n", b" ", b"\t", b"\n# c\n", b""])),
+    st.binary(max_size=40).map(lambda tail: b"P5" + tail),
+    st.binary(max_size=40))
+
+
+class TestPgmFuzz:
+    """Every input either reads back what write_pgm wrote or raises ValueError."""
+
+    @staticmethod
+    def _edit(raw: bytes, edits) -> bytes:
+        out = bytearray(raw)
+        for kind, pos, byte in edits:
+            pos %= len(out) + 1
+            if kind == "set" and pos < len(out):
+                out[pos] = byte
+            elif kind == "insert":
+                out.insert(pos, byte)
+            elif kind == "cut":
+                del out[pos:]
+        return bytes(out)
+
+    @given(st.data(), st.integers(1, 5), st.integers(1, 5), st.sampled_from([1, 5, 255]),
+           st.lists(st.tuples(st.sampled_from(["set", "insert", "cut"]),
+                              st.integers(0, 100), st.integers(0, 255)), max_size=3))
+    @settings(max_examples=150, deadline=None)
+    def test_written_then_edited(self, data, h, w, maxval, edits):
+        pixels = np.array(data.draw(st.lists(st.integers(0, maxval), min_size=h * w,
+                                             max_size=h * w)), dtype=np.uint8).reshape(h, w)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "x.pgm"
+            write_pgm(path, pixels, maxval)
+            raw = path.read_bytes()
+            edited = self._edit(raw, edits)
+            path.write_bytes(edited)
+            try:
+                got, got_max = read_pgm(path)
+            except ValueError:
+                assert edited != raw
+                return
+            if edited == raw:
+                np.testing.assert_array_equal(got, pixels)
+                assert got_max == maxval
+            self._assert_well_formed(got, got_max, Path(tmp))
+
+    @given(_PGM_BYTES)
+    @settings(max_examples=300, deadline=None)
+    def test_arbitrary_bytes(self, raw):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "x.pgm"
+            path.write_bytes(raw)
+            try:
+                got, got_max = read_pgm(path)
+            except ValueError:
+                return
+            self._assert_well_formed(got, got_max, Path(tmp))
+
+    @staticmethod
+    def _assert_well_formed(pixels, maxval, tmp: Path):
+        """An accepted image is one write_pgm takes and read_pgm gives back unchanged."""
+        assert pixels.dtype == np.uint8 and pixels.ndim == 2 and min(pixels.shape) >= 1
+        path = tmp / "again.pgm"
+        write_pgm(path, pixels, maxval)
+        again, again_max = read_pgm(path)
+        np.testing.assert_array_equal(again, pixels)
+        assert again_max == maxval
+
 
 class TestKFold:
     def test_ten_ids_five_folds(self):
@@ -296,6 +380,7 @@ class TestDatasetText:
         ("00000 16\n", r"manifest\.txt:1: expected"),
         ("00000 16 16\n00000 16 16\n", r"manifest\.txt:2: .*new id"),
         ("00000 16 x\n", "invalid literal"),
+        ("00000 16 0\n", r"manifest\.txt:1: image size 16x0"),
     ])
     def test_malformed_manifest_rejected(self, tmp_path, manifest, match):
         with pytest.raises(ValueError, match=match):

@@ -10,7 +10,7 @@ from drawseg import models as M
 from drawseg import tensor as T
 from drawseg.tensor import Tensor
 
-DESK = M.EncoderConfig(depth=4, base_width=8, in_channels=1)
+DESK = M.EncoderConfig(depth=4, base_width=8)
 
 
 def unet_base_param_count(enc: M.EncoderConfig, k: int) -> int:
@@ -18,7 +18,7 @@ def unet_base_param_count(enc: M.EncoderConfig, k: int) -> int:
     widths = enc.widths()
     convs = enc.convs_per_block
     total = 0
-    cin = enc.in_channels
+    cin = M.IN_CHANNELS
     for lvl in range(enc.depth):
         w = widths[lvl]
         for i in range(convs[lvl]):
@@ -104,8 +104,7 @@ class TestBuild:
         assert base < count(False, True) < count(True, True)
 
     def test_paper_scale_builds_with_final_width_64(self):
-        enc = M.EncoderConfig(depth=5, base_width=64, in_channels=1,
-                              convs_per_block=(2, 2, 3, 3, 3))
+        enc = M.EncoderConfig(depth=5, base_width=64, convs_per_block=(2, 2, 3, 3, 3))
         model = M.build_model(M.ModelVariant("unet", True, True), enc, 6, seed=0)
         assert model.head[0][0].shape[1] == 64
         assert model.enc.divisor == 16  # 512x512 inputs are compatible
@@ -258,19 +257,19 @@ class TestCheckpoint:
             tracemalloc.stop()
         assert peak < 3 * len(raw)
 
-    @pytest.mark.parametrize("index", range(5), ids=[
-        "width_cap", "reduction", "spatial_width", "cnn_blocks", "cnn_attach_after"])
+    @pytest.mark.parametrize("index", range(6), ids=[
+        "in_channels", "width_cap", "reduction", "spatial_width", "cnn_blocks", "cnn_attach_after"])
     def test_fixed_shape_field_rejected_before_build(self, tmp_path, monkeypatch, index):
-        # header fields 6-10 hold the model-shape constants, field i at byte 8 + 4 * i
+        # header fields 5-10 hold the model-shape constants, field i at byte 8 + 4 * i
         model = M.build_model(M.ModelVariant("cnn", True, True), DESK, 6, seed=0)
         path = tmp_path / "m.segm"
         M.save_checkpoint(model, path)
         raw = path.read_bytes()
-        offset = 8 + 4 * (6 + index)
+        offset = 8 + 4 * (5 + index)
         assert struct.unpack_from("<I", raw, offset) == (M._FIXED[index],)
         path.write_bytes(raw[:offset] + struct.pack("<I", M._FIXED[index] + 1) + raw[offset + 4:])
         monkeypatch.setattr(M, "SegModel", _no_build)
-        with pytest.raises(ValueError, match="fields 6-10"):
+        with pytest.raises(ValueError, match="fields 5-10"):
             M.load_checkpoint(path)
 
     @pytest.mark.parametrize("extra, match", [
@@ -344,8 +343,7 @@ class TestCheckpointLayout:
 
     @pytest.mark.parametrize("variant", M.ALL_VARIANTS, ids=lambda v: v.cli_name)
     def test_init_replays_one_seeded_stream(self, variant):
-        for enc in (DESK, M.EncoderConfig(depth=3, base_width=4, in_channels=2,
-                                          convs_per_block=(1, 3, 2))):
+        for enc in (DESK, M.EncoderConfig(depth=3, base_width=4, convs_per_block=(1, 3, 2))):
             model = M.build_model(variant, enc, 5, seed=13)
             rng = np.random.default_rng(13)
             for name, t in model.named_parameters():
@@ -368,7 +366,7 @@ class TestCheckpointLayout:
 
 
 class TestEncoderConfigBounds:
-    @pytest.mark.parametrize("field", ["base_width", "in_channels"])
+    @pytest.mark.parametrize("field", ["base_width"])
     def test_zero_rejected(self, field):
         with pytest.raises(ValueError, match=field):
             M.EncoderConfig(**{field: 0})

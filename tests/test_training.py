@@ -26,7 +26,7 @@ def tiny_dataset(tmp_path_factory):
 def tiny_config(**kw):
     base = dict(
         variant=M.ModelVariant("unet", True, True),
-        encoder=M.EncoderConfig(depth=3, base_width=4, in_channels=1),
+        encoder=M.EncoderConfig(depth=3, base_width=4),
         epochs=2,
         unfreeze_epoch=1,
         batch_size=4,
@@ -52,15 +52,26 @@ class TestConfig:
         cfg = tiny_config(augment=True, validate_from=0)
         assert json.loads(cfg.to_json()) == jsonable(dataclasses.asdict(cfg))
 
-    def test_validation_start_defaults_to_unfreeze(self):
-        assert tiny_config().validation_start == 1
-        assert tiny_config(validate_from=0).validation_start == 0
+    def test_validate_from_defaults_to_unfreeze(self):
+        assert tiny_config().validate_from == 1
+        assert tiny_config(validate_from=0).validate_from == 0
+
+    def test_derived_defaults_resolve(self):
+        cfg = TR.TrainConfig(epochs=10)
+        assert (cfg.unfreeze_epoch, cfg.validate_from, cfg.eta_min) == (5, 5, cfg.lr0 / 100)
+        written = json.loads(cfg.to_json())
+        assert (written["unfreeze_epoch"], written["validate_from"], written["eta_min"]) == (
+            5, 5, cfg.lr0 / 100)
+        cfg = TR.TrainConfig(epochs=10, unfreeze_epoch=2, lr0=1e-3, eta_min=0.0)
+        assert (cfg.unfreeze_epoch, cfg.validate_from, cfg.eta_min) == (2, 2, 0.0)
 
     def test_invalid_rejected(self):
-        with pytest.raises(ValueError):
-            tiny_config(unfreeze_epoch=5, epochs=2)
-        with pytest.raises(ValueError):
-            tiny_config(batch_size=0)
+        for kw in (dict(unfreeze_epoch=5, epochs=2), dict(batch_size=0),
+                   dict(lr0=-1.0), dict(lr0=0.0), dict(lr0=float("nan")), dict(lr0=float("inf")),
+                   dict(eta_min=-1e-9), dict(eta_min=2e-3), dict(eta_min=float("nan")),
+                   dict(validate_from=-1)):
+            with pytest.raises(ValueError):
+                tiny_config(**kw)
 
 
 class TestTrain:
@@ -82,6 +93,22 @@ class TestTrain:
             TR.train(cfg, tiny_dataset, tiny_dataset.ids[:4], tiny_dataset.ids[4:6],
                      run_dir=tmp_path / "run", model=model)
         assert steps == []
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("bad", ["00000", "00009"], ids=["train_id", "val_id"])
+    def test_manifest_size_checked_before_writing(self, tiny_dataset, tmp_path, bad):
+        data = tmp_path / "data"
+        shutil.copytree(tiny_dataset.root, data)
+        manifest = data / "manifest.txt"
+        manifest.write_text(manifest.read_text().replace(f"{bad} 32 32", f"{bad} 32 30"))
+        with pytest.raises(ValueError, match="input width 32 and height 30 must be divisible"):
+            TR.train(tiny_config(), D.DrawingDataset(data), [f"{i:05d}" for i in range(8)],
+                     ["00008", "00009"], run_dir=tmp_path / "run")
+        assert not (tmp_path / "run").exists()
+
+    def test_unknown_id_rejected_before_writing(self, tiny_dataset, tmp_path):
+        with pytest.raises(KeyError, match="sample id 'ghost' not in manifest"):
+            TR.train(tiny_config(), tiny_dataset, ["00000", "ghost"], run_dir=tmp_path / "run")
         assert not (tmp_path / "run").exists()
 
     def test_two_runs_identical_logs(self, tiny_dataset, tmp_path):
@@ -243,7 +270,7 @@ class TestFrozenAndValidation:
         with no_grad():
             for start in range(0, len(val), cfg.batch_size):
                 chunk = [tiny_dataset.load(sid) for sid in val[start:start + cfg.batch_size]]
-                images, masks = TR._batch_arrays(chunk, 1, model.dtype)
+                images, masks = TR._batch_arrays(chunk, model.dtype)
                 loss = segmentation_loss(cfg.loss, model.forward(Tensor(images)), masks)
                 total += float(loss.data) * len(chunk)
         assert log.rows[0].val_loss == total / len(val)
@@ -313,7 +340,7 @@ class TestKFold:
 class TestAblation:
     def test_table_shape_and_finiteness(self, tiny_dataset, tmp_path):
         cfg = tiny_config(epochs=1, unfreeze_epoch=0,
-                          encoder=M.EncoderConfig(depth=3, base_width=4, in_channels=1))
+                          encoder=M.EncoderConfig(depth=3, base_width=4))
         rows = TR.run_ablation(cfg, tiny_dataset, "cnn", tmp_path / "abl")
         assert [r["method"] for r in rows] == [
             "Base", "Base+Ave", "Base+CBAM", "Base+Ave+CBAM"]
@@ -323,6 +350,13 @@ class TestAblation:
         assert (tmp_path / "abl" / "ablation.txt").exists()
         params = [r["params"] for r in rows]
         assert params[0] < params[1] and params[0] < params[2] < params[3]
+
+    def test_size_one_variant_cannot_pool_writes_nothing(self, tmp_path):
+        D.generate_dataset(4, 15, seed=0, out_dir=tmp_path / "odd", folds=2)
+        cfg = tiny_config(epochs=1, encoder=M.EncoderConfig(depth=2, base_width=2))
+        with pytest.raises(ValueError, match="divisible by 2 for the dual-pool branch"):
+            TR.run_ablation(cfg, D.DrawingDataset(tmp_path / "odd"), "cnn", tmp_path / "abl")
+        assert not (tmp_path / "abl").exists()
 
     def test_unknown_family_writes_nothing(self, tiny_dataset, tmp_path):
         with pytest.raises(ValueError, match="unknown family"):
