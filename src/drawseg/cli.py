@@ -48,9 +48,12 @@ def _add_seed(p):
     p.add_argument("--seed", type=int, default=0, help="run seed")
 
 
+def _add_variant(p):
+    p.add_argument("--variant", choices=VARIANT_NAMES, default=TrainConfig().variant.cli_name)
+
+
 def _add_train_options(p):
     cfg = TrainConfig()   # the defaults
-    p.add_argument("--variant", choices=VARIANT_NAMES, default=cfg.variant.cli_name)
     p.add_argument("--loss", choices=LOSS_KINDS, default=cfg.loss.kind)
     p.add_argument("--gamma", type=float, default=cfg.loss.gamma, help="focal gamma")
     p.add_argument("--alpha", type=float, default=cfg.loss.alpha, help="focal alpha")
@@ -74,8 +77,10 @@ def _add_train_options(p):
 
 
 def _train_config(args) -> TrainConfig:
+    """The options as a TrainConfig; ablate has no --variant and keeps the default one."""
+    variant = {"variant": ModelVariant.parse(args.variant)} if "variant" in args else {}
     return TrainConfig(
-        variant=ModelVariant.parse(args.variant),
+        **variant,
         encoder=EncoderConfig(depth=args.depth, base_width=args.base_width),
         epochs=args.epochs,
         unfreeze_epoch=args.unfreeze_epoch,
@@ -191,7 +196,8 @@ def cmd_predict(args) -> int:
 
 def cmd_ablate(args) -> int:
     cfg = _train_config(args)
-    _echo("ablate", json.loads(cfg.to_json()) | {
+    settings = {k: v for k, v in json.loads(cfg.to_json()).items() if k != "variant"}
+    _echo("ablate", settings | {
         "family": args.family, "data": args.data, "out": args.out, "jobs": args.jobs})
     dataset = _open_dataset(args.data)
     run_ablation(cfg, dataset, args.family, args.out, jobs=args.jobs)
@@ -238,6 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--val-fold", type=int, default=0, help="hold out the ids in splits/fold<k>.txt")
     p.add_argument("--no-validation", action="store_true")
+    _add_variant(p)
     _add_train_options(p)
     p.set_defaults(fn=cmd_train)
 
@@ -268,6 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--jobs", type=int, default=1)
+    _add_variant(p)
     _add_train_options(p)
     p.set_defaults(fn=cmd_kfold)
 

@@ -208,17 +208,30 @@ def _zero_pad(a: np.ndarray, top: int, bottom: int, left: int, right: int) -> np
     return out
 
 
+# bytes of one sample group's output, temporary and operand in _tap_sum: half of a 2 MiB L2
+_TILE_BYTES = 1 << 20
+
+
 def _tap_sum(mats, src: np.ndarray, offsets: Sequence[int], span: int) -> np.ndarray:
     """Sum over taps t of mats[t] @ src[..., s_t : s_t + span], in tap order.
 
     One GEMM per tap; the first product initialises the sum and each later
     one is added in place, so every output element is summed in the same
-    order whichever caller asks.
+    order whichever caller asks. The taps run over groups of g samples at a
+    time, g chosen so that a group's output, temporary and operand fit in
+    _TILE_BYTES (see conv2d).
     """
-    out = np.matmul(mats[0], src[:, :, offsets[0]:offsets[0] + span])
-    tmp = np.empty_like(out)
-    for m, s in zip(mats[1:], offsets[1:]):
-        out += np.matmul(m, src[:, :, s:s + span], out=tmp)
+    n, c = src.shape[:2]
+    o = mats.shape[1]
+    g = max(1, _TILE_BYTES // ((2 * o + c) * span * src.itemsize))
+    out = np.empty((n, o, span), dtype=src.dtype)
+    tmp = np.empty((min(g, n), o, span), dtype=src.dtype)
+    for i in range(0, n, g):
+        acc = out[i:i + g]
+        part = tmp[:len(acc)]
+        np.matmul(mats[0], src[i:i + g, :, offsets[0]:offsets[0] + span], out=acc)
+        for m, s in zip(mats[1:], offsets[1:]):
+            acc += np.matmul(m, src[i:i + g, :, s:s + span], out=part)
     return out
 
 
@@ -239,6 +252,17 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     with inner dimension 1. Stacking is kept to C = 1: at C = 8 it was
     slower than the per-tap GEMMs, and at C = 2 or 4 its reordered sums
     moved float64 results enough to fail the skip-block gradient check.
+
+    _tap_sum blocks its loop over samples (Goto & van de Geijn's loop
+    blocking, at the level of whole samples): it runs all taps over a group
+    of max(1, _TILE_BYTES // ((2*O + C) * span * itemsize)) samples before
+    it moves on, the divisor being one sample's output, temporary and
+    operand bytes. At batch 8 the whole-batch arrays outgrow a 2 MiB L2 and
+    each tap streams them from memory again; a group stays in cache. When
+    a group holds the whole batch the loop runs once. The bits do not
+    depend on the group size: numpy's batched matmul issues one GEMM per
+    sample with the same shapes either way, and the adds are elementwise
+    in the same tap order.
 
     Backward zero-pads g the way forward pads x and flattens it to gp, so
     one copy of g serves both gradients. The weight gradient of tap t is

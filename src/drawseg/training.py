@@ -214,7 +214,8 @@ def train(cfg: TrainConfig, dataset, train_ids: Sequence[str],
           val_ids: Sequence[str] = (), run_dir=None,
           model: Optional[SegModel] = None) -> tuple[SegModel, RunLog]:
     """Run the epoch loop; returns the trained model and its log, whose
-    ``final`` is the final model's report on val_ids.
+    ``final`` is the final model's report on val_ids: the last epoch's
+    validation report when that epoch validated, else a fresh evaluate.
 
     Deterministic for a fixed (config, seed) on one platform: the shuffle
     stream, augmentation draws and initialisation all derive from cfg.seed.
@@ -236,7 +237,7 @@ def train(cfg: TrainConfig, dataset, train_ids: Sequence[str],
     log = RunLog()
     out = _RunDir(run_dir, cfg)
     started = time.time()
-    best_iou = None
+    best_iou = report = None
     last_good = [p.data.copy() for p in model.parameters()]
 
     epoch = batch = 0
@@ -290,7 +291,10 @@ def train(cfg: TrainConfig, dataset, train_ids: Sequence[str],
         if best_iou is None:
             out.checkpoint(model, "best")   # never validated: best == final
         if val_ids:
-            log.final = evaluate(model, val_ids, dataset, batch_size=cfg.batch_size)
+            # validation runs every epoch from validate_from on, so a report here is the
+            # last epoch's, made on the final weights
+            log.final = (report if report is not None
+                         else evaluate(model, val_ids, dataset, batch_size=cfg.batch_size))
             out.metrics(log.final)
     finally:
         log.wall_seconds = time.time() - started

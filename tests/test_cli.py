@@ -347,6 +347,14 @@ class TestExitCodes:
                          "--num-classes", "7", "--epochs", "1"]) == 2
         assert not (tmp_path / "r").exists()
 
+    def test_ablate_variant_flag_is_gone(self, data_dir, tmp_path, capsys):
+        # ablate trains every variant of --family; a --variant it would ignore is refused
+        assert cli.main(["ablate", "--variant", "unet-base", "--family", "unet",
+                         "--data", str(data_dir), "--out", str(tmp_path / "abl"),
+                         "--epochs", "1"]) == 2
+        assert "--variant" in capsys.readouterr().err
+        assert not (tmp_path / "abl").exists()
+
     @pytest.mark.parametrize("command", ["gen-data", "eval", "predict", "ablate", "kfold"])
     def test_out_naming_a_file_is_2(self, data_dir, run_dir, tmp_path, capsys, command):
         taken = tmp_path / "taken"

@@ -141,6 +141,38 @@ class TestConv2d:
         rdx, _, _ = oracle.conv2d_backward_loops(x.data, w.data, g)
         np.testing.assert_allclose(x.grad, rdx, rtol=1e-12, atol=1e-12)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("cin", [2, 8])
+    @pytest.mark.parametrize("n", [1, 3, 5])
+    def test_sample_groups_change_no_bit(self, n, cin, k, dtype, monkeypatch):
+        rng = np.random.default_rng(zlib.crc32(f"groups{n}{cin}{k}".encode()))
+        h, w, cout = 6, 7, 4
+        x, wt, b, g = (rng.standard_normal(shape).astype(dtype) for shape in
+                       [(n, cin, h, w), (cout, cin, k, k), (cout,), (n, cout, h, w)])
+        monkeypatch.setattr(T, "_TILE_BYTES", 1 << 40)   # one group: the whole batch
+        whole = self._grads(x, wt, b, g, True)
+        # tile 1 forces one sample per group; the second gives forward groups of 2,
+        # so odd n ends on a partial group
+        span = h * (w + 2 * (k // 2))
+        for tile in (1, 2 * (2 * cout + cin) * span * x.itemsize):
+            monkeypatch.setattr(T, "_TILE_BYTES", tile)
+            for got, want in zip(self._grads(x, wt, b, g, True), whole):
+                np.testing.assert_array_equal(got, want)
+
+    def test_one_sample_groups_match_loop_oracle(self, monkeypatch):
+        monkeypatch.setattr(T, "_TILE_BYTES", 1)
+        rng = np.random.default_rng(41)
+        x = rng.standard_normal((3, 3, 5, 6))
+        w = rng.standard_normal((2, 3, 3, 3))
+        b = rng.standard_normal(2)
+        g = rng.standard_normal((3, 2, 5, 6))
+        out, dx, dw, db = self._grads(x, w, b, g, True)
+        rdx, rdw, rdb = oracle.conv2d_backward_loops(x, w, g)
+        np.testing.assert_allclose(out, oracle.conv2d_loops(x, w, b), rtol=1e-12, atol=1e-12)
+        for got, want in ((dx, rdx), (dw, rdw), (db, rdb)):
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
     def test_float32_gradients_track_float64(self):
         rng = np.random.default_rng(31)
         for cin in (5, 1):

@@ -157,6 +157,26 @@ class TestTrain:
         assert log.rows[0].val_accuracy is None
         assert log.rows[1].val_accuracy is not None
 
+    @pytest.mark.parametrize("validate_from, epoch_evals", [(0, 2), (1, 1), (2, 0)])
+    def test_final_report_reuses_last_validation(self, tiny_dataset, monkeypatch,
+                                                 validate_from, epoch_evals):
+        calls = []
+        real = TR.evaluate
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs.get("loss"))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(TR, "evaluate", counting)
+        cfg = tiny_config(epochs=2, unfreeze_epoch=0, validate_from=validate_from)
+        ids = tiny_dataset.ids
+        model, log = TR.train(cfg, tiny_dataset, ids[:8], ids[8:])
+        # one evaluate per validated epoch; a run whose last epoch did not validate adds one
+        assert len(calls) == max(epoch_evals, 1)
+        assert sum(loss is not None for loss in calls) == epoch_evals
+        fresh = real(model, ids[8:], tiny_dataset, batch_size=cfg.batch_size)
+        np.testing.assert_array_equal(log.final.confusion, fresh.confusion)
+
     def test_run_dir_contents(self, tiny_dataset, tmp_path):
         cfg = tiny_config(epochs=2, unfreeze_epoch=0)
         ids = tiny_dataset.ids
@@ -258,8 +278,9 @@ class TestFrozenAndValidation:
         cfg = tiny_config(epochs=2, unfreeze_epoch=1, validate_from=0)
         ids = tiny_dataset.ids
         TR.train(cfg, tiny_dataset, ids[:4], ids[4:7])
-        # 4 training images and 3 validated ones per epoch, then 3 for the final metrics
-        assert sum(images) == 2 * (4 + 3) + 3
+        # 4 training images and 3 validated ones per epoch; the final metrics reuse the
+        # last epoch's validation
+        assert sum(images) == 2 * (4 + 3)
 
     def test_val_loss_is_batch_weighted_mean(self, tiny_dataset):
         cfg = tiny_config(epochs=1, unfreeze_epoch=1, validate_from=0)
