@@ -33,6 +33,7 @@ MODES = {(False, False): ("base", "Base"), (True, False): ("ave", "Base+Ave"),
          (False, True): ("cbam", "Base+CBAM"), (True, True): ("full", "Base+Ave+CBAM")}
 IN_CHANNELS = 1        # a drawing is one gray plane
 WIDTH_CAP = 8          # unet widths stop doubling at base_width * WIDTH_CAP
+MAX_CONVS = 8          # unet: most convs in one encoder level (VGG16 uses 3)
 CNN_BLOCKS = 6         # cnn family: conv blocks in the stack
 CNN_ATTACH_AFTER = 3   # cnn family: dual-pool/attention attach after this many blocks
 
@@ -74,7 +75,9 @@ class EncoderConfig:
 
     Desk default is depth 4 / base 8; the paper's VGG16 backbone is depth
     5 / base 64 with convs_per_block (2, 2, 3, 3, 3), whose widths give the
-    64-128-256-512-512 ladder via WIDTH_CAP.
+    64-128-256-512-512 ladder via WIDTH_CAP. A level holds 1 to MAX_CONVS
+    convs, so a checkpoint cannot describe thousands of tiny tensors whose
+    bookkeeping outweighs their values.
     """
     depth: int = 4
     base_width: int = 8
@@ -91,6 +94,8 @@ class EncoderConfig:
                 f"convs_per_block needs {self.depth} entries, got {len(resolved)}")
         if min(resolved) < 1:
             raise ValueError(f"every level needs at least one conv, got {resolved}")
+        if max(resolved) > MAX_CONVS:
+            raise ValueError(f"a level holds at most {MAX_CONVS} convs, got {max(resolved)}")
         object.__setattr__(self, "convs_per_block", resolved)
 
     def widths(self) -> list[int]:

@@ -16,6 +16,11 @@ One hand-over rule holds for every closure: each parent gets a writable
 array that the closure made for that parent alone, which ``_accumulate``
 stores as it is. An op that would pass on the gradient it received (add,
 concat_channels, power at exponent 1) hands over a copy instead.
+
+An op's result may be a view of a larger buffer (conv2d returns the first
+W columns of its wider tap-sum rows), so no op may assume that ``.data``
+is contiguous. numpy's ufuncs and reductions take any strides, and
+reshape copies where it must.
 """
 from __future__ import annotations
 
@@ -243,8 +248,13 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     Tap t = (u, v), taken in row-major order t = 0..k*k-1, then reads
     xf[..., s_t : s_t+span] with s_t = u*Wp + v and span = H*Wp, a
     unit-stride matrix BLAS takes without a copy. Output rows come out Wp
-    wide; the last 2p columns straddle two input rows and are dropped, and
-    the spare bottom row takes the last tap's overrun.
+    wide; the last 2p columns straddle two input rows, and the spare bottom
+    row takes the last tap's overrun. The bias is added into that wide
+    buffer in place, and the result is the view of its first W columns, not
+    a copy: the 2p junk columns stay in memory behind it (66/64 of the
+    output at 64x64, 10/8 at 8x8). Each value is the tap sum plus the bias,
+    one rounding as in a cropped copy, so the bits are the same. For k = 1,
+    Wp = W and the view is contiguous.
 
     Forward is _tap_sum of W_t @ slice_t, except when C = 1: then the k*k
     slices are first copied into one transient (N, k*k, span) operand, so
@@ -309,7 +319,8 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
         wide = np.matmul(weight.data.reshape(cout, k * k), cols)
     else:
         wide = _tap_sum(tap_weights(), xf, offsets, span)
-    out = wide.reshape(n, cout, h, wp)[..., :w] + bias.data[:, None, None]
+    wide += bias.data[:, None]
+    out = wide.reshape(n, cout, h, wp)[..., :w]
 
     def backward(g: np.ndarray) -> None:
         if bias.requires_grad:
@@ -589,11 +600,10 @@ def global_avg_pool(x: Tensor) -> Tensor:
 
 def global_max_pool(x: Tensor) -> Tensor:
     n, c, h, w = x.shape
-    flat = x.data.reshape(n, c, h * w)
-    idx = flat.argmax(axis=2)
-    out = np.take_along_axis(flat, idx[..., None], axis=2).reshape(n, c, 1, 1)
+    out = x.data.max(axis=(2, 3), keepdims=True)   # backward alone needs the argmax
 
     def backward(g: np.ndarray) -> None:
+        idx = x.data.reshape(n, c, h * w).argmax(axis=2)
         gf = np.zeros((n, c, h * w), dtype=g.dtype)
         np.put_along_axis(gf, idx[..., None], g.reshape(n, c, 1), axis=2)
         _accumulate(x, gf.reshape(n, c, h, w))
@@ -612,12 +622,11 @@ def channel_avg_pool(x: Tensor) -> Tensor:
 
 
 def channel_max_pool(x: Tensor) -> Tensor:
-    idx = x.data.argmax(axis=1)
-    out = np.take_along_axis(x.data, idx[:, None], axis=1)
+    out = x.data.max(axis=1, keepdims=True)   # backward alone needs the argmax
 
     def backward(g: np.ndarray) -> None:
         gx = np.zeros_like(x.data)
-        np.put_along_axis(gx, idx[:, None], g, axis=1)
+        np.put_along_axis(gx, x.data.argmax(axis=1)[:, None], g, axis=1)
         _accumulate(x, gx)
 
     return _result(out, [x], backward)

@@ -162,6 +162,38 @@ def channel_pool_loops(x):
     return avg, mx
 
 
+def global_max_backward_loops(x, g):
+    """Input gradient of the global max pool: each g goes to the first
+    maximal cell of its plane in row-major order."""
+    n, c, h, w = x.shape
+    gx = np.zeros_like(x)
+    for ni in range(n):
+        for ci in range(c):
+            best = (0, 0)
+            for i in range(h):
+                for j in range(w):
+                    if x[ni, ci, i, j] > x[ni, ci][best]:
+                        best = (i, j)
+            gx[ni, ci][best] = g[ni, ci, 0, 0]
+    return gx
+
+
+def channel_max_backward_loops(x, g):
+    """Input gradient of the channel max pool: each g goes to the first
+    maximal channel of its pixel."""
+    n, c, h, w = x.shape
+    gx = np.zeros_like(x)
+    for ni in range(n):
+        for i in range(h):
+            for j in range(w):
+                best = 0
+                for ci in range(1, c):
+                    if x[ni, ci, i, j] > x[ni, best, i, j]:
+                        best = ci
+                gx[ni, best, i, j] = g[ni, 0, i, j]
+    return gx
+
+
 def dense_loops(x, w):
     n, c, _, _ = x.shape
     cout = w.shape[0]

@@ -15,6 +15,7 @@ import drawseg
 from drawseg import cli
 from drawseg import tensor as T
 from drawseg.netpbm import read_pgm
+from test_models import write_long_level_checkpoint
 
 
 def dir_digest(root):
@@ -388,6 +389,12 @@ class TestExitCodes:
         path = tmp_path / "bad.segm"
         path.write_bytes(raw)
         assert cli.main(["eval", "--ckpt", str(path), "--data", str(data_dir)]) == 2
+
+    def test_checkpoint_of_many_tiny_convs_is_2(self, data_dir, tmp_path, capsys):
+        path = tmp_path / "long.segm"
+        write_long_level_checkpoint(path)
+        assert cli.main(["eval", "--ckpt", str(path), "--data", str(data_dir)]) == 2
+        assert "at most 8 convs" in capsys.readouterr().err
 
     def test_gradcheck_corrupted_rule_is_1(self, monkeypatch):
         real = T.sigmoid

@@ -1,6 +1,7 @@
 """Variant construction, shape contracts, parameter accounting, checkpoints."""
 import struct
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -134,6 +135,37 @@ class TestForward:
         x = Tensor(np.random.default_rng(2).standard_normal((1, 1, 16, 16)).astype(np.float32))
         np.testing.assert_array_equal(model.forward(x).data, model.forward(x).data)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_conv_output_views_change_no_bit(self, dtype, monkeypatch):
+        # conv2d returns a cropped view of its tap-sum buffer; a contiguous copy
+        # of it must give every consumer the same bits
+        real, views = T.conv2d, []
+
+        def contiguous(*args):
+            out = real(*args)
+            views.append(not out.data.flags.c_contiguous)
+            out.data = np.ascontiguousarray(out.data)
+            return out
+
+        def run(variant, x, g):
+            model = M.build_model(variant, DESK, 6, seed=4, dtype=dtype)
+            logits = model.forward(Tensor(x))
+            T.sum_all(T.mul(logits, Tensor(g))).backward()
+            return [logits.data] + [t.grad for t in model.parameters()]
+
+        rng = np.random.default_rng(37)
+        for n in (1, 3):
+            x = rng.standard_normal((n, 1, 16, 16)).astype(dtype)
+            g = rng.standard_normal((n, 6, 16, 16)).astype(dtype)
+            for variant in M.ALL_VARIANTS:
+                want = run(variant, x, g)
+                with monkeypatch.context() as m:
+                    m.setattr(T, "conv2d", contiguous)
+                    got = run(variant, x, g)
+                for a, b in zip(got, want, strict=True):
+                    assert np.array_equal(a, b), variant.cli_name
+        assert any(views)
+
     def test_divisibility_rejected_with_message(self):
         model = M.build_model(M.ModelVariant("unet", False, False), DESK, 6, seed=0)
         x = Tensor(np.zeros((1, 1, 60, 60), dtype=np.float32))
@@ -179,6 +211,15 @@ class TestFreezing:
         names = [name for name, _ in model.named_parameters()]
         assert gradient_off(model) == {n for n in names if n.startswith("cnn.b")}
         assert any(n.startswith("cnn.cbam") for n in names)
+
+
+def write_long_level_checkpoint(path, convs: int = 20000) -> None:
+    """A self-consistent unet-base checkpoint of depth 2, base width 1 and
+    convs_per_block (convs, 1): 0.80 MB holding 40010 tensors at 20000."""
+    shape = types.SimpleNamespace(depth=2, convs_per_block=(convs, 1), widths=lambda: [1, 2])
+    count = unet_base_param_count(shape, 6)
+    header = M._HEADER.pack(M._MAGIC, M._VERSION, 0, 0, 0, 2, 1, *M._FIXED, 6)
+    path.write_bytes(header + struct.pack("<2IQ", convs, 1, count) + bytes(4 * count))
 
 
 def _no_build(*args, **kwargs):
@@ -237,11 +278,11 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="family"):
             M.load_checkpoint(path)
 
-    @pytest.mark.parametrize("offset, value", [
-        (24, 4096),
-        (56 + 12, 10 ** 6),
+    @pytest.mark.parametrize("offset, value, match", [
+        (24, 4096, "payload ends inside"),
+        (56 + 12, 10 ** 6, "at most 8 convs"),
     ], ids=["base_width", "convs_per_block"])
-    def test_oversized_header_rejected_before_build(self, tmp_path, offset, value):
+    def test_oversized_header_rejected_before_build(self, tmp_path, offset, value, match):
         # u32 header fields sit at byte 8 + 4 * index; the conv list follows at byte 56
         model = M.build_model(M.ModelVariant("unet", True, True), DESK, 6, seed=0)
         path = tmp_path / "m.segm"
@@ -250,12 +291,23 @@ class TestCheckpoint:
         path.write_bytes(raw[:offset] + struct.pack("<I", value) + raw[offset + 4:])
         tracemalloc.start()
         try:
-            with pytest.raises(ValueError, match="payload ends inside"):
+            with pytest.raises(ValueError, match=match):
                 M.load_checkpoint(path)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 3 * len(raw)
+
+    def test_many_tiny_convs_rejected_before_any_tensor(self, tmp_path, monkeypatch):
+        path = tmp_path / "long.segm"
+        write_long_level_checkpoint(path)
+
+        def no_tensor(*args, **kwargs):
+            raise AssertionError("a tensor was built from an unchecked header")
+
+        monkeypatch.setattr(Tensor, "__init__", no_tensor)
+        with pytest.raises(ValueError, match="at most 8 convs"):
+            M.load_checkpoint(path)
 
     @pytest.mark.parametrize("index", range(6), ids=[
         "in_channels", "width_cap", "reduction", "spatial_width", "cnn_blocks", "cnn_attach_after"])
@@ -374,6 +426,11 @@ class TestEncoderConfigBounds:
     def test_level_without_convs_rejected(self):
         with pytest.raises(ValueError, match="at least one conv"):
             M.EncoderConfig(depth=2, convs_per_block=(2, 0))
+
+    def test_level_over_conv_cap_rejected(self):
+        M.EncoderConfig(depth=2, convs_per_block=(M.MAX_CONVS, 1))   # the cap itself is allowed
+        with pytest.raises(ValueError, match=f"at most {M.MAX_CONVS} convs, got {M.MAX_CONVS + 1}"):
+            M.EncoderConfig(depth=2, convs_per_block=(1, M.MAX_CONVS + 1))
 
     def test_widths_double_up_to_cap(self):
         enc = M.EncoderConfig(depth=6, base_width=3)

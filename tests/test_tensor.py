@@ -1,4 +1,5 @@
 """Forward oracles and gradient checks for the autodiff primitives."""
+import tracemalloc
 import weakref
 import zlib
 
@@ -172,6 +173,26 @@ class TestConv2d:
         np.testing.assert_allclose(out, oracle.conv2d_loops(x, w, b), rtol=1e-12, atol=1e-12)
         for got, want in ((dx, rdx), (dw, rdw), (db, rdb)):
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+    def test_no_grad_forward_holds_no_output_copy(self):
+        # the output is a cropped view of the tap-sum buffer, biased in place: at the
+        # peak only the padded input, that buffer and one group temporary are alive
+        n, c, h, w, o = 4, 8, 64, 64, 8
+        rng = np.random.default_rng(43)
+        x, wt, b = (Tensor(rng.standard_normal(shape).astype(np.float32))
+                    for shape in [(n, c, h, w), (o, c, 3, 3), (o,)])
+        span = h * (w + 2)
+        padded = n * c * (span + 3 * (w + 2)) * 4
+        group = min(n, T._TILE_BYTES // ((2 * o + c) * span * 4)) * o * span * 4
+        tracemalloc.start()
+        try:
+            with T.no_grad():
+                out = T.conv2d(x, wt, b)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert out.shape == (n, o, h, w)
+        assert peak < padded + n * o * span * 4 + group + 16 * 1024
 
     def test_float32_gradients_track_float64(self):
         rng = np.random.default_rng(31)
@@ -420,6 +441,35 @@ class TestGlobalAndChannelPools:
         avg, mx = oracle.channel_pool_loops(x.data)
         np.testing.assert_allclose(T.channel_avg_pool(x).data, avg, atol=1e-12)
         np.testing.assert_array_equal(T.channel_max_pool(x).data, mx)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_max_pool_ties_route_to_first_maximum(self, dtype):
+        rng = np.random.default_rng(23)
+        x = rng.integers(0, 3, size=(2, 5, 4, 6)).astype(dtype)   # small integers tie often
+        xc, xg = Tensor(x, requires_grad=True), Tensor(x, requires_grad=True)
+        gc = rng.standard_normal((2, 1, 4, 6)).astype(dtype)
+        gg = rng.standard_normal((2, 5, 1, 1)).astype(dtype)
+        T.sum_all(T.mul(T.channel_max_pool(xc), Tensor(gc))).backward()
+        T.sum_all(T.mul(T.global_max_pool(xg), Tensor(gg))).backward()
+        np.testing.assert_array_equal(xc.grad, oracle.channel_max_backward_loops(x, gc))
+        np.testing.assert_array_equal(xg.grad, oracle.global_max_backward_loops(x, gg))
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_max_pools_equal_argmax_formula(self, dtype):
+        # forward takes the maximum; backward finds the argmax, whose values are the same
+        rng = np.random.default_rng(29)
+        x = rng.integers(-2, 3, size=(2, 4, 5, 6)).astype(dtype)
+        x[0, 1, 2, 3] = np.nan       # NaN is the maximum of its pixel and of its plane
+        x[1, :, 0, 0] = np.nan
+        n, c, h, w = x.shape
+        flat = x.reshape(n, c, h * w)
+        want_g = np.take_along_axis(flat, flat.argmax(axis=2)[..., None], axis=2)
+        want_c = np.take_along_axis(x, x.argmax(axis=1)[:, None], axis=1)
+        got_g = T.global_max_pool(Tensor(x)).data
+        got_c = T.channel_max_pool(Tensor(x)).data
+        assert np.isnan(got_g).sum() == 5 and np.isnan(got_c).sum() == 2
+        assert np.array_equal(got_g, want_g.reshape(n, c, 1, 1), equal_nan=True)
+        assert np.array_equal(got_c, want_c, equal_nan=True)
 
 
 class TestDense:
