@@ -105,8 +105,8 @@ def spatial_attention(x: Tensor, block: CbamBlock) -> Tensor:
     """
     (w0, b0), (w1, b1), (w2, b2) = block.spatial
     y = T.concat_channels(T.channel_avg_pool(x), T.channel_max_pool(x))
-    y = T.relu(T.conv2d(y, w0, b0))
-    y = T.relu(T.conv2d(y, w1, b1))
+    y = T.conv2d(y, w0, b0, relu=True)
+    y = T.conv2d(y, w1, b1, relu=True)
     return T.sigmoid(T.conv2d(y, w2, b2))
 
 

@@ -121,7 +121,7 @@ class _ConvStack:
 
     def forward(self, x: Tensor) -> Tensor:
         for w, b in self.layers:
-            x = T.relu(T.conv2d(x, w, b))
+            x = T.conv2d(x, w, b, relu=True)
         return x
 
 
@@ -227,7 +227,7 @@ class SegModel:
 
     def _head_forward(self, y: Tensor) -> Tensor:
         (w1, b1), (w2, b2) = self.head
-        return T.conv2d(T.relu(T.conv2d(y, w1, b1)), w2, b2)
+        return T.conv2d(T.conv2d(y, w1, b1, relu=True), w2, b2)
 
     # -- parameters ---------------------------------------------------
 
@@ -273,11 +273,11 @@ def build_model(variant: ModelVariant, enc: EncoderConfig, num_classes: int,
 # checkpoints, little-endian and unpadded:
 #   bytes  0-3    magic b"SEGM"
 #   bytes  4-7    u32 version (1)
-#   bytes  8-55   12 x u32: family (index into FAMILIES), ave, cbam, depth,
-#                 base_width, then fields 5-10, which hold the constants
-#                 _FIXED (IN_CHANNELS, which is 1, WIDTH_CAP, cbam.REDUCTION,
-#                 cbam.SPATIAL_WIDTH, CNN_BLOCKS, CNN_ATTACH_AFTER), then
-#                 num_classes
+#   bytes  8-55   12 x u32: family (index into FAMILIES), ave and cbam
+#                 (0 or 1 each), depth, base_width, then fields 5-10, which
+#                 hold the constants _FIXED (IN_CHANNELS, which is 1,
+#                 WIDTH_CAP, cbam.REDUCTION, cbam.SPATIAL_WIDTH, CNN_BLOCKS,
+#                 CNN_ATTACH_AFTER), then num_classes
 #   then          depth x u32 convs_per_block
 #   then          u64 parameter count n
 #   then          n x f32: every parameter flattened row-major, in
@@ -346,6 +346,8 @@ def load_checkpoint(path) -> SegModel:
         raise ValueError(f"unsupported checkpoint version {version}")
     if fam >= len(FAMILIES):
         raise ValueError(f"bad checkpoint family index {fam}; expected < {len(FAMILIES)}")
+    if ave > 1 or cbam > 1:
+        raise ValueError(f"checkpoint ave and cbam flags are {ave} and {cbam}; expected 0 or 1")
     if tuple(fixed) != _FIXED:
         raise ValueError(f"checkpoint header fields 5-10 are {tuple(fixed)}; "
                          f"this build only reads {_FIXED}")

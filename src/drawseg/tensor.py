@@ -240,7 +240,7 @@ def _tap_sum(mats, src: np.ndarray, offsets: Sequence[int], span: int) -> np.nda
     return out
 
 
-def conv2d(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
+def conv2d(x: Tensor, weight: Tensor, bias: Tensor, *, relu: bool = False) -> Tensor:
     """Same-padded 2-D cross-correlation over N-C-H-W input with an O-C-k-k kernel.
 
     Layout: x is zero-padded by (p, p+1) rows and (p, p) columns (p = k // 2,
@@ -255,6 +255,16 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     output at 64x64, 10/8 at 8x8). Each value is the tap sum plus the bias,
     one rounding as in a cropped copy, so the bits are the same. For k = 1,
     Wp = W and the view is contiguous.
+
+    relu=True applies np.maximum(., 0) in place on that biased wide buffer,
+    one contiguous pass over the values relu(conv2d(...)) reads, so the
+    output bits are relu's. One activation is kept instead of two, because
+    a ReLU's backward needs only the sign of its output (In-Place ABN
+    recovers its backward from outputs the same way, Rota Bulo et al.,
+    arXiv 1712.02616). Backward first masks g in place with out > 0, relu's
+    own product taken on the output: out > 0 holds exactly where the
+    pre-activation is > 0 (NaN is false in both), so the masked g, signed
+    zeros included, has the bits relu hands to conv.
 
     Forward is _tap_sum of W_t @ slice_t, except when C = 1: then the k*k
     slices are first copied into one transient (N, k*k, span) operand, so
@@ -320,9 +330,13 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     else:
         wide = _tap_sum(tap_weights(), xf, offsets, span)
     wide += bias.data[:, None]
+    if relu:
+        np.maximum(wide, 0, out=wide)
     out = wide.reshape(n, cout, h, wp)[..., :w]
 
     def backward(g: np.ndarray) -> None:
+        if relu:
+            g *= out > 0      # g is this closure's own array (see _accumulate)
         if bias.requires_grad:
             _accumulate(bias, g.sum(axis=(0, 2, 3)))
         gp = (_zero_pad(g, p, p + 1, p, p) if p else g).reshape(n, cout, -1)

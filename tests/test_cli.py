@@ -368,11 +368,11 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith("error:")
 
     # header fields are u32 at byte 8 + 4 * index (layout above models._MAGIC)
-    _FIELD = {"family": 8, "base_width": 24, "in_channels": 28, "width_cap": 32,
-              "spatial_width": 40, "cnn_blocks": 44}
+    _FIELD = {"family": 8, "ave": 12, "cbam": 16, "base_width": 24, "in_channels": 28,
+              "width_cap": 32, "spatial_width": 40, "cnn_blocks": 44}
 
     @pytest.mark.parametrize("damage", [
-        "cut_after_header", "family_7",
+        "cut_after_header", "family_7", "ave_7", "cbam_4294967295",
         "in_channels_0", "width_cap_0", "spatial_width_0", "base_width_4096", "cnn_blocks_1000000"])
     def test_malformed_checkpoint_is_2(self, data_dir, run_dir, tmp_path, damage):
         raw = (run_dir / "checkpoints" / "final.segm").read_bytes()

@@ -1,10 +1,15 @@
 """Variant construction, shape contracts, parameter accounting, checkpoints."""
+import functools
 import struct
+import tempfile
 import tracemalloc
 import types
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from drawseg import cbam as C
 from drawseg import models as M
@@ -141,8 +146,8 @@ class TestForward:
         # of it must give every consumer the same bits
         real, views = T.conv2d, []
 
-        def contiguous(*args):
-            out = real(*args)
+        def contiguous(*args, **kwargs):
+            out = real(*args, **kwargs)
             views.append(not out.data.flags.c_contiguous)
             out.data = np.ascontiguousarray(out.data)
             return out
@@ -361,6 +366,75 @@ class TestCheckpoint:
         for (na, ta), (nb, tb) in zip(model.named_parameters(), loaded.named_parameters()):
             assert na == nb and ta.dtype == tb.dtype
             np.testing.assert_array_equal(ta.data, tb.data)
+
+
+@functools.cache
+def small_checkpoint(variant_index: int) -> bytes:
+    """The bytes of a depth-2, base-width-1 checkpoint of ALL_VARIANTS[variant_index]."""
+    model = M.build_model(M.ALL_VARIANTS[variant_index], M.EncoderConfig(depth=2, base_width=1),
+                          6, seed=variant_index)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "m.segm"
+        M.save_checkpoint(model, path)
+        return path.read_bytes()
+
+
+def assert_loads_back_or_rejected(raw: bytes) -> None:
+    """raw either loads a model that saves back to raw, or is rejected with
+    ValueError."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "m.segm"
+        path.write_bytes(raw)
+        try:
+            model = M.load_checkpoint(path)
+        except ValueError:
+            return
+        M.save_checkpoint(model, path)
+        assert path.read_bytes() == raw
+
+
+_VARIANT_INDEX = st.integers(0, len(M.ALL_VARIANTS) - 1)
+_U32 = st.one_of(st.integers(0, 9), st.integers(0, 2 ** 32 - 1))
+
+
+class TestCheckpointFuzz:
+    """Every input either loads a model that saves back to the same bytes or
+    raises ValueError: no struct.error, IndexError or MemoryError."""
+
+    @pytest.mark.parametrize("field", ["ave", "cbam"])
+    @pytest.mark.parametrize("value", [2, 7, 2 ** 31, 2 ** 32 - 1])
+    def test_flag_other_than_0_or_1_rejected(self, tmp_path, field, value):
+        # read through bool(), such a unet-full checkpoint loaded as unet-full
+        # and saved back a 1 in place of the value
+        raw = small_checkpoint(M.ALL_VARIANTS.index(M.ModelVariant("unet", True, True)))
+        off = {"ave": 12, "cbam": 16}[field]
+        assert struct.unpack_from("<I", raw, off) == (1,)
+        path = tmp_path / "m.segm"
+        path.write_bytes(raw[:off] + struct.pack("<I", value) + raw[off + 4:])
+        with pytest.raises(ValueError, match="expected 0 or 1"):
+            M.load_checkpoint(path)
+
+    @given(_VARIANT_INDEX, st.lists(st.tuples(st.integers(1, 17), _U32), min_size=1, max_size=3))
+    @settings(max_examples=200, deadline=None)
+    def test_edited_header_words(self, variant_index, edits):
+        # word i is the u32 at byte 4 * i: the version (1), the 12 header fields,
+        # the depth-2 conv list and the two halves of the u64 parameter count (17)
+        raw = bytearray(small_checkpoint(variant_index))
+        for index, value in edits:
+            raw[4 * index:4 * index + 4] = struct.pack("<I", value)
+        assert_loads_back_or_rejected(bytes(raw))
+
+    @given(_VARIANT_INDEX, st.integers(0, 1 << 20), st.binary(max_size=8))
+    @settings(max_examples=150, deadline=None)
+    def test_cut_then_extended(self, variant_index, cut, tail):
+        raw = small_checkpoint(variant_index)
+        assert_loads_back_or_rejected(raw[:cut % (len(raw) + 1)] + tail)
+
+    @given(st.one_of(st.binary(max_size=128),
+                     st.binary(max_size=128).map(lambda b: M._MAGIC + struct.pack("<I", 1) + b)))
+    @settings(max_examples=300, deadline=None)
+    def test_arbitrary_bytes(self, raw):
+        assert_loads_back_or_rejected(raw)
 
 
 UNET_FULL_DEPTH2_NAMES = [

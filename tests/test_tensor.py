@@ -175,8 +175,9 @@ class TestConv2d:
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
     def test_no_grad_forward_holds_no_output_copy(self):
-        # the output is a cropped view of the tap-sum buffer, biased in place: at the
-        # peak only the padded input, that buffer and one group temporary are alive
+        # the output is a cropped view of the tap-sum buffer, biased (and relu'd) in
+        # place: at the peak only the padded input, that buffer and one group
+        # temporary are alive
         n, c, h, w, o = 4, 8, 64, 64, 8
         rng = np.random.default_rng(43)
         x, wt, b = (Tensor(rng.standard_normal(shape).astype(np.float32))
@@ -184,15 +185,65 @@ class TestConv2d:
         span = h * (w + 2)
         padded = n * c * (span + 3 * (w + 2)) * 4
         group = min(n, T._TILE_BYTES // ((2 * o + c) * span * 4)) * o * span * 4
-        tracemalloc.start()
-        try:
-            with T.no_grad():
-                out = T.conv2d(x, wt, b)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert out.shape == (n, o, h, w)
-        assert peak < padded + n * o * span * 4 + group + 16 * 1024
+        for relu in (False, True):
+            tracemalloc.start()
+            try:
+                with T.no_grad():
+                    out = T.conv2d(x, wt, b, relu=relu)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert out.shape == (n, o, h, w)
+            assert peak < padded + n * o * span * 4 + group + 16 * 1024, relu
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("cin", [1, 2, 8])
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_fused_relu_matches_composite_bitwise(self, n, cin, k, dtype, monkeypatch):
+        # relu=True must give relu(conv2d(...))'s output and x, weight and bias
+        # gradients byte for byte, signed zeros included
+        monkeypatch.setattr(T, "_TILE_BYTES", 1)   # one sample per group
+        rng = np.random.default_rng(zlib.crc32(f"relu{n}{cin}{k}".encode()))
+        h, w, cout = 6, 7, 4
+        x, wt, b, g = (rng.standard_normal(shape).astype(dtype) for shape in
+                       [(n, cin, h, w), (cout, cin, k, k), (cout,), (n, cout, h, w)])
+        x[:, :, :3, :3] = 0.0   # pre-activations equal to the bias there,
+        b[0] = 0.0              # so channel 0 holds exact zeros
+
+        def run(fused):
+            xt, wtt, bt = (Tensor(a, requires_grad=True) for a in (x, wt, b))
+            out = (T.conv2d(xt, wtt, bt, relu=True) if fused
+                   else T.relu(T.conv2d(xt, wtt, bt)))
+            T.sum_all(T.mul(out, Tensor(g))).backward()
+            return [a.tobytes() for a in (out.data, xt.grad, wtt.grad, bt.grad)], out.data
+
+        got, out = run(True)
+        want, _ = run(False)
+        assert ((out == 0) & (g < 0)).any()   # masked entries whose product is -0.0
+        assert got == want
+
+    def test_fused_relu_keeps_one_activation(self):
+        # after a grad-enabled forward the closure keeps the padded input and the
+        # wide buffer; relu(conv2d(...)) keeps the pre-activation and relu's output
+        n, c, h, w, o = 4, 8, 64, 64, 8
+        rng = np.random.default_rng(47)
+        x, wt, b = (Tensor(rng.standard_normal(shape).astype(np.float32), requires_grad=True)
+                    for shape in [(n, c, h, w), (o, c, 3, 3), (o,)])
+        span = h * (w + 2)
+        bound = n * c * (span + 3 * (w + 2)) * 4 + n * o * span * 4 + 16 * 1024
+
+        def kept(fused):
+            tracemalloc.start()
+            try:
+                out = T.conv2d(x, wt, b, relu=True) if fused else T.relu(T.conv2d(x, wt, b))
+                current, _ = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert out.requires_grad
+            return current
+
+        assert kept(True) < bound < kept(False)
 
     def test_float32_gradients_track_float64(self):
         rng = np.random.default_rng(31)
