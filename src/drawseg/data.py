@@ -21,6 +21,7 @@ manifest.txt}, with manifest lines "<id> <width> <height>". Images are
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
@@ -336,7 +337,7 @@ class DrawingDataset:
         return k
 
     def read_ids(self, path) -> list[str]:
-        """The ids a list file names: at least one, each in the manifest."""
+        """The ids a list file names: at least one, each in the manifest, none twice."""
         path = Path(path)
         if not path.exists():
             raise FileNotFoundError(f"missing id list {path}")
@@ -347,6 +348,10 @@ class DrawingDataset:
         if unknown:
             raise ValueError(f"{path} names ids not in the manifest: "
                              + ", ".join(map(repr, unknown[:3])))
+        twice = [sid for sid, count in Counter(ids).items() if count > 1]
+        if twice:
+            raise ValueError(f"{path} names ids more than once: "
+                             + ", ".join(map(repr, twice[:3])))
         return ids
 
     def split_ids(self, k: int) -> list[str]:

@@ -134,7 +134,9 @@ class SegModel:
         if num_classes < 2:
             raise ValueError(f"num_classes must be >= 2, got {num_classes}")
         self.variant = variant
-        self.enc = enc
+        # the cnn family reads base_width only; the default depth and conv list
+        # give each cnn network one checkpoint byte form
+        self.enc = enc if variant.family == "unet" else EncoderConfig(base_width=enc.base_width)
         self.num_classes = num_classes
         self.dtype = store.dtype
         if variant.family == "unet":
@@ -278,7 +280,8 @@ def build_model(variant: ModelVariant, enc: EncoderConfig, num_classes: int,
 #                 hold the constants _FIXED (IN_CHANNELS, which is 1,
 #                 WIDTH_CAP, cbam.REDUCTION, cbam.SPATIAL_WIDTH, CNN_BLOCKS,
 #                 CNN_ATTACH_AFTER), then num_classes
-#   then          depth x u32 convs_per_block
+#   then          depth x u32 convs_per_block (a cnn checkpoint holds the
+#                 default depth and conv list, which the cnn family never reads)
 #   then          u64 parameter count n
 #   then          n x f32: every parameter flattened row-major, in
 #                 construction order (SegModel.parameters()); nothing follows
@@ -365,6 +368,10 @@ def load_checkpoint(path) -> SegModel:
 
     variant = ModelVariant(FAMILIES[fam], bool(ave), bool(cbam))
     enc = EncoderConfig(depth=depth, base_width=base, convs_per_block=tuple(convs))
+    default = EncoderConfig(base_width=base)
+    if variant.family == "cnn" and enc != default:
+        raise ValueError(f"cnn checkpoint holds depth {depth} and conv list {convs}; "
+                         f"the cnn family stores {default.depth} and {default.convs_per_block}")
     store = _PayloadStore(raw, off)
     model = SegModel(variant, enc, k, store)
     if store._pos != len(raw):

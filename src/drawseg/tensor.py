@@ -215,6 +215,8 @@ def _zero_pad(a: np.ndarray, top: int, bottom: int, left: int, right: int) -> np
 
 # bytes of one sample group's output, temporary and operand in _tap_sum: half of a 2 MiB L2
 _TILE_BYTES = 1 << 20
+# multiply-adds of one per-tap GEMM in _tap_sum, below the measured sgemm cliff (see conv2d)
+_SMALL_GEMM = 1_000_000
 
 
 def _tap_sum(mats, src: np.ndarray, offsets: Sequence[int], span: int) -> np.ndarray:
@@ -224,19 +226,29 @@ def _tap_sum(mats, src: np.ndarray, offsets: Sequence[int], span: int) -> np.nda
     one is added in place, so every output element is summed in the same
     order whichever caller asks. The taps run over groups of g samples at a
     time, g chosen so that a group's output, temporary and operand fit in
-    _TILE_BYTES (see conv2d).
+    _TILE_BYTES, and within a group over column tiles of b columns, b chosen
+    so that one GEMM does at most _SMALL_GEMM multiply-adds (see conv2d).
     """
     n, c = src.shape[:2]
     o = mats.shape[1]
     g = max(1, _TILE_BYTES // ((2 * o + c) * span * src.itemsize))
+    b = _SMALL_GEMM // (o * c) // 1024 * 1024
+    if 2048 <= b < span and span % 16 == 0:
+        per = -(-span // -(-span // b))   # span split evenly over ceil(span / b) tiles,
+        b = -(-per // 64) * 64            # widened to whole 64-column blocks: still <= b
+    else:
+        b = span
     out = np.empty((n, o, span), dtype=src.dtype)
-    tmp = np.empty((min(g, n), o, span), dtype=src.dtype)
+    tmp = np.empty((min(g, n), o, b), dtype=src.dtype)
     for i in range(0, n, g):
-        acc = out[i:i + g]
-        part = tmp[:len(acc)]
-        np.matmul(mats[0], src[i:i + g, :, offsets[0]:offsets[0] + span], out=acc)
-        for m, s in zip(mats[1:], offsets[1:]):
-            acc += np.matmul(m, src[i:i + g, :, s:s + span], out=part)
+        for j in range(0, span, b):
+            acc = out[i:i + g, :, j:j + b]
+            w = acc.shape[2]
+            part = tmp[:len(acc), :, :w]
+            cols = src[i:i + g, :, j:]
+            np.matmul(mats[0], cols[:, :, offsets[0]:offsets[0] + w], out=acc)
+            for m, s in zip(mats[1:], offsets[1:]):
+                acc += np.matmul(m, cols[:, :, s:s + w], out=part)
     return out
 
 
@@ -283,6 +295,34 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, *, relu: bool = False) -> Te
     depend on the group size: numpy's batched matmul issues one GEMM per
     sample with the same shapes either way, and the adds are elementwise
     in the same tap order.
+
+    Within a group, _tap_sum also splits the span into column tiles, so
+    that each per-tap GEMM stays within _SMALL_GEMM multiply-adds. Above
+    about 1e6, single-thread OpenBLAS 0.3.31 on a 2-vCPU AVX-512 Xeon VM
+    halves its sgemm rate: (8x8)@(8xN) ran at 80 GFLOP/s at N = 15625 and
+    38 at N = 15700, and (8x24)@(24xN) at 75 at N = 4096 and 44 at
+    N = 8192. The tile width is b = _SMALL_GEMM // (O*C), rounded down to
+    a multiple of 1024, and the span is split only when 2048 <= b < span:
+    into ceil(span / b) tiles of equal width, widened to whole 64-column
+    blocks (still at most b). No desk conv splits (at most 884k
+    multiply-adds per sample); at 128x128 and 256x256 the 8- and
+    16-channel convs and the head 1x1 do. Above O*C of about 488 the
+    2048-column floor stops the split: there 2048-column tiles of a
+    256x256 tap sum came within 5% of the unsplit one at (O, C) = (48,16),
+    (32,32) and (96,32), a gain too small to show. At (8,24) the rule's
+    3904-column tiles take that tap sum from 9.4 to 3.9 ms. A byte budget
+    alone would not do: 1 MiB picks 6553 columns there, 1.26e6
+    multiply-adds, past the bound, and 6016-column tiles took 7.7 ms.
+
+    The bits hold because no GEMM changes its K, operands or flags, so
+    each output element is the same chain of products and adds in the
+    same order. Tile edges must still fall where the unsplit GEMM has
+    whole vectors: OpenBLAS computes the columns past a GEMM's last whole
+    vector with other code, and in float64 a tile edge off a multiple of
+    8 columns moved bits (so did a 1-column float32 tile, which numpy
+    hands to gemv). Hence the 64-column blocks, and the split only for
+    spans that are multiples of 16, as every span is at 128x128 and
+    256x256.
 
     Backward zero-pads g the way forward pads x and flattens it to gp, so
     one copy of g serves both gradients. The weight gradient of tap t is

@@ -296,6 +296,19 @@ class TestExitCodes:
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["eval", "predict"])
+    def test_id_named_twice_is_2_and_writes_nothing(self, data_dir, run_dir, tmp_path, capsys,
+                                                    command):
+        ids = tmp_path / "ids.txt"
+        first = (data_dir / "splits" / "fold0.txt").read_text().split()[0]
+        ids.write_text(f"{first}\n{first}\n")
+        out = tmp_path / "out"
+        assert cli.main([command, "--data", str(data_dir), "--out", str(out), "--ckpt",
+                         str(run_dir / "checkpoints" / "final.segm"), "--ids", str(ids)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"more than once: '{first}'" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["eval", "predict"])
     def test_checkpoint_of_other_class_count_is_2(self, data_dir, tmp_path, capsys, command):
         ckpt = tmp_path / "k7.segm"
         drawseg.save_checkpoint(drawseg.build_model(
@@ -389,6 +402,16 @@ class TestExitCodes:
         path = tmp_path / "bad.segm"
         path.write_bytes(raw)
         assert cli.main(["eval", "--ckpt", str(path), "--data", str(data_dir)]) == 2
+
+    def test_cnn_checkpoint_of_other_conv_list_is_2(self, data_dir, tmp_path, capsys):
+        path = tmp_path / "cnn.segm"
+        drawseg.save_checkpoint(drawseg.build_model(
+            drawseg.ModelVariant("cnn", True, False), drawseg.EncoderConfig(base_width=2), 6,
+            seed=0), path)
+        raw = path.read_bytes()
+        path.write_bytes(raw[:56] + struct.pack("<I", 3) + raw[60:])   # first conv-list word
+        assert cli.main(["eval", "--ckpt", str(path), "--data", str(data_dir)]) == 2
+        assert "cnn checkpoint holds depth 4 and conv list (3, 2, 2, 2)" in capsys.readouterr().err
 
     def test_checkpoint_of_many_tiny_convs_is_2(self, data_dir, tmp_path, capsys):
         path = tmp_path / "long.segm"

@@ -366,6 +366,27 @@ class TestDatasetText:
                                              r"'ghost', '00009'"):
             ds.fold(0)
 
+    def test_id_named_twice_rejected(self, tmp_path):
+        ds = self.make(tmp_path / "d", splits=("00000\n00002\n00000\n", "00001\n"))
+        with pytest.raises(ValueError, match=r"fold0\.txt names ids more than once: '00000'"):
+            ds.fold(0)
+
+    @given(raw=st.one_of(
+        st.lists(st.sampled_from(_IDS), max_size=5).map(lambda ids: "\n".join(ids).encode()),
+        st.lists(_TOKEN, max_size=4).map(lambda tokens: " ".join(tokens).encode()),
+        st.binary(max_size=30)))
+    @settings(max_examples=80, deadline=None)
+    def test_fuzzed_id_list_is_read_or_rejected(self, raw):
+        with tempfile.TemporaryDirectory() as tmp:
+            ds = self.make(Path(tmp) / "d")
+            path = Path(tmp) / "ids.txt"
+            path.write_bytes(raw)
+            try:
+                ids = ds.read_ids(path)
+            except (ValueError, FileNotFoundError):
+                return
+        assert ids and len(set(ids)) == len(ids) and set(ids) <= set(ds.ids)
+
     @pytest.mark.parametrize("splits, match", [
         (("", "00001\n"), "names no ids"),
         (("00000 00001 00002\n", "00001\n"), "holds out every id"),

@@ -171,6 +171,55 @@ class TestForward:
                     assert np.array_equal(a, b), variant.cli_name
         assert any(views)
 
+    @staticmethod
+    def _tap_sums(monkeypatch, model, size):
+        """(O, C, span, tile widths) of every _tap_sum call in a forward and
+        backward of model on a (1, 1, size, size) input."""
+        real_tap_sum, real_matmul, calls = T._tap_sum, np.matmul, []
+
+        def tap_sum(mats, src, offsets, span):
+            calls.append((*mats.shape[1:], span, set()))
+            return real_tap_sum(mats, src, offsets, span)
+
+        def matmul(a, b, **kwargs):
+            if "out" in kwargs:   # a per-tap GEMM
+                calls[-1][-1].add(kwargs["out"].shape[-1])
+            return real_matmul(a, b, **kwargs)
+
+        x = np.random.default_rng(53).standard_normal((1, 1, size, size)).astype(np.float32)
+        with monkeypatch.context() as m:
+            m.setattr(T, "_tap_sum", tap_sum)
+            m.setattr(np, "matmul", matmul)
+            T.sum_all(model.forward(Tensor(x))).backward()
+        return calls
+
+    def test_column_tiles_follow_the_small_gemm_rule(self, monkeypatch):
+        # desk convs never split; at train-large's 256x256 the narrow convs
+        # and the head 1x1 do, and no tile's GEMM passes _SMALL_GEMM
+        for variant in M.ALL_VARIANTS:
+            model = M.build_model(variant, DESK, 6, seed=0)
+            for _, _, span, widths in self._tap_sums(monkeypatch, model, 64):
+                assert widths == {span}
+        model = M.build_model(M.ModelVariant("unet", True, True), DESK, 6, seed=0)
+        split = [(o, c, max(widths)) for o, c, span, widths in
+                 self._tap_sums(monkeypatch, model, 256) if max(widths) < span]
+        assert {(o, c) for o, c, _ in split} >= {(6, 8), (8, 8), (16, 8), (16, 16)}
+        assert max(o * c * width for o, c, width in split) <= T._SMALL_GEMM
+
+    def test_column_tiles_change_no_bit(self, monkeypatch):
+        def run():
+            model = M.build_model(M.ModelVariant("unet", True, True), DESK, 6, seed=6)
+            logits = model.forward(Tensor(x))
+            T.sum_all(T.mul(logits, Tensor(g))).backward()
+            return [logits.data.tobytes()] + [t.grad.tobytes() for t in model.parameters()]
+
+        rng = np.random.default_rng(59)
+        x = rng.standard_normal((1, 1, 128, 128)).astype(np.float32)
+        g = rng.standard_normal((1, 6, 128, 128)).astype(np.float32)
+        tiled = run()
+        monkeypatch.setattr(T, "_SMALL_GEMM", 1 << 62)   # one tile per span
+        assert run() == tiled
+
     def test_divisibility_rejected_with_message(self):
         model = M.build_model(M.ModelVariant("unet", False, False), DESK, 6, seed=0)
         x = Tensor(np.zeros((1, 1, 60, 60), dtype=np.float32))
@@ -353,6 +402,35 @@ class TestCheckpoint:
         for name, t in M.load_checkpoint(path).named_parameters():
             assert t.data.flags.owndata and t.data.flags.writeable, name
 
+    def test_cnn_checkpoint_has_one_byte_form(self, tmp_path):
+        # the cnn family reads base_width only, so the depth and conv list it
+        # was built with must not reach the file
+        paths = []
+        for enc in (M.EncoderConfig(depth=2, base_width=3), M.EncoderConfig(base_width=3),
+                    M.EncoderConfig(depth=5, base_width=3, convs_per_block=(1, 2, 3, 4, 5))):
+            model = M.build_model(M.ModelVariant("cnn", True, True), enc, 6, seed=9)
+            assert model.enc == M.EncoderConfig(base_width=3)
+            paths.append(tmp_path / f"m{len(paths)}.segm")
+            M.save_checkpoint(model, paths[-1])
+        assert len({p.read_bytes() for p in paths}) == 1
+
+    @pytest.mark.parametrize("edit", ["conv_1", "conv_3", "depth_2"])
+    def test_cnn_checkpoint_of_other_conv_words_rejected(self, tmp_path, edit):
+        # u32 words: the depth at byte 20, the conv list from byte 56 to the u64 count
+        model = M.build_model(M.ModelVariant("cnn", False, True), DESK, 6, seed=9)
+        path = tmp_path / "m.segm"
+        M.save_checkpoint(model, path)
+        raw = path.read_bytes()
+        assert struct.unpack_from("<I", raw, 20) == (4,)
+        assert struct.unpack_from("<4I", raw, 56) == (2, 2, 2, 2)
+        if edit == "depth_2":   # the form a depth-2 cnn run wrote before
+            raw = raw[:20] + struct.pack("<I", 2) + raw[24:56] + struct.pack("<2I", 2, 2) + raw[72:]
+        else:
+            raw = raw[:60] + struct.pack("<I", int(edit[-1])) + raw[64:]
+        path.write_bytes(raw)
+        with pytest.raises(ValueError, match="cnn checkpoint holds depth"):
+            M.load_checkpoint(path)
+
     def test_load_draws_no_values(self, tmp_path, monkeypatch):
         model = M.build_model(M.ModelVariant("cnn", True, True), DESK, 6, seed=9)
         path = tmp_path / "m.segm"
@@ -418,7 +496,8 @@ class TestCheckpointFuzz:
     @settings(max_examples=200, deadline=None)
     def test_edited_header_words(self, variant_index, edits):
         # word i is the u32 at byte 4 * i: the version (1), the 12 header fields,
-        # the depth-2 conv list and the two halves of the u64 parameter count (17)
+        # then a unet file's depth-2 conv list and the two halves of the u64
+        # parameter count (17), or a cnn file's default depth-4 conv list
         raw = bytearray(small_checkpoint(variant_index))
         for index, value in edits:
             raw[4 * index:4 * index + 4] = struct.pack("<I", value)

@@ -161,6 +161,44 @@ class TestConv2d:
             for got, want in zip(self._grads(x, wt, b, g, True), whole):
                 np.testing.assert_array_equal(got, want)
 
+    @pytest.mark.parametrize("relu", [False, True])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("cin", [1, 2, 8])
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_column_tiles_change_no_bit(self, n, cin, k, dtype, relu, monkeypatch):
+        # a 64x86 plane has a span of 5504 (k = 1) or 5632 (k = 3) columns; a
+        # 2048-column bound splits it into three 64-column-aligned tiles, the
+        # last one narrower, in forward and in the input gradient alike
+        rng = np.random.default_rng(zlib.crc32(f"tiles{n}{cin}{k}".encode()))
+        h, w, cout = 64, 86, 4
+        x, wt, b, g = (rng.standard_normal(shape).astype(dtype) for shape in
+                       [(n, cin, h, w), (cout, cin, k, k), (cout,), (n, cout, h, w)])
+        span = h * (w + 2 * (k // 2))
+
+        def run():
+            xt, wtt, bt = (Tensor(a, requires_grad=True) for a in (x, wt, b))
+            out = T.conv2d(xt, wtt, bt, relu=relu)
+            T.sum_all(T.mul(out, Tensor(g))).backward()
+            return [a.tobytes() for a in (out.data, xt.grad, wtt.grad, bt.grad)]
+
+        real, widths = np.matmul, []
+
+        def spy(*args, **kwargs):
+            if "out" in kwargs:   # _tap_sum's per-tap GEMMs
+                widths.append(kwargs["out"].shape[-1])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(T, "_SMALL_GEMM", 1 << 62)   # one tile: the whole span
+        want = run()
+        monkeypatch.setattr(T, "_SMALL_GEMM", 2048 * cout * cin)
+        monkeypatch.setattr(np, "matmul", spy)
+        for tile_bytes in (T._TILE_BYTES, 1):
+            monkeypatch.setattr(T, "_TILE_BYTES", tile_bytes)
+            assert run() == want, tile_bytes
+        assert min(widths) < max(widths) <= span / 2.5   # three tiles, the last one narrower
+        assert all(wd % 64 == 0 for wd in set(widths) - {min(widths)})
+
     def test_one_sample_groups_match_loop_oracle(self, monkeypatch):
         monkeypatch.setattr(T, "_TILE_BYTES", 1)
         rng = np.random.default_rng(41)
