@@ -54,6 +54,8 @@ _SINGLE_OPS = {
     "max_pool2d": ("max_pool2d", {"x": (1, 2, 4, 4)}, True),
     "avg_pool2d": ("avg_pool2d", {"x": (1, 2, 4, 4)}, False),
     "upsample2x_bilinear": ("upsample2x", {"x": (1, 2, 3, 3)}, False),
+    # spans several of upsample2x's row and column tiles in both passes
+    "upsample2x_tiles": ("upsample2x", {"x": (1, 1, 34, 20)}, False),
     "concat_channels": ("concat_channels", {"a": (1, 2, 3, 3), "b": (1, 3, 3, 3)}, False),
     "mul_broadcast": ("mul", {"x": (2, 3, 3, 3), "w": (3, 1, 1)}, False),
     "relu": ("relu", {"x": (1, 3, 4, 4)}, True),

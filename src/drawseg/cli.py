@@ -3,9 +3,9 @@
 Subcommands: gen-data, train, eval, predict, ablate, kfold, gradcheck.
 Every command echoes its resolved configuration as JSON before acting.
 Exit codes: 0 success, 1 verification failure, 2 usage or path error
-(including a --jobs worker that died), 3 numerical failure. gen-data,
-train, ablate and kfold take --seed (default 0); eval and predict are
-deterministic and take no seed.
+(including a --jobs worker that died and an array too large for memory),
+3 numerical failure. gen-data, train, ablate and kfold take --seed
+(default 0); eval and predict are deterministic and take no seed.
 """
 from __future__ import annotations
 
@@ -300,6 +300,10 @@ def main(argv=None) -> int:
     except BrokenExecutor as e:
         # a worker killed halfway through its traceback leaves a partial line on stderr
         print(f"\nerror: {e}", file=sys.stderr)
+        return 2
+    except MemoryError as e:
+        # numpy's message names the size and shape, e.g. of a --base-width too wide
+        print(f"error: out of memory: {e}", file=sys.stderr)
         return 2
     except (OSError, KeyError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)

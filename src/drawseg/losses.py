@@ -15,6 +15,7 @@ Logs are clamped at 1e-12.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,10 +37,12 @@ class LossSpec:
     def __post_init__(self):
         if self.kind not in LOSS_KINDS:
             raise ValueError(f"unknown loss kind {self.kind!r}; expected one of {LOSS_KINDS}")
-        if self.gamma < 0:
-            raise ValueError("focal gamma must be >= 0")
+        if not (math.isfinite(self.gamma) and self.gamma >= 0):
+            raise ValueError(f"focal gamma must be finite and >= 0, got {self.gamma}")
         if not 0 < self.alpha <= 1:
             raise ValueError("focal alpha must lie in (0, 1]")
+        if not math.isfinite(self.poly_eps):
+            raise ValueError(f"poly epsilon must be finite, got {self.poly_eps}")
 
 
 def _validate_targets(targets: np.ndarray, logits: Tensor) -> None:

@@ -129,6 +129,55 @@ def bilinear2x_loops(x):
     return out
 
 
+def bilinear2x_backward_loops(g):
+    """Input gradient of bilinear2x_loops: each output row's gradient scattered
+    to its two clamped source rows, then each column's to its two source columns."""
+    n, c, h2, w2 = g.shape
+    h, w = h2 // 2, w2 // 2
+
+    def taps(i, size):
+        s = (i + 0.5) / 2.0 - 0.5
+        lo = math.floor(s)
+        t = s - lo
+        return ((min(max(lo, 0), size - 1), 1 - t), (min(max(lo + 1, 0), size - 1), t))
+
+    rows = np.zeros((n, c, h, w2), dtype=g.dtype)
+    for i in range(h2):
+        for src, weight in taps(i, h):
+            rows[:, :, src, :] += weight * g[:, :, i, :]
+    gx = np.zeros((n, c, h, w), dtype=g.dtype)
+    for j in range(w2):
+        for src, weight in taps(j, w):
+            gx[:, :, :, src] += weight * rows[:, :, :, j]
+    return gx
+
+
+def bilinear2x_matrix(size, dtype):
+    """(2*size, size) dense interpolation operator, one row per output index."""
+    m = np.zeros((2 * size, size), dtype=dtype)
+    for i in range(2 * size):
+        s = (i + 0.5) / 2.0 - 0.5
+        lo = math.floor(s)
+        m[i, min(max(lo, 0), size - 1)] += 1.0 - (s - lo)
+        m[i, min(max(lo + 1, 0), size - 1)] += s - lo
+    return m
+
+
+def bilinear2x_dense(x):
+    """rows @ plane @ cols.T per plane with the whole dense operators,
+    zeros included: the separable product upsample2x computes by bands."""
+    n, c, h, w = x.shape
+    rows, cols = bilinear2x_matrix(h, x.dtype), bilinear2x_matrix(w, x.dtype)
+    return (rows[None] @ x.reshape(n * c, h, w) @ cols.T[None]).reshape(n, c, 2 * h, 2 * w)
+
+
+def bilinear2x_backward_dense(g):
+    """rows.T @ g @ cols per plane: the dense input gradient."""
+    n, c, h2, w2 = g.shape
+    rows, cols = bilinear2x_matrix(h2 // 2, g.dtype), bilinear2x_matrix(w2 // 2, g.dtype)
+    return (rows.T[None] @ g.reshape(n * c, h2, w2) @ cols[None]).reshape(n, c, h2 // 2, w2 // 2)
+
+
 def broadcast_mul_loops(x, w):
     wb = np.broadcast_to(w, x.shape)
     out = np.zeros_like(x)

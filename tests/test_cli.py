@@ -356,6 +356,37 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith("error:")
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, flag", [
+        ("train", "--poly-eps"), ("train", "--gamma"), ("kfold", "--gamma"),
+        ("kfold", "--poly-eps")])
+    def test_non_finite_loss_setting_is_2_and_writes_nothing(self, data_dir, tmp_path, capsys,
+                                                             command, flag):
+        out = tmp_path / "r"
+        assert cli.main([command, "--data", str(data_dir), "--out", str(out), "--epochs", "1",
+                         "--depth", "2", "--base-width", "2", flag, "nan"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and "finite" in captured.err
+        assert captured.out == ""   # refused before the config echo
+        assert not out.exists()
+
+    def test_model_too_large_for_memory_is_2_and_writes_nothing(self, data_dir, tmp_path,
+                                                                capsys, monkeypatch):
+        # --base-width 100000 asks numpy for a 671 GiB weight; the build is
+        # stubbed so that no test allocates for real
+        from drawseg import training as TR
+
+        def too_large(*args, **kwargs):
+            raise MemoryError("Unable to allocate 671. GiB for an array with shape "
+                              "(100000, 100000, 3, 3) and data type float32")
+
+        monkeypatch.setattr(TR, "build_model", too_large)
+        out = tmp_path / "r"
+        assert cli.main(["train", "--data", str(data_dir), "--out", str(out), "--epochs", "1",
+                         "--base-width", "100000"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: out of memory") and "671. GiB" in err
+        assert not out.exists()
+
     def test_num_classes_flag_is_gone(self, data_dir, tmp_path):
         assert cli.main(["train", "--data", str(data_dir), "--out", str(tmp_path / "r"),
                          "--num-classes", "7", "--epochs", "1"]) == 2

@@ -112,3 +112,9 @@ class TestValidationAndGradients:
             L.LossSpec(kind="focal", gamma=-1.0)
         with pytest.raises(ValueError):
             L.LossSpec(kind="focal", alpha=0.0)
+
+    @pytest.mark.parametrize("field", ["gamma", "poly_eps"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_setting_rejected(self, field, value):
+        with pytest.raises(ValueError, match="finite"):
+            L.LossSpec(kind="focal", **{field: value})

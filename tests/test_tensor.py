@@ -368,6 +368,57 @@ class TestUpsample:
         out = T.upsample2x(x)
         np.testing.assert_allclose(out.data, oracle.bilinear2x_loops(x.data), atol=1e-12)
 
+    @staticmethod
+    def _up_and_grad(x, g):
+        xt = Tensor(x, requires_grad=True)
+        out = T.upsample2x(xt)
+        T.sum_all(T.mul(out, Tensor(g))).backward()
+        return out.data, xt.grad
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", [(1, 1, s, s) for s in (1, 2, 4, 8, 16, 32, 64, 128)] + [
+        (1, 1, 48, 96), (4, 8, 32, 32), (8, 16, 16, 16), (4, 32, 8, 8), (8, 64, 4, 4),
+        (1, 16, 128, 128), (1, 8, 64, 64)])
+    def test_bands_match_dense_product_bit_for_bit(self, dtype, shape):
+        # every side the models upsample is a power of two or a multiple of 16
+        rng = np.random.default_rng(zlib.crc32(repr(shape).encode()))
+        x = rng.standard_normal(shape).astype(dtype)
+        g = rng.standard_normal((*shape[:2], 2 * shape[2], 2 * shape[3])).astype(dtype)
+        out, gx = self._up_and_grad(x, g)
+        assert out.tobytes() == oracle.bilinear2x_dense(x).tobytes()
+        assert gx.tobytes() == oracle.bilinear2x_backward_dense(g).tobytes()
+
+    @pytest.mark.parametrize("dtype, hw", [
+        (dtype, hw) for dtype in (np.float32, np.float64)
+        for hw in ((9, 9), (18, 18), (34, 34), (6, 10), (144, 288))])
+    def test_off_sizes_within_bound_of_loop_oracle(self, dtype, hw):
+        # off the multiples of 16 a band's shorter K may sum in another order
+        # (upsample2x's docstring); measured within 2 eps * the largest operand
+        rng = np.random.default_rng(hw[0] * 1000 + hw[1])
+        x = rng.standard_normal((1, 1, *hw)).astype(dtype)
+        g = rng.standard_normal((1, 1, 2 * hw[0], 2 * hw[1])).astype(dtype)
+        out, gx = self._up_and_grad(x, g)
+        eps = np.finfo(dtype).eps
+        np.testing.assert_allclose(out, oracle.bilinear2x_loops(x), rtol=0,
+                                   atol=4 * eps * np.abs(x).max())
+        np.testing.assert_allclose(gx, oracle.bilinear2x_backward_loops(g), rtol=0,
+                                   atol=4 * eps * np.abs(g).max())
+
+    def test_nan_stays_in_its_tile(self):
+        # the dense product spreads 0 * NaN to every output; a band reaches
+        # only its tile. The pixels sit away from the bands' overlaps.
+        x = np.zeros((1, 1, 64, 64))
+        x[0, 0, 20, 40] = np.nan
+        g = np.zeros((1, 1, 128, 128))
+        g[0, 0, 40, 80] = np.nan
+        assert np.isnan(oracle.bilinear2x_dense(x)).sum() == 128 * 128
+        assert np.isnan(oracle.bilinear2x_backward_dense(g)).sum() == 64 * 64
+        xt = Tensor(x, requires_grad=True)
+        out = T.upsample2x(xt)
+        out._backward(g)
+        assert np.isnan(out.data).sum() == T._UP_TILE ** 2
+        assert np.isnan(xt.grad).sum() == T._UP_TILE_BACK ** 2
+
     def test_operator_cached_read_only_per_dtype(self):
         m64 = T._bilinear2x_matrix(5, np.dtype(np.float64))
         m32 = T._bilinear2x_matrix(5, np.dtype(np.float32))
