@@ -1,11 +1,11 @@
 """Command-line entry point.
 
-Subcommands: gen-data, train, eval, predict, ablate, kfold, gradcheck.
+Subcommands: gen-data, train, eval, predict, ablate, gradcheck.
 Every command echoes its resolved configuration as JSON before acting.
 Exit codes: 0 success, 1 verification failure, 2 usage or path error
 (including a --jobs worker that died and an array too large for memory),
-3 numerical failure. gen-data, train, ablate and kfold take --seed
-(default 0); eval and predict are deterministic and take no seed.
+3 numerical failure. gen-data, train and ablate take --seed (default 0);
+eval and predict are deterministic and take no seed.
 """
 from __future__ import annotations
 
@@ -25,7 +25,7 @@ from .models import ALL_VARIANTS, EncoderConfig, ModelVariant, load_checkpoint
 from .netpbm import write_pgm, write_ppm
 from .optim import NumericalError
 from .tensor import Tensor, no_grad
-from .training import TrainConfig, _batch_arrays, evaluate, run_ablation, run_kfold, train
+from .training import TrainConfig, _batch_arrays, evaluate, run_ablation, train
 
 # overlay palette, one RGB triple per class id
 PALETTE = {
@@ -46,10 +46,6 @@ def _echo(label: str, payload: dict) -> None:
 
 def _add_seed(p):
     p.add_argument("--seed", type=int, default=0, help="run seed")
-
-
-def _add_variant(p):
-    p.add_argument("--variant", choices=VARIANT_NAMES, default=TrainConfig().variant.cli_name)
 
 
 def _add_train_options(p):
@@ -205,19 +201,6 @@ def cmd_ablate(args) -> int:
     return 0
 
 
-def cmd_kfold(args) -> int:
-    cfg = _train_config(args)
-    _echo("kfold", json.loads(cfg.to_json()) | {
-        "data": args.data, "out": args.out, "jobs": args.jobs})
-    dataset = _open_dataset(args.data)
-    _, aggregate = run_kfold(cfg, dataset, args.out, jobs=args.jobs)
-    for name, stats in aggregate.items():
-        mean = "-" if stats["mean"] is None else f"{stats['mean']:.4f}"
-        std = "-" if stats["std"] is None else f"{stats['std']:.4f}"
-        print(f"{name:10s} {mean} +/- {std}")
-    return 0
-
-
 def cmd_gradcheck(args) -> int:
     _echo("gradcheck", {"scope": args.scope})
     report = checks.run_scope(args.scope)
@@ -244,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--val-fold", type=int, default=0, help="hold out the ids in splits/fold<k>.txt")
     p.add_argument("--no-validation", action="store_true")
-    _add_variant(p)
+    p.add_argument("--variant", choices=VARIANT_NAMES, default=TrainConfig().variant.cli_name)
     _add_train_options(p)
     p.set_defaults(fn=cmd_train)
 
@@ -263,21 +246,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_predict)
 
-    p = sub.add_parser("ablate", help="train the four variants of one family on splits/fold0.txt")
+    p = sub.add_parser("ablate", help="train the four variants of one family on every split "
+                                      "file (gen-data --folds sets K)")
     p.add_argument("--family", choices=("unet", "cnn"), required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--jobs", type=int, default=1)
     _add_train_options(p)
     p.set_defaults(fn=cmd_ablate)
-
-    p = sub.add_parser("kfold", help="one train run per split file (gen-data --folds sets K)")
-    p.add_argument("--data", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--jobs", type=int, default=1)
-    _add_variant(p)
-    _add_train_options(p)
-    p.set_defaults(fn=cmd_kfold)
 
     p = sub.add_parser("gradcheck", help="finite-difference verification suites")
     p.add_argument("--scope", choices=checks.SCOPES, required=True)

@@ -1,8 +1,8 @@
 """Training protocol: epoch loop with freeze/unfreeze, validation window,
-loss logging, checkpoints, K-fold orchestration and the ablation harness.
+loss logging, checkpoints and the ablation grid.
 
-Folds are the dataset's split files. Each kfold and ablation run is the run
-``drawseg train --variant v --val-fold k`` makes, cfg's seed included. With
+Folds are the dataset's split files. Each cell of the ablation grid is the
+run ``drawseg train --variant v --val-fold k`` makes, cfg's seed included. With
 jobs > 1 they run in spawned workers, which re-import __main__: a calling
 script without an ``if __name__ == "__main__":`` guard fails.
 
@@ -23,7 +23,6 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-import os
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -304,10 +303,7 @@ def train(cfg: TrainConfig, dataset, train_ids: Sequence[str],
 
 
 # ---------------------------------------------------------------------------
-# K-fold orchestration and the ablation harness
-
-
-_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+# the ablation grid
 
 
 def _run_job(job) -> tuple[Optional[MT.MetricsReport], int, float]:
@@ -319,9 +315,7 @@ def _run_cells(cfg: TrainConfig, dataset, out_dir, cells: list[tuple[ModelVarian
                jobs: int) -> list[tuple[MT.MetricsReport, int, float]]:
     """Train each (variant, fold, dir name) cell into out_dir/<dir name>, after
     reading every fold; returns each cell's (final report, parameter count,
-    wall seconds). Spawned workers get one BLAS thread each: forked ones would
-    inherit the parent's BLAS threads and run more threads than cores. Every
-    cell's image sizes are checked before any cell trains."""
+    wall seconds). Every cell's image sizes are checked before any cell trains."""
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     out = Path(out_dir)
@@ -334,66 +328,51 @@ def _run_cells(cfg: TrainConfig, dataset, out_dir, cells: list[tuple[ModelVarian
         return [_run_job(job) for job in queue]
     import multiprocessing   # here, so importing training loads no pool machinery
     from concurrent.futures import ProcessPoolExecutor
-    saved = {name: os.environ[name] for name in _BLAS_THREAD_VARS if name in os.environ}
-    os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, "1"))
-    try:
-        with ProcessPoolExecutor(jobs, mp_context=multiprocessing.get_context("spawn")) as pool:
-            return list(pool.map(_run_job, queue))
-    finally:
-        for name in _BLAS_THREAD_VARS:
-            del os.environ[name]
-        os.environ.update(saved)
-
-
-def run_kfold(cfg: TrainConfig, dataset, out_dir,
-              jobs: int = 1) -> tuple[list[MT.MetricsReport], dict]:
-    """Train cfg once per split file of the dataset, into out_dir/fold<k>;
-    all folds share cfg's seed, so their spread is the split's alone. The
-    aggregate is mean and population stddev per metric over folds."""
-    folds = dataset.num_folds
-    if folds < 2:
-        raise ValueError(f"kfold needs at least 2 split files under {dataset.root / 'splits'}, "
-                         f"found {folds}")
-    cells = [(cfg.variant, k, f"fold{k}") for k in range(folds)]
-    reports = [report for report, _, _ in _run_cells(cfg, dataset, out_dir, cells, jobs)]
-    out = Path(out_dir)
-    aggregate = {}
-    for name in ("iou_mean", "map", "accuracy"):
-        vals = [v for r in reports if (v := getattr(r, name)) is not None]
-        aggregate[name] = {"mean": float(np.mean(vals)) if vals else None,
-                           "std": float(np.std(vals)) if vals else None}
-    lines = ["metric,mean,std"] + [f"{name},{MT.csv_cell(s['mean'])},{MT.csv_cell(s['std'])}"
-                                   for name, s in aggregate.items()]
-    (out / "aggregate.csv").write_text("\n".join(lines) + "\n")
-    MT.write_metrics_csv(out / "metrics.csv",
-                         [(f"fold{k}", r) for k, r in enumerate(reports)])
-    return reports, aggregate
+    with ProcessPoolExecutor(jobs, mp_context=multiprocessing.get_context("spawn")) as pool:
+        return list(pool.map(_run_job, queue))
 
 
 def run_ablation(cfg: TrainConfig, dataset, family: str, out_dir,
                  jobs: int = 1) -> list[dict]:
-    """Train the four variants of one family on fold 0 of the dataset's split
-    files, into out_dir/<cli name>, and report each final model on that
-    fold's held-out ids."""
+    """Train the four variants of one family on every split file of the
+    dataset, into out_dir/<cli name>/fold<k>; all cells share cfg's seed.
+    metrics.csv holds each cell's final report on its fold's held-out ids, and
+    each variant's row is the mean and population stddev of its folds."""
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}")
+    folds = dataset.num_folds
+    if folds < 2:
+        raise ValueError(f"ablate needs at least 2 split files under {dataset.root / 'splits'}, "
+                         f"found {folds}")
     variants = [v for v in ALL_VARIANTS if v.family == family]
-    results = _run_cells(cfg, dataset, out_dir, [(v, 0, v.cli_name) for v in variants], jobs)
-    rows = [{"method": variant.row_name, "iou": report.iou_mean, "map": report.map,
-             "accuracy": report.accuracy, "params": params, "wall_seconds": wall}
-            for variant, (report, params, wall) in zip(variants, results)]
-
+    cells = [(v, k, f"{v.cli_name}/fold{k}") for v in variants for k in range(folds)]
+    results = _run_cells(cfg, dataset, out_dir, cells, jobs)
     out = Path(out_dir)
-    csv_lines = ["method,IoU,mAP,Accu,params"]
+    MT.write_metrics_csv(out / "metrics.csv",
+                         [(name, report) for (_, _, name), (report, _, _) in zip(cells, results)])
+
+    rows = []
+    for i, variant in enumerate(variants):
+        mine = results[i * folds:(i + 1) * folds]
+        row = {"method": variant.row_name, "params": mine[0][1],
+               "wall_seconds": float(np.mean([wall for _, _, wall in mine]))}
+        for key, name in (("iou", "iou_mean"), ("map", "map"), ("accuracy", "accuracy")):
+            vals = [v for report, _, _ in mine if (v := getattr(report, name)) is not None]
+            row[key] = float(np.mean(vals)) if vals else None
+            row[f"{key}_std"] = float(np.std(vals)) if vals else None
+        rows.append(row)
+
+    keys = ("iou", "iou_std", "map", "map_std", "accuracy", "accuracy_std")
+    csv_lines = ["method,IoU,IoU_std,mAP,mAP_std,Accu,Accu_std,params"]
     for r in rows:
-        cells = [MT.csv_cell(r[key]) for key in ("iou", "map", "accuracy")]
-        csv_lines.append(",".join([r["method"]] + cells + [str(r["params"])]))
+        csv_lines.append(",".join([r["method"]] + [MT.csv_cell(r[key]) for key in keys]
+                                  + [str(r["params"])]))
     (out / "ablation.csv").write_text("\n".join(csv_lines) + "\n")
 
-    fmt = lambda v: "  -   " if v is None else f"{v:.4f}"
-    txt = [f"{'method':<16}{'IoU':>8}{'mAP':>8}{'Accu':>8}{'params':>10}{'wall_s':>9}"]
+    fmt = lambda r, key: "-" if r[key] is None else f"{r[key]:.4f}+/-{r[key + '_std']:.4f}"
+    txt = [f"{'method':<16}{'IoU':>16}{'mAP':>16}{'Accu':>16}{'params':>10}{'wall_s':>9}"]
     for r in rows:
-        txt.append(f"{r['method']:<16}{fmt(r['iou']):>8}{fmt(r['map']):>8}"
-                   f"{fmt(r['accuracy']):>8}{r['params']:>10}{r['wall_seconds']:>9.1f}")
+        txt.append(f"{r['method']:<16}{fmt(r, 'iou'):>16}{fmt(r, 'map'):>16}"
+                   f"{fmt(r, 'accuracy'):>16}{r['params']:>10}{r['wall_seconds']:>9.1f}")
     (out / "ablation.txt").write_text("\n".join(txt) + "\n")
     return rows

@@ -92,6 +92,22 @@ class TestGenData:
         assert proc.returncode == 2
 
 
+class TestBlasThreads:
+    @pytest.mark.parametrize("given, expected", [(None, "1"), ("3", "3")])
+    def test_one_thread_unless_the_environment_names_a_count(self, given, expected):
+        blas = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+        src = str(Path(drawseg.__file__).resolve().parents[1])
+        env = {k: v for k, v in os.environ.items() if k not in blas}
+        env["PYTHONPATH"] = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+        if given is not None:
+            env["OPENBLAS_NUM_THREADS"] = given
+        code = f"import os, drawseg; print(*(os.environ[k] for k in {blas!r}))"
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == [expected, "1", "1"]
+
+
 class TestTrainEvalPredict:
     def test_train_writes_epoch_rows(self, run_dir):
         lines = (run_dir / "log.csv").read_text().strip().splitlines()
@@ -148,33 +164,34 @@ class TestParallelJobs:
         common = ["--data", str(data), "--epochs", "2", "--unfreeze-epoch", "1",
                   "--depth", "3", "--base-width", "4", "--seed", "6"]
         env_before = dict(os.environ)
-        for jobs in ("1", "2"):
-            assert cli.main(["ablate", "--family", "cnn", "--out", str(tmp_path / f"abl{jobs}"),
-                             "--jobs", jobs] + common) == 0
-            assert cli.main(["kfold", "--variant", "unet-full",
-                             "--out", str(tmp_path / f"kf{jobs}"), "--jobs", jobs] + common) == 0
+        for family in ("cnn", "unet"):
+            for jobs in ("1", "2"):
+                assert cli.main(["ablate", "--family", family,
+                                 "--out", str(tmp_path / f"{family}{jobs}"),
+                                 "--jobs", jobs] + common) == 0
         assert dict(os.environ) == env_before
-        skip = ("run.log", "ablation.txt")
-        serial = tree_bytes(tmp_path / "abl1", skip)
-        assert len(serial) == 4 * 6 + 1
-        assert tree_bytes(tmp_path / "abl2", skip) == serial
-        wall_free = [[line.rsplit(None, 1)[0] for line in
-                      (tmp_path / d / "ablation.txt").read_text().splitlines()]
-                     for d in ("abl1", "abl2")]
-        assert wall_free[0] == wall_free[1]
-        serial = tree_bytes(tmp_path / "kf1")
-        assert len(serial) == 3 * 6 + 2
-        assert tree_bytes(tmp_path / "kf2") == serial
-
-        # each fold's row is the report of its reloaded final checkpoint
         dataset = drawseg.DrawingDataset(data)
-        rows = (tmp_path / "kf1" / "metrics.csv").read_text().splitlines()[1:]
-        assert len(rows) == 3
-        for k, row in enumerate(rows):
-            model = drawseg.models.load_checkpoint(
-                tmp_path / "kf1" / f"fold{k}" / "checkpoints" / "final.segm")
-            report = drawseg.training.evaluate(model, dataset.split_ids(k), dataset, batch_size=4)
-            assert row == drawseg.metrics.metrics_csv_row(f"fold{k}", report)
+        skip = ("run.log", "ablation.txt")
+        for family in ("cnn", "unet"):
+            serial = tree_bytes(tmp_path / f"{family}1", skip)
+            assert len(serial) == 4 * 3 * 6 + 2
+            assert tree_bytes(tmp_path / f"{family}2", skip) == serial
+            wall_free = [[line.rsplit(None, 1)[0] for line in
+                          (tmp_path / f"{family}{jobs}" / "ablation.txt").read_text().splitlines()]
+                         for jobs in ("1", "2")]
+            assert wall_free[0] == wall_free[1]
+
+            # each cell's row is the report of its reloaded final checkpoint
+            rows = (tmp_path / f"{family}1" / "metrics.csv").read_text().splitlines()[1:]
+            cells = [(f"{v.cli_name}/fold{k}", k) for v in drawseg.ALL_VARIANTS
+                     if v.family == family for k in range(3)]
+            assert [row.split(",", 1)[0] for row in rows] == [cell for cell, _ in cells]
+            for (cell, k), row in zip(cells, rows):
+                model = drawseg.models.load_checkpoint(
+                    tmp_path / f"{family}1" / cell / "checkpoints" / "final.segm")
+                report = drawseg.training.evaluate(model, dataset.split_ids(k), dataset,
+                                                   batch_size=4)
+                assert row == drawseg.metrics.metrics_csv_row(cell, report)
 
     def test_cells_are_train_runs(self, tmp_path):
         # the dataset's seed differs from the run seed, so folds drawn from
@@ -184,25 +201,28 @@ class TestParallelJobs:
                          "--out", str(data)]) == 0
         common = ["--data", str(data), "--epochs", "2", "--unfreeze-epoch", "1",
                   "--depth", "2", "--base-width", "2", "--seed", "7"]
-        # (harness out dir, cell dir, variant, fold)
-        cells = [("abl", v, v, 0) for v in ("cnn-base", "cnn-ave", "cnn-cbam", "cnn-full")]
-        cells += [("kf", f"fold{k}", "unet-cbam", k) for k in range(2)]
-        for _, _, variant, k in cells:
+        cells = [(v.family, v.cli_name, k) for v in drawseg.ALL_VARIANTS for k in range(2)]
+        for _, variant, k in cells:
             assert cli.main(["train", "--variant", variant, "--val-fold", str(k),
                              "--out", str(tmp_path / f"{variant}-{k}")] + common) == 0
         for jobs in ("1", "2"):
-            assert cli.main(["ablate", "--family", "cnn", "--out", str(tmp_path / f"abl{jobs}"),
-                             "--jobs", jobs] + common) == 0
-            assert cli.main(["kfold", "--variant", "unet-cbam", "--out", str(tmp_path / f"kf{jobs}"),
-                             "--jobs", jobs] + common) == 0
-            assert sorted(p.name for p in (tmp_path / f"kf{jobs}").glob("fold*")) == ["fold0", "fold1"]
-            for harness, cell, variant, k in cells:
+            for family in ("cnn", "unet"):
+                assert cli.main(["ablate", "--family", family,
+                                 "--out", str(tmp_path / f"{family}{jobs}"),
+                                 "--jobs", jobs] + common) == 0
+            for family, variant, k in cells:
                 run = tree_bytes(tmp_path / f"{variant}-{k}")
                 assert len(run) == 6
-                assert tree_bytes(tmp_path / f"{harness}{jobs}" / cell) == run, (jobs, cell)
+                cell = tmp_path / f"{family}{jobs}" / variant / f"fold{k}"
+                assert tree_bytes(cell) == run, (jobs, variant, k)
 
 
 class TestExitCodes:
+    # Grid cases: "ablate" is the cnn family's grid and "kfold" the unet
+    # family's, whose every-fold runs of unet-full the kfold command made
+    # before ablate trained each variant on every fold.
+    _GRID = {"ablate": ["ablate", "--family", "cnn"], "kfold": ["ablate", "--family", "unet"]}
+
     def test_missing_dataset_is_2(self, tmp_path):
         assert cli.main(["train", "--data", str(tmp_path / "nope"),
                          "--out", str(tmp_path / "r"), "--epochs", "1"]) == 2
@@ -277,7 +297,7 @@ class TestExitCodes:
                          "--out", str(tmp_path / "abl"), "--jobs", "2"]) == 2
         assert capsys.readouterr().err.splitlines()[-1].startswith("error:")
 
-    @pytest.mark.parametrize("command", ["train", "kfold", "eval", "predict"])
+    @pytest.mark.parametrize("command", ["train", "ablate", "kfold", "eval", "predict"])
     def test_unknown_split_id_is_2_and_writes_nothing(self, data_dir, run_dir, tmp_path, capsys,
                                                       command):
         data = tmp_path / "data"
@@ -290,7 +310,8 @@ class TestExitCodes:
                     "--ids", "splits/fold0.txt"]
         else:
             argv = ["--epochs", "1", "--depth", "2", "--base-width", "2"]
-        assert cli.main([command, "--data", str(data), "--out", str(out), *argv]) == 2
+        head = self._GRID.get(command, [command])
+        assert cli.main([*head, "--data", str(data), "--out", str(out), *argv]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and "fold0.txt" in err and "'ghost'" in err
         assert not out.exists()
@@ -348,22 +369,24 @@ class TestExitCodes:
     def test_count_below_one_is_2_and_writes_nothing(self, data_dir, run_dir, tmp_path, capsys,
                                                      command, flag, value):
         out = tmp_path / "out"
-        argv = {"ablate": ["--family", "cnn", "--epochs", "1", "--base-width", "2"],
+        argv = {"ablate": ["--epochs", "1", "--base-width", "2"],
                 "kfold": ["--epochs", "1", "--depth", "2", "--base-width", "2"],
                 "eval": ["--ckpt", str(run_dir / "checkpoints" / "final.segm")]}[command]
-        assert cli.main([command, "--data", str(data_dir), "--out", str(out), *argv,
+        head = self._GRID.get(command, [command])
+        assert cli.main([*head, "--data", str(data_dir), "--out", str(out), *argv,
                          flag, value]) == 2
         assert capsys.readouterr().err.startswith("error:")
         assert not out.exists()
 
     @pytest.mark.parametrize("command, flag", [
         ("train", "--poly-eps"), ("train", "--gamma"), ("kfold", "--gamma"),
-        ("kfold", "--poly-eps")])
+        ("kfold", "--poly-eps"), ("ablate", "--gamma"), ("ablate", "--poly-eps")])
     def test_non_finite_loss_setting_is_2_and_writes_nothing(self, data_dir, tmp_path, capsys,
                                                              command, flag):
         out = tmp_path / "r"
-        assert cli.main([command, "--data", str(data_dir), "--out", str(out), "--epochs", "1",
-                         "--depth", "2", "--base-width", "2", flag, "nan"]) == 2
+        head = self._GRID.get(command, [command])
+        assert cli.main([*head, "--data", str(data_dir), "--out", str(out),
+                         "--epochs", "1", "--depth", "2", "--base-width", "2", flag, "nan"]) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith("error:") and "finite" in captured.err
         assert captured.out == ""   # refused before the config echo
@@ -400,15 +423,22 @@ class TestExitCodes:
         assert "--variant" in capsys.readouterr().err
         assert not (tmp_path / "abl").exists()
 
+    def test_kfold_command_is_gone(self, data_dir, tmp_path, capsys):
+        # one variant's rows of the ablate grid
+        assert cli.main(["kfold", "--data", str(data_dir), "--out", str(tmp_path / "kf"),
+                         "--epochs", "1"]) == 2
+        assert "invalid choice: 'kfold'" in capsys.readouterr().err
+        assert not (tmp_path / "kf").exists()
+
     @pytest.mark.parametrize("command", ["gen-data", "eval", "predict", "ablate", "kfold"])
     def test_out_naming_a_file_is_2(self, data_dir, run_dir, tmp_path, capsys, command):
         taken = tmp_path / "taken"
         taken.write_text("")
         ckpt = ["--ckpt", str(run_dir / "checkpoints" / "final.segm"), "--data", str(data_dir)]
-        argv = {"gen-data": ["--n", "1", "--size", "16"], "eval": ckpt, "predict": ckpt,
-                "ablate": ["--family", "unet", "--data", str(data_dir)],
-                "kfold": ["--data", str(data_dir)]}[command]
-        assert cli.main([command, *argv, "--out", str(taken)]) == 2
+        argv = {"gen-data": ["--n", "1", "--size", "16"], "eval": ckpt,
+                "predict": ckpt}.get(command, ["--data", str(data_dir)])
+        head = self._GRID.get(command, [command])
+        assert cli.main([*head, *argv, "--out", str(taken)]) == 2
         assert capsys.readouterr().err.startswith("error:")
 
     # header fields are u32 at byte 8 + 4 * index (layout above models._MAGIC)

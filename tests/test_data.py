@@ -411,7 +411,7 @@ class TestDatasetText:
     @settings(max_examples=60, deadline=None)
     def test_fuzzed_text_is_read_or_rejected(self, manifest, splits):
         with tempfile.TemporaryDirectory() as tmp:
-            root, out = Path(tmp) / "d", Path(tmp) / "kf"
+            root, out = Path(tmp) / "d", Path(tmp) / "abl"
             write_dataset_text(root, manifest, splits)
             try:
                 ds = D.DrawingDataset(root)
@@ -419,7 +419,7 @@ class TestDatasetText:
             except (ValueError, FileNotFoundError):
                 rejected = True
             # no images exist, so an accepted dataset fails in training, also with exit 2
-            assert cli.main(["kfold", "--data", str(root), "--out", str(out), "--epochs", "1",
-                             "--depth", "2", "--base-width", "2"]) == 2
+            assert cli.main(["ablate", "--family", "unet", "--data", str(root), "--out", str(out),
+                             "--epochs", "1", "--depth", "2", "--base-width", "2"]) == 2
             if rejected:
                 assert not out.exists()

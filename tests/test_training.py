@@ -1,4 +1,4 @@
-"""Epoch loop semantics: determinism, freezing, logging, kfold, ablation."""
+"""Epoch loop semantics: determinism, freezing, logging, the ablation grid."""
 import dataclasses
 import json
 import shutil
@@ -335,40 +335,58 @@ class TestShuffle:
         assert sorted(a) == sorted(ids)
 
 
+@pytest.fixture(scope="module")
+def cnn_grid(tiny_dataset, tmp_path_factory):
+    """The cnn family's ablation grid over both folds: (rows, out dir)."""
+    cfg = tiny_config(epochs=1, unfreeze_epoch=0,
+                      encoder=M.EncoderConfig(depth=3, base_width=4))
+    root = tmp_path_factory.mktemp("grid") / "abl"
+    return TR.run_ablation(cfg, tiny_dataset, "cnn", root), root
+
+
 class TestKFold:
-    def test_kfold_outputs(self, tiny_dataset, tmp_path):
-        cfg = tiny_config(epochs=1, unfreeze_epoch=0)
-        reports, aggregate = TR.run_kfold(cfg, tiny_dataset, tmp_path / "kf")
-        root = tmp_path / "kf"
-        assert len(reports) == 2
-        for k in range(2):
-            assert (root / f"fold{k}" / "checkpoints" / "final.segm").exists()
-            assert (root / f"fold{k}" / "log.csv").exists()
-        accs = [r.accuracy for r in reports]
-        assert aggregate["accuracy"]["mean"] == pytest.approx(np.mean(accs), abs=1e-12)
-        assert aggregate["accuracy"]["std"] == pytest.approx(np.std(accs), abs=1e-12)
-        assert (root / "aggregate.csv").exists()
+    """The grid's fold axis: every variant is trained once per split file."""
+
+    def test_kfold_outputs(self, cnn_grid):
+        rows, root = cnn_grid
+        names = ("cnn-base", "cnn-ave", "cnn-cbam", "cnn-full")
+        for name in names:
+            for k in range(2):
+                assert (root / name / f"fold{k}" / "checkpoints" / "final.segm").exists()
+                assert (root / name / f"fold{k}" / "log.csv").exists()
+        cells = [line.split(",") for line in
+                 (root / "metrics.csv").read_text().strip().splitlines()[1:]]
+        assert [c[0] for c in cells] == [f"{n}/fold{k}" for n in names for k in range(2)]
+        for i, row in enumerate(rows):
+            # metrics.csv columns: id, iou_mean, map, accuracy
+            for key, col in (("iou", 1), ("map", 2), ("accuracy", 3)):
+                folds = [float(c[col]) for c in cells[2 * i:2 * i + 2]]
+                assert row[key] == pytest.approx(np.mean(folds), abs=1e-12)
+                assert row[f"{key}_std"] == pytest.approx(np.std(folds), abs=1e-12)
 
     def test_fewer_than_two_split_files_rejected(self, tiny_dataset, tmp_path):
         one = tmp_path / "one"
         shutil.copytree(tiny_dataset.root, one)
         (one / "splits" / "fold1.txt").unlink()
         with pytest.raises(ValueError, match="at least 2 split files"):
-            TR.run_kfold(tiny_config(), D.DrawingDataset(one), tmp_path / "kf")
-        assert not (tmp_path / "kf").exists()
+            TR.run_ablation(tiny_config(), D.DrawingDataset(one), "unet", tmp_path / "abl")
+        assert not (tmp_path / "abl").exists()
 
 
 class TestAblation:
-    def test_table_shape_and_finiteness(self, tiny_dataset, tmp_path):
-        cfg = tiny_config(epochs=1, unfreeze_epoch=0,
-                          encoder=M.EncoderConfig(depth=3, base_width=4))
-        rows = TR.run_ablation(cfg, tiny_dataset, "cnn", tmp_path / "abl")
+    def test_table_shape_and_finiteness(self, cnn_grid):
+        rows, root = cnn_grid
         assert [r["method"] for r in rows] == [
             "Base", "Base+Ave", "Base+CBAM", "Base+Ave+CBAM"]
-        csv = (tmp_path / "abl" / "ablation.csv").read_text().strip().splitlines()
-        assert csv[0] == "method,IoU,mAP,Accu,params"
+        csv = (root / "ablation.csv").read_text().strip().splitlines()
+        assert csv[0] == "method,IoU,IoU_std,mAP,mAP_std,Accu,Accu_std,params"
         assert len(csv) == 5
-        assert (tmp_path / "abl" / "ablation.txt").exists()
+        assert all(np.isfinite(float(v)) for line in csv[1:] for v in line.split(",")[1:])
+        for row, line in zip(rows, csv[1:]):
+            assert line.split(",") == [row["method"]] + [MT.csv_cell(row[key]) for key in (
+                "iou", "iou_std", "map", "map_std", "accuracy", "accuracy_std")] + [
+                str(row["params"])]
+        assert len((root / "ablation.txt").read_text().splitlines()) == 5
         params = [r["params"] for r in rows]
         assert params[0] < params[1] and params[0] < params[2] < params[3]
 
