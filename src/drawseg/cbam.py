@@ -10,6 +10,7 @@ and can only attenuate.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,9 +37,10 @@ class ParamStore:
         self.dtype = np.dtype(dtype)
         self.named: list[tuple[str, Tensor]] = []
 
-    def weight(self, name: str, shape, fan_in: int) -> Tensor:
-        """He-uniform draw: U(-l, l) with l = sqrt(6 / fan_in)."""
-        limit = np.sqrt(6.0 / fan_in)
+    def weight(self, name: str, shape) -> Tensor:
+        """He-uniform draw: U(-l, l) with l = sqrt(6 / fan_in), where fan_in is
+        the product of every axis after the first (output) one."""
+        limit = np.sqrt(6.0 / math.prod(shape[1:]))
         return self._register(name, self.rng.uniform(-limit, limit, size=shape))
 
     def bias(self, name: str, n: int) -> Tensor:
@@ -47,7 +49,7 @@ class ParamStore:
 
     def conv(self, name: str, cin: int, cout: int, k: int) -> tuple[Tensor, Tensor]:
         """A k x k conv: weight ``name.w``, then bias ``name.b``."""
-        return (self.weight(f"{name}.w", (cout, cin, k, k), cin * k * k),
+        return (self.weight(f"{name}.w", (cout, cin, k, k)),
                 self.bias(f"{name}.b", cout))
 
     def _register(self, name: str, data: np.ndarray) -> Tensor:
@@ -75,8 +77,8 @@ def build_cbam(store: ParamStore, prefix: str, channels: int) -> CbamBlock:
     if channels < 1:
         raise ValueError(f"cbam needs >= 1 channel, got {channels}")
     hidden = max(1, channels // REDUCTION)
-    w1 = store.weight(f"{prefix}.mlp.w1", (hidden, channels), channels)
-    w2 = store.weight(f"{prefix}.mlp.w2", (channels, hidden), hidden)
+    w1 = store.weight(f"{prefix}.mlp.w1", (hidden, channels))
+    w2 = store.weight(f"{prefix}.mlp.w2", (channels, hidden))
     widths = [(2, SPATIAL_WIDTH), (SPATIAL_WIDTH, SPATIAL_WIDTH), (SPATIAL_WIDTH, 1)]
     return CbamBlock(w1, w2, [store.conv(f"{prefix}.spatial.conv{i}", cin, cout, 3)
                               for i, (cin, cout) in enumerate(widths)])

@@ -19,12 +19,12 @@ from .models import EncoderConfig, ModelVariant, build_model
 from .skipfuse import build_skip_block, skip_forward
 from .tensor import GradCheckReport, Tensor, grad_check
 
-SCOPES = ("primitive", "cbam", "skip", "model")
+JITTER = 0.05   # half-width of the uniform draw _jitter adds to every parameter
 
 
-def _jitter(params, rng, scale=0.05):
+def _jitter(params, rng):
     for p in params:
-        p.data = p.data + rng.uniform(-scale, scale, size=p.data.shape)
+        p.data = p.data + rng.uniform(-JITTER, JITTER, size=p.data.shape)
 
 
 def _ramped(rng, shape):
@@ -181,13 +181,12 @@ def check_model() -> GradCheckReport:
     return grad_check(build, params, tol=1e-4, h=1e-5, max_elements=3)
 
 
+# the gradcheck scopes, by name; the CLI offers these keys
+SCOPES = {"primitive": check_primitives, "cbam": check_cbam, "skip": check_skip,
+          "model": check_model}
+
+
 def run_scope(scope: str) -> GradCheckReport:
-    if scope == "primitive":
-        return check_primitives()
-    if scope == "cbam":
-        return check_cbam()
-    if scope == "skip":
-        return check_skip()
-    if scope == "model":
-        return check_model()
-    raise ValueError(f"unknown gradcheck scope {scope!r}; expected one of {SCOPES}")
+    if scope not in SCOPES:
+        raise ValueError(f"unknown gradcheck scope {scope!r}; expected one of {tuple(SCOPES)}")
+    return SCOPES[scope]()

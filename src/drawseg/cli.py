@@ -5,7 +5,10 @@ Every command echoes its resolved configuration as JSON before acting.
 Exit codes: 0 success, 1 verification failure, 2 usage or path error
 (including a --jobs worker that died and an array too large for memory),
 3 numerical failure. gen-data, train and ablate take --seed (default 0);
-eval and predict are deterministic and take no seed.
+eval and predict are deterministic and take no seed. The learning rate
+decays from --lr to --lr / 100 and --loss poly uses losses.POLY_EPS, with
+no flag for either. confusion.csv, from eval --out and in every run
+directory, holds pixel counts.
 """
 from __future__ import annotations
 
@@ -21,7 +24,7 @@ from . import checks
 from . import metrics as MT
 from .data import NUM_CLASSES, DrawingDataset, generate_dataset
 from .losses import LOSS_KINDS, LossSpec
-from .models import ALL_VARIANTS, EncoderConfig, ModelVariant, load_checkpoint
+from .models import ALL_VARIANTS, FAMILIES, EncoderConfig, ModelVariant, load_checkpoint
 from .netpbm import write_pgm, write_ppm
 from .optim import NumericalError
 from .tensor import Tensor, no_grad
@@ -53,10 +56,9 @@ def _add_train_options(p):
     p.add_argument("--loss", choices=LOSS_KINDS, default=cfg.loss.kind)
     p.add_argument("--gamma", type=float, default=cfg.loss.gamma, help="focal gamma")
     p.add_argument("--alpha", type=float, default=cfg.loss.alpha, help="focal alpha")
-    p.add_argument("--poly-eps", type=float, default=cfg.loss.poly_eps, help="poly loss epsilon")
     p.add_argument("--epochs", type=int, default=cfg.epochs)
-    # --unfreeze-epoch, --validate-from and --eta-min default to None, not to TrainConfig()'s
-    # values: TrainConfig derives them from --epochs and --lr
+    # --unfreeze-epoch and --validate-from default to None, not to TrainConfig()'s values:
+    # TrainConfig derives them from --epochs
     p.add_argument("--unfreeze-epoch", type=int, default=None,
                    help="epoch index where the encoder unfreezes, in [0, epochs] "
                         "(default: epochs // 2)")
@@ -64,8 +66,6 @@ def _add_train_options(p):
                    help="first epoch with validation, >= 0 (default: the unfreeze epoch)")
     p.add_argument("--batch-size", type=int, default=cfg.batch_size)
     p.add_argument("--lr", type=float, default=cfg.lr0, help="initial learning rate")
-    p.add_argument("--eta-min", type=float, default=None,
-                   help="cosine floor, in [0, lr] (default: lr / 100)")
     p.add_argument("--depth", type=int, default=cfg.encoder.depth)
     p.add_argument("--base-width", type=int, default=cfg.encoder.base_width)
     p.add_argument("--augment", action="store_true", help="on-the-fly train augmentation")
@@ -82,10 +82,8 @@ def _train_config(args) -> TrainConfig:
         unfreeze_epoch=args.unfreeze_epoch,
         validate_from=args.validate_from,
         batch_size=args.batch_size,
-        loss=LossSpec(kind=args.loss, gamma=args.gamma, alpha=args.alpha,
-                      poly_eps=args.poly_eps),
+        loss=LossSpec(kind=args.loss, gamma=args.gamma, alpha=args.alpha),
         lr0=args.lr,
-        eta_min=args.eta_min,
         seed=args.seed,
         augment=args.augment,
     )
@@ -248,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ablate", help="train the four variants of one family on every split "
                                       "file (gen-data --folds sets K)")
-    p.add_argument("--family", choices=("unet", "cnn"), required=True)
+    p.add_argument("--family", choices=FAMILIES, required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--jobs", type=int, default=1)

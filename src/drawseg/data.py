@@ -290,7 +290,9 @@ def generate_dataset(n: int, size: int, seed: int, out_dir, folds: int = 5) -> l
 class DrawingDataset:
     """Directory-backed dataset with an in-memory sample cache. Fold k holds
     out the ids in splits/fold<k>.txt; manifest, split and id-list files come
-    from outside the program, so a malformed line or unknown id is a ValueError."""
+    from outside the program, so a malformed line or unknown id is a ValueError.
+    An id must be one path component, so the files named after it stay inside
+    images/, masks/ and predict's --out."""
 
     def __init__(self, root):
         self.root = Path(root)
@@ -304,6 +306,8 @@ class DrawingDataset:
             if len(fields) != 3 or fields[0] in self.sizes:
                 raise ValueError(f"{manifest}:{n}: expected '<id> <width> <height>' "
                                  f"with a new id, got {line!r}")
+            if fields[0] in (".", "..") or "/" in fields[0] or "\\" in fields[0]:
+                raise ValueError(f"{manifest}:{n}: id {fields[0]!r} is not one path component")
             w, h = int(fields[1]), int(fields[2])
             if w < 1 or h < 1:
                 raise ValueError(f"{manifest}:{n}: image size {w}x{h} is below 1x1")

@@ -9,7 +9,8 @@ Four kinds are compared by the training harness:
            focal(gamma=0, alpha=1) reduces to ce bit-for-bit.
 * bce   -- one-vs-rest binary cross-entropy on sigmoid(logits), averaged
            over pixels and classes.
-* poly  -- ce + eps * mean(1 - p_t), the first-order polynomial expansion.
+* poly  -- ce + POLY_EPS * mean(1 - p_t), the first-order polynomial
+           expansion with POLY_EPS = 1: Poly-1 (Leng et al., arXiv 2204.12511).
 
 Logs are clamped at 1e-12.
 """
@@ -25,6 +26,7 @@ from .tensor import Tensor
 
 LOG_FLOOR = 1e-12
 LOSS_KINDS = ("ce", "bce", "poly", "focal")
+POLY_EPS = 1.0
 
 
 @dataclass(frozen=True)
@@ -32,7 +34,6 @@ class LossSpec:
     kind: str = "focal"
     gamma: float = 2.0       # focal only
     alpha: float = 0.25      # focal only
-    poly_eps: float = 1.0    # poly only
 
     def __post_init__(self):
         if self.kind not in LOSS_KINDS:
@@ -41,8 +42,6 @@ class LossSpec:
             raise ValueError(f"focal gamma must be finite and >= 0, got {self.gamma}")
         if not 0 < self.alpha <= 1:
             raise ValueError("focal alpha must lie in (0, 1]")
-        if not math.isfinite(self.poly_eps):
-            raise ValueError(f"poly epsilon must be finite, got {self.poly_eps}")
 
 
 def _validate_targets(targets: np.ndarray, logits: Tensor) -> None:
@@ -78,7 +77,7 @@ def segmentation_loss(spec: LossSpec, logits: Tensor, targets: np.ndarray) -> Te
         p_true = _true_class_prob(logits, targets)
         ce = T.mean_all(_nll(p_true))
         shortfall = T.mean_all(T.affine(p_true, -1.0, 1.0))
-        return T.add(ce, T.affine(shortfall, spec.poly_eps, 0.0))
+        return T.add(ce, T.affine(shortfall, POLY_EPS, 0.0))
     # bce: one-vs-rest on sigmoid(logits)
     n, k, h, w = logits.shape
     onehot = np.zeros((n, k, h, w), dtype=logits.dtype)

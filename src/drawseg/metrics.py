@@ -11,7 +11,7 @@ and listed, never scored as zero.
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -84,7 +84,6 @@ class MetricsReport:
     accuracy: float
     per_class_ap: dict             # foreground class id -> AP or None
     map: Optional[float]
-    excluded: list = field(default_factory=list)
     loss: Optional[float] = None   # per-image mean, when evaluate() is given a loss
 
     def summary(self) -> str:
@@ -97,8 +96,11 @@ class MetricsReport:
         for c, v in enumerate(self.per_class_iou):
             ap = self.per_class_ap.get(c)
             out.write(f"  {CLASS_NAMES[c]:12s} IoU {fmt(v)}   AP {fmt(ap)}\n")
-        if self.excluded:
-            out.write("undefined (excluded from means): " + ", ".join(self.excluded) + "\n")
+        excluded = [f"IoU[{CLASS_NAMES[c]}]" for c, v in enumerate(self.per_class_iou)
+                    if v is None]
+        excluded += [f"AP[{CLASS_NAMES[c]}]" for c, v in self.per_class_ap.items() if v is None]
+        if excluded:
+            out.write("undefined (excluded from means): " + ", ".join(excluded) + "\n")
         return out.getvalue()
 
 
@@ -109,13 +111,6 @@ def compute_report(per_image_cms: Sequence[np.ndarray]) -> MetricsReport:
     k = total.shape[0]
     per_class = [iou(total, c) for c in range(k)]
     map_value, per_class_ap = mean_average_precision(per_image_cms)
-    excluded = []
-    for c in range(k):
-        if per_class[c] is None:
-            excluded.append(f"IoU[{CLASS_NAMES[c] if c < len(CLASS_NAMES) else c}]")
-    for c, v in per_class_ap.items():
-        if v is None:
-            excluded.append(f"AP[{CLASS_NAMES[c] if c < len(CLASS_NAMES) else c}]")
     return MetricsReport(
         confusion=total,
         per_class_iou=per_class,
@@ -124,20 +119,11 @@ def compute_report(per_image_cms: Sequence[np.ndarray]) -> MetricsReport:
         accuracy=pixel_accuracy(total),
         per_class_ap=per_class_ap,
         map=map_value,
-        excluded=excluded,
     )
 
 
 # ---------------------------------------------------------------------------
 # rendering
-
-
-def _row_rates(cm: np.ndarray) -> list[list[Optional[float]]]:
-    rows = []
-    for p in range(cm.shape[0]):
-        s = cm[p, :].sum()
-        rows.append([None] * cm.shape[0] if s == 0 else [v / s for v in cm[p, :]])
-    return rows
 
 
 def render_confusion(cm: np.ndarray) -> str:
@@ -146,8 +132,9 @@ def render_confusion(cm: np.ndarray) -> str:
     width = max(len(s) for s in labels) + 2
     out = io.StringIO()
     out.write(" " * width + "".join(f"{s:>{width}}" for s in labels) + "   (columns: true)\n")
-    for p, rates in enumerate(_row_rates(cm)):
-        cells = "".join(f"{'-' if v is None else f'{v:.4f}':>{width}}" for v in rates)
+    for p, row in enumerate(cm):
+        s = row.sum()
+        cells = "".join(f"{'-' if s == 0 else f'{v / s:.4f}':>{width}}" for v in row)
         out.write(f"{labels[p]:>{width}}" + cells + "\n")
     return out.getvalue()
 
@@ -158,21 +145,13 @@ def csv_cell(v: Optional[float]) -> str:
 
 
 def confusion_csv(cm: np.ndarray) -> str:
-    """Row-normalized rates at full precision, so parsing them back is exact."""
+    """The pixel counts, one row per predicted class and one column per true
+    class, so every rate (precision, recall, IoU) can be worked out from it."""
     labels = CLASS_NAMES[:cm.shape[0]]
     lines = ["predicted\\true," + ",".join(labels)]
-    for p, rates in enumerate(_row_rates(cm)):
-        cells = ",".join(csv_cell(v) for v in rates)
-        lines.append(f"{labels[p]},{cells}")
+    for p, row in enumerate(cm):
+        lines.append(f"{labels[p]}," + ",".join(str(int(v)) for v in row))
     return "\n".join(lines) + "\n"
-
-
-def parse_confusion_csv(text: str) -> list[list[Optional[float]]]:
-    rows = []
-    for line in text.strip().splitlines()[1:]:
-        cells = line.split(",")[1:]
-        rows.append([None if c == "" else float(c) for c in cells])
-    return rows
 
 
 METRICS_CSV_HEADER = (

@@ -318,7 +318,7 @@ class _PayloadStore(ParamStore):
         self.dtype, self.named = np.dtype(T.TRAIN32), []
         self._raw, self._pos = raw, offset
 
-    def weight(self, name: str, shape, fan_in: int) -> Tensor:
+    def weight(self, name: str, shape) -> Tensor:
         return self._take(name, shape)
 
     def bias(self, name: str, n: int) -> Tensor:

@@ -1,4 +1,5 @@
-"""Adam with bias correction and the cosine learning-rate schedule."""
+"""Adam with bias correction and the cosine learning-rate schedule, whose
+floor is lr0 / 100, worked out where the rate is, so it follows lr0."""
 from __future__ import annotations
 
 import math
@@ -10,11 +11,12 @@ import numpy as np
 from .tensor import Tensor
 
 
-def cosine_lr(lr0: float, eta_min: float, total_epochs: int, epoch: int) -> float:
-    """Cosine decay from lr0 at epoch 0 to eta_min at epoch total_epochs."""
+def cosine_lr(lr0: float, total_epochs: int, epoch: int) -> float:
+    """Cosine decay from lr0 at epoch 0 to lr0 / 100 at epoch total_epochs."""
     if total_epochs < 1 or not 0 <= epoch <= total_epochs:
         raise ValueError(f"epoch {epoch} outside schedule range [0, {total_epochs}], "
                          "or total_epochs below 1")
+    eta_min = lr0 / 100.0
     span = lr0 - eta_min
     return eta_min + 0.5 * span * (1.0 + math.cos(math.pi * epoch / total_epochs))
 

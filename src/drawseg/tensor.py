@@ -201,15 +201,16 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
 # convolution and pooling
 
 
-def _zero_pad(a: np.ndarray, top: int, bottom: int, left: int, right: int) -> np.ndarray:
-    """N-C-H-W ``a`` zero-padded by rows (top, bottom) and columns (left, right).
+def _zero_pad(a: np.ndarray, p: int) -> np.ndarray:
+    """N-C-H-W ``a`` zero-padded by p rows above, p + 1 below and p columns on
+    each side: conv2d's layout, whose spare bottom row takes the last tap's overrun.
 
     One allocation and one slice copy: np.pad spends tens of microseconds
     in Python set-up per call, more than the copy itself at these sizes.
     """
     n, c, h, w = a.shape
-    out = np.zeros((n, c, h + top + bottom, left + w + right), dtype=a.dtype)
-    out[:, :, top:top + h, left:left + w] = a
+    out = np.zeros((n, c, h + 2 * p + 1, w + 2 * p), dtype=a.dtype)
+    out[:, :, p:p + h, p:p + w] = a
     return out
 
 
@@ -355,7 +356,7 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, *, relu: bool = False) -> Te
     p = k // 2
     wp = w + 2 * p
     span = h * wp
-    xf = (_zero_pad(x.data, p, p + 1, p, p) if p else x.data).reshape(n, cin, -1)
+    xf = (_zero_pad(x.data, p) if p else x.data).reshape(n, cin, -1)
     offsets = [u * wp + v for u in range(k) for v in range(k)]
 
     def tap_weights() -> np.ndarray:
@@ -379,7 +380,7 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, *, relu: bool = False) -> Te
             g *= out > 0      # g is this closure's own array (see _accumulate)
         if bias.requires_grad:
             _accumulate(bias, g.sum(axis=(0, 2, 3)))
-        gp = (_zero_pad(g, p, p + 1, p, p) if p else g).reshape(n, cout, -1)
+        gp = (_zero_pad(g, p) if p else g).reshape(n, cout, -1)
         if weight.requires_grad:
             mid = p * wp + p
             gwt = gp[:, :, mid:mid + span].transpose(0, 2, 1)
@@ -475,18 +476,18 @@ _UP_TILE = 32
 _UP_TILE_BACK = 16
 
 
-def _band_pass(op: np.ndarray, planes: np.ndarray, out: np.ndarray, *,
-               row_pass: bool) -> None:
-    """out = op @ planes per plane (row pass: planes and out are (P, K, N) and
-    (P, M, N)) or planes @ op (column pass: 2-D (M, K) and (M, N)), one matmul
-    per tile of out's rows or columns, each over only the band of K that
-    the tile's part of op can hold nonzero.
+def _band_pass(op: np.ndarray, planes: np.ndarray, out: np.ndarray) -> None:
+    """out = op @ planes per plane (row pass, when planes and out are 3-D:
+    (P, K, N) and (P, M, N)) or planes @ op (column pass, when they are 2-D:
+    (M, K) and (M, N)), one matmul per tile of out's rows or columns, each
+    over only the band of K that the tile's part of op can hold nonzero.
 
     op is a _bilinear2x_matrix, giving out twice K's extent (up), or its
     transpose (backward). Up, out indices [t0, t1) read [t0//2 - 1,
     (t1-1)//2 + 2) of K; in backward they read [2*t0 - 1, 2*t1 + 1). Both
     ranges are clamped to K.
     """
+    row_pass = planes.ndim == 3
     size, inner = op.shape if row_pass else op.shape[::-1]
     up = size > inner
     tile = _UP_TILE if up else _UP_TILE_BACK
@@ -544,15 +545,15 @@ def upsample2x(x: Tensor) -> Tensor:
     rows = _bilinear2x_matrix(h, dtype)
     cols = _bilinear2x_matrix(w, dtype)
     half = np.empty((n * c, 2 * h, w), dtype=dtype)
-    _band_pass(rows, x.data.reshape(n * c, h, w), half, row_pass=True)
+    _band_pass(rows, x.data.reshape(n * c, h, w), half)
     out = np.empty((n, c, 2 * h, 2 * w), dtype=dtype)
-    _band_pass(cols.T, half.reshape(-1, w), out.reshape(-1, 2 * w), row_pass=False)
+    _band_pass(cols.T, half.reshape(-1, w), out.reshape(-1, 2 * w))
 
     def backward(g: np.ndarray) -> None:
         half = np.empty((n * c, h, 2 * w), dtype=dtype)
-        _band_pass(rows.T, g.reshape(n * c, 2 * h, 2 * w), half, row_pass=True)
+        _band_pass(rows.T, g.reshape(n * c, 2 * h, 2 * w), half)
         gx = np.empty((n, c, h, w), dtype=dtype)
-        _band_pass(cols, half.reshape(-1, 2 * w), gx.reshape(-1, w), row_pass=False)
+        _band_pass(cols, half.reshape(-1, 2 * w), gx.reshape(-1, w))
         _accumulate(x, gx)
 
     return _result(out, [x], backward)
@@ -609,7 +610,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _result(out, [a, b], backward)
 
 
-def affine(x: Tensor, scale: float = 1.0, shift: float = 0.0) -> Tensor:
+def affine(x: Tensor, scale: float, shift: float) -> Tensor:
     """scale * x + shift with python-float constants."""
     out = x.data * scale + shift
 

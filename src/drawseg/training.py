@@ -8,14 +8,17 @@ script without an ``if __name__ == "__main__":`` guard fails.
 
 Epochs are numbered 0..epochs-1. The encoder stays frozen while
 epoch < unfreeze_epoch and validation runs from validate_from on. The
-learning rate for epoch e is the cosine schedule from lr0 to eta_min
-evaluated at e, so training starts exactly at lr0. TrainConfig resolves
-a None unfreeze_epoch to epochs // 2, validate_from to unfreeze_epoch and
-eta_min to lr0 / 100 (the protocol unfreezes and starts validating at the
-50 mark of a 100-epoch run), so config.json holds the values a run used.
+learning rate for epoch e is the cosine schedule from lr0 to lr0 / 100
+evaluated at e (optim.cosine_lr), so training starts exactly at lr0.
+TrainConfig resolves a None unfreeze_epoch to epochs // 2 and a None
+validate_from to unfreeze_epoch (the protocol unfreezes and starts
+validating at the 50 mark of a 100-epoch run), so config.json holds the
+values a run used; the schedule's floor is derived from lr0 and not stored.
 
-A run directory contains config.json, log.csv, checkpoints/{best,final}.segm,
-metrics.csv, confusion.csv and run.log. Everything except run.log (the one
+A run directory contains config.json, log.csv (one row per epoch),
+checkpoints/{best,final}.segm, metrics.csv (the final model's report on
+the validation ids), confusion.csv (that report's pixel counts, rows
+predicted, columns true) and run.log. Everything except run.log (the one
 file carrying a timestamp) is byte-deterministic for a fixed config/seed.
 """
 from __future__ import annotations
@@ -52,7 +55,6 @@ class TrainConfig:
     batch_size: int = 4
     loss: LossSpec = field(default_factory=LossSpec)
     lr0: float = 1e-4
-    eta_min: Optional[float] = None        # None -> lr0 / 100
     seed: int = 0
     augment: bool = False
     num_classes = NUM_CLASSES   # not a field: every mask holds data.NUM_CLASSES classes
@@ -73,10 +75,6 @@ class TrainConfig:
             object.__setattr__(self, "validate_from", self.unfreeze_epoch)
         if self.validate_from < 0:
             raise ValueError(f"validate_from must be >= 0, got {self.validate_from}")
-        if self.eta_min is None:
-            object.__setattr__(self, "eta_min", self.lr0 / 100.0)
-        if not 0 <= self.eta_min <= self.lr0:
-            raise ValueError(f"eta_min {self.eta_min} outside [0, lr0 = {self.lr0}]")
 
     def to_json(self) -> str:
         return json.dumps(dataclasses.asdict(self), indent=2, sort_keys=True)
@@ -243,7 +241,7 @@ def train(cfg: TrainConfig, dataset, train_ids: Sequence[str],
     try:
         try:
             for epoch in range(cfg.epochs):
-                lr = cosine_lr(cfg.lr0, cfg.eta_min, cfg.epochs, epoch)
+                lr = cosine_lr(cfg.lr0, cfg.epochs, epoch)
                 model.set_frozen(epoch < cfg.unfreeze_epoch)
                 order = epoch_shuffle(train_ids, cfg.seed, epoch)
                 total, seen = 0.0, 0

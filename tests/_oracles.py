@@ -287,6 +287,14 @@ def precision_loops(pred, gt, c):
     return hit / predicted
 
 
+def recall_loops(pred, gt, c):
+    actual = sum(1 for t in gt.reshape(-1) if t == c)
+    if actual == 0:
+        return None
+    hit = sum(1 for p, t in zip(pred.reshape(-1), gt.reshape(-1)) if p == c and t == c)
+    return hit / actual
+
+
 def adam_reference(theta0, grads, lr, beta1=0.9, beta2=0.999, eps=1e-8):
     """Textbook Adam with bias correction, one scalar-or-array parameter."""
     theta = np.array(theta0, dtype=np.float64)

@@ -14,7 +14,7 @@ import pytest
 import drawseg
 from drawseg import cli
 from drawseg import tensor as T
-from drawseg.netpbm import read_pgm
+from drawseg.netpbm import read_pgm, write_pgm
 from test_models import write_long_level_checkpoint
 
 
@@ -343,8 +343,7 @@ class TestExitCodes:
         assert not out.exists()
 
     @pytest.mark.parametrize("flag, value", [
-        ("--lr", "-1.0"), ("--lr", "0.0"), ("--lr", "nan"), ("--eta-min", "1.0"),
-        ("--eta-min", "-1e-9"), ("--validate-from", "-1")])
+        ("--lr", "-1.0"), ("--lr", "0.0"), ("--lr", "nan"), ("--validate-from", "-1")])
     def test_invalid_train_setting_is_2_and_writes_nothing(self, data_dir, tmp_path, capsys,
                                                            flag, value):
         out = tmp_path / "r"
@@ -379,8 +378,7 @@ class TestExitCodes:
         assert not out.exists()
 
     @pytest.mark.parametrize("command, flag", [
-        ("train", "--poly-eps"), ("train", "--gamma"), ("kfold", "--gamma"),
-        ("kfold", "--poly-eps"), ("ablate", "--gamma"), ("ablate", "--poly-eps")])
+        ("train", "--gamma"), ("kfold", "--gamma"), ("ablate", "--gamma")])
     def test_non_finite_loss_setting_is_2_and_writes_nothing(self, data_dir, tmp_path, capsys,
                                                              command, flag):
         out = tmp_path / "r"
@@ -414,6 +412,37 @@ class TestExitCodes:
         assert cli.main(["train", "--data", str(data_dir), "--out", str(tmp_path / "r"),
                          "--num-classes", "7", "--epochs", "1"]) == 2
         assert not (tmp_path / "r").exists()
+
+    @pytest.mark.parametrize("command, flag", [
+        ("train", "--eta-min"), ("train", "--poly-eps"), ("ablate", "--eta-min"),
+        ("ablate", "--poly-eps")])
+    def test_schedule_floor_and_poly_eps_flags_are_gone(self, data_dir, tmp_path, capsys,
+                                                         command, flag):
+        # the floor is always lr / 100 and the poly epsilon losses.POLY_EPS
+        out = tmp_path / "r"
+        head = self._GRID.get(command, [command])
+        assert cli.main([*head, "--data", str(data_dir), "--out", str(out), "--epochs", "1",
+                         flag, "0.5"]) == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_manifest_id_outside_the_dataset_is_2_and_writes_nothing(self, run_dir, tmp_path,
+                                                                     capsys):
+        # images/../escape/e.pgm and masks/../escape/e.pgm both name one readable mask file
+        data = tmp_path / "data"
+        for sub in ("images", "masks", "escape"):
+            (data / sub).mkdir(parents=True)
+        write_pgm(data / "escape" / "e.pgm", np.zeros((16, 16), dtype=np.uint8), maxval=5)
+        (data / "manifest.txt").write_text("../escape/e 16 16\n")
+        before = sorted(tmp_path.rglob("*"))
+        assert cli.main(["train", "--data", str(data), "--out", str(tmp_path / "r"),
+                         "--no-validation", "--epochs", "1", "--depth", "2",
+                         "--base-width", "2"]) == 2
+        assert cli.main(["predict", "--ckpt", str(run_dir / "checkpoints" / "final.segm"),
+                         "--data", str(data), "--out", str(tmp_path / "pred")]) == 2
+        err = capsys.readouterr().err
+        assert err.count("is not one path component") == 2
+        assert sorted(tmp_path.rglob("*")) == before
 
     def test_ablate_variant_flag_is_gone(self, data_dir, tmp_path, capsys):
         # ablate trains every variant of --family; a --variant it would ignore is refused

@@ -402,6 +402,13 @@ class TestDatasetText:
         ("00000 16 16\n00000 16 16\n", r"manifest\.txt:2: .*new id"),
         ("00000 16 x\n", "invalid literal"),
         ("00000 16 0\n", r"manifest\.txt:1: image size 16x0"),
+        # an id names files under images/, masks/ and predict's --out
+        ("00000 16 16\n../escape/e 16 16\n",
+         r"manifest\.txt:2: id '\.\./escape/e' is not one path component"),
+        ("a\\b 16 16\n", r"manifest\.txt:1: id 'a\\\\b' is not one path component"),
+        (". 16 16\n", r"manifest\.txt:1: id '\.' is not one path component"),
+        (".. 16 16\n", r"manifest\.txt:1: id '\.\.' is not one path component"),
+        ("/tmp/e 16 16\n", r"manifest\.txt:1: id '/tmp/e' is not one path component"),
     ])
     def test_malformed_manifest_rejected(self, tmp_path, manifest, match):
         with pytest.raises(ValueError, match=match):

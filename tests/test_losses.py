@@ -88,11 +88,11 @@ class TestValidationAndGradients:
         logits = Tensor(rng.standard_normal((1, 3, 4, 4)))
         target = rng.integers(0, 3, size=(1, 4, 4))
         ce = float(L.segmentation_loss(L.LossSpec(kind="ce"), logits, target).data)
-        poly = float(L.segmentation_loss(L.LossSpec(kind="poly", poly_eps=1.0),
-                                         logits, target).data)
+        poly = float(L.segmentation_loss(L.LossSpec(kind="poly"), logits, target).data)
         p = T.softmax_channels(logits).data
         ni, hi, wi = np.ogrid[:1, :4, :4]
         shortfall = (1.0 - p[ni, target, hi, wi]).mean()
+        assert L.POLY_EPS == 1.0   # Poly-1
         assert abs(poly - (ce + shortfall)) < 1e-12
 
     @pytest.mark.parametrize("kind", L.LOSS_KINDS)
@@ -113,7 +113,7 @@ class TestValidationAndGradients:
         with pytest.raises(ValueError):
             L.LossSpec(kind="focal", alpha=0.0)
 
-    @pytest.mark.parametrize("field", ["gamma", "poly_eps"])
+    @pytest.mark.parametrize("field", ["gamma"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_non_finite_setting_rejected(self, field, value):
         with pytest.raises(ValueError, match="finite"):

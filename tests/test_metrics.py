@@ -184,6 +184,34 @@ class TestReport:
             b = MT.iou(cm_p, perm[c])
             assert (a is None and b is None) or a == pytest.approx(b, abs=1e-15)
 
+    def test_summary_lists_undefined_classes(self):
+        # Thin and Arrow appear in neither truth nor prediction
+        gt1 = np.array([[0, 0, 1, 1], [0, 3, 3, 1], [0, 0, 0, 0], [5, 5, 0, 0]])
+        pr1 = np.array([[0, 1, 1, 1], [0, 3, 0, 0], [0, 0, 0, 0], [5, 0, 0, 0]])
+        gt2 = np.zeros((4, 4), dtype=int)
+        gt2[0, :2] = 1
+        pr2 = np.zeros((4, 4), dtype=int)
+        pr2[0, 0], pr2[3, 3] = 1, 3
+        report = MT.compute_report([MT.confusion(pr1, gt1, 6), MT.confusion(pr2, gt2, 6)])
+        assert report.summary() == (
+            "pixel accuracy      0.8125\n"
+            "mean IoU (fg)       0.4444\n"
+            "mean IoU (with bg)  0.5278\n"
+            "mAP                 0.7778\n"
+            "  Background   IoU 0.7778   AP -\n"
+            "  Thi          IoU 0.5000   AP 0.8333\n"
+            "  Thin         IoU -   AP -\n"
+            "  Dash         IoU 0.3333   AP 0.5000\n"
+            "  Arrow        IoU -   AP -\n"
+            "  Numer        IoU 0.5000   AP 1.0000\n"
+            "undefined (excluded from means): IoU[Thin], IoU[Arrow], AP[Thin], AP[Arrow]\n")
+
+
+def read_counts(text):
+    """confusion.csv's body as an integer matrix; every cell must be an int."""
+    return np.array([[int(v) for v in line.split(",")[1:]]
+                     for line in text.splitlines()[1:]])
+
 
 class TestRendering:
     def test_diagonal_grid_shows_ones(self):
@@ -201,14 +229,20 @@ class TestRendering:
         rng = np.random.default_rng(12)
         pred, gt = random_pair(rng)
         cm = MT.confusion(pred, gt, 6)
-        text = MT.confusion_csv(cm)
-        parsed = MT.parse_confusion_csv(text)
-        for p in range(6):
-            s = cm[p, :].sum()
-            for t in range(6):
-                want = None if s == 0 else cm[p, t] / s
-                got = parsed[p][t]
-                assert (want is None and got is None) or want == got
+        np.testing.assert_array_equal(read_counts(MT.confusion_csv(cm)), cm)
+
+    def test_recall_read_from_csv_matches_oracle(self):
+        # recall divides by the true-class column, which row-normalised rates could not give
+        rng = np.random.default_rng(13)
+        pred, gt = random_pair(rng, shape=(12, 12))
+        pred[pred == 4] = 0   # one class never predicted: recall 0, not undefined
+        gt[gt == 5] = 1       # one class absent from the truth: recall undefined
+        cm = read_counts(MT.confusion_csv(MT.confusion(pred, gt, 6)))
+        for c in range(6):
+            actual = cm[:, c].sum()
+            got = None if actual == 0 else cm[c, c] / actual
+            want = oracle.recall_loops(pred, gt, c)
+            assert (got is None and want is None) or got == pytest.approx(want, abs=1e-15)
 
     @given(st.integers(min_value=0, max_value=2 ** 31 - 1))
     @settings(max_examples=25, deadline=None)

@@ -11,26 +11,26 @@ from drawseg.training import TrainConfig
 class TestCosine:
     def test_endpoints_and_midpoint(self):
         floor = 1e-4 / 100.0
-        assert O.cosine_lr(1e-4, floor, 100, 0) == 1e-4
-        assert O.cosine_lr(1e-4, floor, 100, 100) == floor
-        assert O.cosine_lr(1e-4, floor, 100, 50) == (1e-4 + floor) / 2.0
+        assert O.cosine_lr(1e-4, 100, 0) == 1e-4
+        assert O.cosine_lr(1e-4, 100, 100) == floor
+        assert O.cosine_lr(1e-4, 100, 50) == (1e-4 + floor) / 2.0
 
     def test_default_floor_is_hundredth(self):
         cfg = TrainConfig(epochs=10, lr0=3e-3)
-        assert O.cosine_lr(cfg.lr0, cfg.eta_min, 10, 10) == 3e-5
-        assert O.cosine_lr(3e-3, 1e-5, 10, 10) == 1e-5
+        assert O.cosine_lr(cfg.lr0, cfg.epochs, 10) == 3e-5
+        assert O.cosine_lr(1e-2, 40, 40) == 1e-4
 
     def test_monotone_non_increasing(self):
-        values = [O.cosine_lr(1e-2, 1e-4, 40, e) for e in range(41)]
+        values = [O.cosine_lr(1e-2, 40, e) for e in range(41)]
         assert all(a >= b for a, b in zip(values, values[1:]))
 
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
-            O.cosine_lr(1e-4, 1e-6, 10, -1)
+            O.cosine_lr(1e-4, 10, -1)
         with pytest.raises(ValueError):
-            O.cosine_lr(1e-4, 1e-6, 10, 11)
+            O.cosine_lr(1e-4, 10, 11)
         with pytest.raises(ValueError):
-            O.cosine_lr(1e-4, 1e-6, 0, 0)
+            O.cosine_lr(1e-4, 0, 0)
 
 
 class TestAdam:

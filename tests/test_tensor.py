@@ -736,7 +736,7 @@ class TestBackward:
             x0 = rand64(rng, (1, 2, 4, 4), requires_grad=True)
             w = rand64(rng, (2, 2, 3, 3), requires_grad=True)
             b = rand64(rng, (2,), requires_grad=True)
-            x = T.affine(x0, 2.0)
+            x = T.affine(x0, 2.0, 0.0)
             h = T.conv2d(x, w, b)
             rule = h._backward
             padded = rule.__closure__[rule.__code__.co_freevars.index("xf")].cell_contents
@@ -758,7 +758,7 @@ class TestBackward:
     def test_loss_on_freed_result_rejected(self):
         x = t64(np.ones((1, 1, 2, 2)), requires_grad=True)
         h = T.relu(x)
-        built_before = T.sum_all(T.affine(h, 2.0))
+        built_before = T.sum_all(T.affine(h, 2.0, 0.0))
         T.sum_all(h).backward()
         T.zero_grads([x])
         for loss in (built_before, T.sum_all(T.mul(h, h))):

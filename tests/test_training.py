@@ -13,7 +13,7 @@ from drawseg import models as M
 from drawseg import training as TR
 from drawseg.losses import LossSpec, segmentation_loss
 from drawseg.optim import Adam, NumericalError, cosine_lr
-from drawseg.tensor import Tensor, no_grad
+from drawseg.tensor import Tensor, no_grad, zero_grads
 
 
 @pytest.fixture(scope="module")
@@ -58,17 +58,21 @@ class TestConfig:
 
     def test_derived_defaults_resolve(self):
         cfg = TR.TrainConfig(epochs=10)
-        assert (cfg.unfreeze_epoch, cfg.validate_from, cfg.eta_min) == (5, 5, cfg.lr0 / 100)
+        assert (cfg.unfreeze_epoch, cfg.validate_from) == (5, 5)
         written = json.loads(cfg.to_json())
-        assert (written["unfreeze_epoch"], written["validate_from"], written["eta_min"]) == (
-            5, 5, cfg.lr0 / 100)
-        cfg = TR.TrainConfig(epochs=10, unfreeze_epoch=2, lr0=1e-3, eta_min=0.0)
-        assert (cfg.unfreeze_epoch, cfg.validate_from, cfg.eta_min) == (2, 2, 0.0)
+        assert (written["unfreeze_epoch"], written["validate_from"]) == (5, 5)
+        # neither the schedule's floor (lr0 / 100) nor the poly epsilon is a setting
+        assert "eta_min" not in written and "poly_eps" not in written["loss"]
+        cfg = TR.TrainConfig(epochs=10, unfreeze_epoch=2, lr0=1e-3)
+        assert (cfg.unfreeze_epoch, cfg.validate_from) == (2, 2)
+
+    def test_replaced_lr0_moves_the_schedule_floor(self):
+        cfg = replace(TR.TrainConfig(lr0=1e-3), lr0=1e-2)
+        assert cosine_lr(cfg.lr0, cfg.epochs, cfg.epochs) == 1e-4
 
     def test_invalid_rejected(self):
         for kw in (dict(unfreeze_epoch=5, epochs=2), dict(batch_size=0),
                    dict(lr0=-1.0), dict(lr0=0.0), dict(lr0=float("nan")), dict(lr0=float("inf")),
-                   dict(eta_min=-1e-9), dict(eta_min=2e-3), dict(eta_min=float("nan")),
                    dict(validate_from=-1)):
             with pytest.raises(ValueError):
                 tiny_config(**kw)
@@ -126,7 +130,7 @@ class TestTrain:
         cfg = tiny_config(epochs=3, unfreeze_epoch=0, lr0=2e-3)
         _, log = TR.train(cfg, tiny_dataset, tiny_dataset.ids[:4])
         for row in log.rows:
-            assert row.lr == cosine_lr(cfg.lr0, cfg.eta_min, cfg.epochs, row.epoch)
+            assert row.lr == cosine_lr(cfg.lr0, cfg.epochs, row.epoch)
         assert log.rows[0].lr == 2e-3
 
     def test_frozen_encoder_params_unchanged(self, tiny_dataset):
@@ -191,6 +195,18 @@ class TestTrain:
         lines = (root / "log.csv").read_text().strip().splitlines()
         assert lines[0] == TR.LOG_CSV_HEADER
         assert len(lines) == 3
+
+    def test_confusion_csv_holds_the_final_models_counts(self, tiny_dataset, tmp_path):
+        cfg = tiny_config(epochs=2, unfreeze_epoch=0, lr0=1e-2)
+        ids = tiny_dataset.ids
+        TR.train(cfg, tiny_dataset, ids[:8], ids[8:], run_dir=tmp_path / "run")
+        model = M.load_checkpoint(tmp_path / "run" / "checkpoints" / "final.segm")
+        want = TR.evaluate(model, ids[8:], tiny_dataset, batch_size=cfg.batch_size).confusion
+        lines = (tmp_path / "run" / "confusion.csv").read_text().splitlines()
+        assert lines[0] == "predicted\\true," + ",".join(D.CLASS_NAMES)
+        assert [line.split(",")[0] for line in lines[1:]] == list(D.CLASS_NAMES)
+        got = np.array([[int(v) for v in line.split(",")[1:]] for line in lines[1:]])
+        np.testing.assert_array_equal(got, want)
 
     def test_nonfinite_loss_aborts_with_checkpoint(self, tiny_dataset, tmp_path, monkeypatch):
         calls = {"n": 0}
@@ -322,6 +338,29 @@ class TestEvaluate:
         model = M.build_model(cfg.variant, cfg.encoder, cfg.num_classes, 3)
         with pytest.raises(ValueError):
             TR.evaluate(model, [], tiny_dataset)
+
+
+class TestOverfitGate:
+    def test_unet_base_learns_every_class_of_two_images(self):
+        # Catches a model or gradient fault that the per-op gradchecks miss: with the
+        # skip wired to the half-resolution level (upsample2x(max_pool2d(shallow)))
+        # Dash stops at IoU 0.40. Here the lowest class reaches about 0.985.
+        samples = [D.make_sample(32, D.sample_rng(0, i)) for i in range(2)]
+        images, masks = TR._batch_arrays(samples, np.float32)
+        assert set(np.unique(masks)) == set(range(D.NUM_CLASSES))
+        model = M.build_model(M.ModelVariant("unet", False, False),
+                              M.EncoderConfig(depth=2, base_width=8), D.NUM_CLASSES, seed=0)
+        adam = Adam(model.parameters())
+        for _ in range(400):
+            segmentation_loss(LossSpec(kind="ce"), model.forward(Tensor(images)),
+                              masks).backward()
+            adam.step(model.parameters(), 1e-2)
+            zero_grads(model.parameters())
+        with no_grad():
+            pred = model.forward(Tensor(images)).data.argmax(axis=1)
+        cm = MT.confusion(pred, masks, D.NUM_CLASSES)
+        ious = {D.CLASS_NAMES[c]: MT.iou(cm, c) for c in range(D.NUM_CLASSES)}
+        assert min(ious.values()) >= 0.9, ious
 
 
 class TestShuffle:
