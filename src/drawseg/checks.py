@@ -79,6 +79,15 @@ def _single_op(op: str, shapes: dict, ramp: bool):
 
 PRIMITIVE_BUILDERS = {name: _single_op(*row) for name, row in _SINGLE_OPS.items()}
 
+# rows too large to probe at every coordinate: name -> (builder, coordinates
+# probed per parameter, a seeded sample as in check_model)
+SAMPLED_BUILDERS = {
+    # O*C = 384 over a span of 32 rows of 66 columns: conv2d's column-tile rule
+    # splits it in two for the forward, input-gradient and weight-gradient GEMMs
+    "conv2d_tiles": (_single_op("conv2d", {"x": (1, 16, 32, 64), "w": (24, 16, 3, 3),
+                                           "b": (24,)}, False), 24),
+}
+
 
 def _scalar_chain(rng):
     p = {"x": _rand(rng, (1, 2, 3, 3))}
@@ -103,10 +112,11 @@ def _merge(report: GradCheckReport, sub: GradCheckReport, prefix: str) -> None:
 def check_primitives() -> GradCheckReport:
     """Every tensor primitive plus each loss kind against central differences."""
     report = GradCheckReport()
-    for name, make in PRIMITIVE_BUILDERS.items():
+    rows = {name: (make, None) for name, make in PRIMITIVE_BUILDERS.items()} | SAMPLED_BUILDERS
+    for name, (make, probes) in rows.items():
         rng = np.random.default_rng(zlib.crc32(name.encode()))
         params, build = make(rng)
-        _merge(report, grad_check(build, params), name)
+        _merge(report, grad_check(build, params, max_elements=probes), name)
     _merge(report, check_losses(), "loss")
     return report
 

@@ -81,14 +81,14 @@ class EncoderConfig:
     """
     depth: int = 4
     base_width: int = 8
-    convs_per_block: Optional[tuple] = None   # None -> 2 per level
+    convs_per_block: Optional[tuple] = None   # None -> 2 per level (see convs)
 
     def __post_init__(self):
         if self.depth < 2:
             raise ValueError(f"depth must be >= 2, got {self.depth}")
         if self.base_width < 1:
             raise ValueError(f"base_width must be >= 1, got {self.base_width}")
-        resolved = tuple(self.convs_per_block) if self.convs_per_block else tuple([2] * self.depth)
+        resolved = self.convs()
         if len(resolved) != self.depth:
             raise ValueError(
                 f"convs_per_block needs {self.depth} entries, got {len(resolved)}")
@@ -96,7 +96,14 @@ class EncoderConfig:
             raise ValueError(f"every level needs at least one conv, got {resolved}")
         if max(resolved) > MAX_CONVS:
             raise ValueError(f"a level holds at most {MAX_CONVS} convs, got {max(resolved)}")
-        object.__setattr__(self, "convs_per_block", resolved)
+        # 2 per level is kept as None, so equal configs compare equal and
+        # dataclasses.replace of depth re-derives the list
+        object.__setattr__(self, "convs_per_block",
+                           None if resolved == (2,) * self.depth else resolved)
+
+    def convs(self) -> tuple:
+        """Convs per level: convs_per_block, or 2 per level when it is None."""
+        return tuple(self.convs_per_block) if self.convs_per_block else (2,) * self.depth
 
     def widths(self) -> list[int]:
         """base_width * 2**level, capped at base_width * WIDTH_CAP."""
@@ -154,7 +161,7 @@ class SegModel:
         cin = IN_CHANNELS
         for lvl in range(enc.depth):
             self.encoder_stacks.append(
-                _ConvStack(store, f"enc.l{lvl}", cin, widths[lvl], enc.convs_per_block[lvl]))
+                _ConvStack(store, f"enc.l{lvl}", cin, widths[lvl], enc.convs()[lvl]))
             cin = widths[lvl]
         self._encoder = [t for _, t in store.named]   # built first: a prefix of the store
         self.skip_blocks: list[SkipBlockParams] = [
@@ -300,7 +307,7 @@ def save_checkpoint(model: SegModel, path) -> None:
         _MAGIC, _VERSION,
         FAMILIES.index(model.variant.family), int(model.variant.ave), int(model.variant.cbam),
         enc.depth, enc.base_width, *_FIXED, model.num_classes)
-    convs = struct.pack(f"<{enc.depth}I", *enc.convs_per_block)
+    convs = struct.pack(f"<{enc.depth}I", *enc.convs())
     flat = np.concatenate([t.data.astype("<f4").reshape(-1) for t in model.parameters()])
     count = struct.pack("<Q", flat.size)
     with open(path, "wb") as f:
@@ -371,7 +378,7 @@ def load_checkpoint(path) -> SegModel:
     default = EncoderConfig(base_width=base)
     if variant.family == "cnn" and enc != default:
         raise ValueError(f"cnn checkpoint holds depth {depth} and conv list {convs}; "
-                         f"the cnn family stores {default.depth} and {default.convs_per_block}")
+                         f"the cnn family stores {default.depth} and {default.convs()}")
     store = _PayloadStore(raw, off)
     model = SegModel(variant, enc, k, store)
     if store._pos != len(raw):

@@ -220,6 +220,17 @@ _TILE_BYTES = 1 << 20
 _SMALL_GEMM = 1_000_000
 
 
+def _column_tile(macs: int, span: int) -> int:
+    """Width of the column tiles a span is split into, for GEMMs that do
+    ``macs`` multiply-adds per column: at most _SMALL_GEMM per tile (see
+    conv2d). ``span`` itself when the span is not split."""
+    b = _SMALL_GEMM // macs // 1024 * 1024
+    if not (2048 <= b < span and span % 16 == 0):
+        return span
+    per = -(-span // -(-span // b))   # span split evenly over ceil(span / b) tiles,
+    return -(-per // 64) * 64         # widened to whole 64-column blocks: still <= b
+
+
 def _tap_sum(mats, src: np.ndarray, offsets: Sequence[int], span: int) -> np.ndarray:
     """Sum over taps t of mats[t] @ src[..., s_t : s_t + span], in tap order.
 
@@ -227,18 +238,12 @@ def _tap_sum(mats, src: np.ndarray, offsets: Sequence[int], span: int) -> np.nda
     one is added in place, so every output element is summed in the same
     order whichever caller asks. The taps run over groups of g samples at a
     time, g chosen so that a group's output, temporary and operand fit in
-    _TILE_BYTES, and within a group over column tiles of b columns, b chosen
-    so that one GEMM does at most _SMALL_GEMM multiply-adds (see conv2d).
+    _TILE_BYTES, and within a group over the span's _column_tile columns.
     """
     n, c = src.shape[:2]
     o = mats.shape[1]
     g = max(1, _TILE_BYTES // ((2 * o + c) * span * src.itemsize))
-    b = _SMALL_GEMM // (o * c) // 1024 * 1024
-    if 2048 <= b < span and span % 16 == 0:
-        per = -(-span // -(-span // b))   # span split evenly over ceil(span / b) tiles,
-        b = -(-per // 64) * 64            # widened to whole 64-column blocks: still <= b
-    else:
-        b = span
+    b = _column_tile(o * c, span)
     out = np.empty((n, o, span), dtype=src.dtype)
     tmp = np.empty((min(g, n), o, b), dtype=src.dtype)
     for i in range(0, n, g):
@@ -315,7 +320,7 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, *, relu: bool = False) -> Te
     alone would not do: 1 MiB picks 6553 columns there, 1.26e6
     multiply-adds, past the bound, and 6016-column tiles took 7.7 ms.
 
-    The bits hold because no GEMM changes its K, operands or flags, so
+    The tap sums' bits hold because no GEMM changes its K, operands or flags, so
     each output element is the same chain of products and adds in the
     same order. Tile edges must still fall where the unsplit GEMM has
     whole vectors: OpenBLAS computes the columns past a GEMM's last whole
@@ -329,7 +334,28 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, *, relu: bool = False) -> Te
     one copy of g serves both gradients. The weight gradient of tap t is
     xf-slice_t @ gp[..., m : m+span].T with m = p*Wp + p (the unpadded g,
     Wp wide), shape (N, C, O), summed over N and transposed (BLAS runs this
-    orientation up to twice as fast as the other one here). The input
+    orientation up to twice as fast as the other one here). It runs over
+    the same column tiles as the tap sums (_column_tile(O*C, span)): for
+    the tile of w columns at j, all k*k taps xf[..., s_t+j : s_t+j+w] @
+    gp[..., m+j : m+j+w].T, so the (C, w) input tile and the (w, O) gradient
+    tile stay in cache across the taps. The first tile assigns dw[t] and
+    each later one adds into it. Untiled, each tap's GEMM streamed the whole
+    (C, span) slice and (span, O) gradient from memory again: at (C, O) =
+    (8, 8) on 256x256 the nine taps ran at about 13 GFLOP/s. Medians of the
+    nine-tap loop at batch 1 on the VM above, untiled -> tiled:
+    4.7-4.8 -> 1.4 ms at C=8, O=8, 256x256; 7.3-7.9 -> 3.9-4.1 ms at 24, 8,
+    256x256; 2.0 -> 0.7 ms at 8, 16, 128x128; 2.3-2.9 -> 1.3-1.5 ms at 16,
+    16, 128x128. The rule's width was the fastest tried: half its
+    multiply-add budget took 1.5-1.6 ms and fixed 4096-column tiles 1.7-1.8
+    ms at 8, 8, 256x256, and a contiguous copy of each tile's g slice 2.5-2.8.
+    An unsplit span runs the same GEMMs as before, so every conv at 64x64
+    and below keeps its bits. A split one sums each tile's products and
+    then adds the tiles, a reordered K, so only the weight gradients of
+    split convs move, within rounding: the tests bound them by
+    sqrt(N*H*W) * eps * sum|x*g| from the exact sum (a probabilistic
+    rounding bound, Higham & Mary 2019). Over the 8 variants the largest
+    move was 4.7e-7 of the tensor's largest value at 128x128 and 1.2e-6 at
+    256x256 in float32, and 1.8e-15 at 128x128 in float64. The input
     gradient is forward's tap loop run on gp: _tap_sum of W_t.T @
     gp[..., s_max - s_t : s_max - s_t + span] over the same tap order
     (s_max = s of the last tap), cropped to W columns. It is never stacked,
@@ -383,10 +409,18 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, *, relu: bool = False) -> Te
         gp = (_zero_pad(g, p) if p else g).reshape(n, cout, -1)
         if weight.requires_grad:
             mid = p * wp + p
-            gwt = gp[:, :, mid:mid + span].transpose(0, 2, 1)
+            b = _column_tile(cout * cin, span)
             dw = np.empty((k * k, cin, cout), dtype=g.dtype)
-            for t, s in enumerate(offsets):
-                dw[t] = np.matmul(xf[:, :, s:s + span], gwt).sum(axis=0)
+            part = np.empty((n, cin, cout), dtype=g.dtype)
+            for j in range(0, span, b):
+                w_j = min(b, span - j)
+                gwt = gp[:, :, mid + j:mid + j + w_j].transpose(0, 2, 1)
+                for t, s in enumerate(offsets):
+                    np.matmul(xf[:, :, s + j:s + j + w_j], gwt, out=part)
+                    if j:
+                        dw[t] += part.sum(axis=0)
+                    else:
+                        part.sum(axis=0, out=dw[t])
             _accumulate(weight, dw.reshape(k, k, cin, cout).transpose(3, 2, 0, 1))
         if x.requires_grad:
             back = [offsets[-1] - s for s in offsets]   # s_max - s_t

@@ -10,10 +10,12 @@ Epochs are numbered 0..epochs-1. The encoder stays frozen while
 epoch < unfreeze_epoch and validation runs from validate_from on. The
 learning rate for epoch e is the cosine schedule from lr0 to lr0 / 100
 evaluated at e (optim.cosine_lr), so training starts exactly at lr0.
-TrainConfig resolves a None unfreeze_epoch to epochs // 2 and a None
-validate_from to unfreeze_epoch (the protocol unfreezes and starts
-validating at the 50 mark of a 100-epoch run), so config.json holds the
-values a run used; the schedule's floor is derived from lr0 and not stored.
+TrainConfig keeps a None unfreeze_epoch or validate_from as given and
+resolves it where it is read (unfreeze_at: epochs // 2; validate_at: the
+unfreeze epoch), as the protocol unfreezes and starts validating at the
+50 mark of a 100-epoch run. So dataclasses.replace of epochs re-derives
+both, and config.json (to_json) holds the values a run used; the
+schedule's floor is derived from lr0 and not stored.
 
 A run directory contains config.json, log.csv (one row per epoch),
 checkpoints/{best,final}.segm, metrics.csv (the final model's report on
@@ -66,18 +68,28 @@ class TrainConfig:
             raise ValueError("batch_size must be >= 1")
         if not (math.isfinite(self.lr0) and self.lr0 > 0):
             raise ValueError(f"lr0 must be finite and > 0, got {self.lr0}")
-        if self.unfreeze_epoch is None:
-            object.__setattr__(self, "unfreeze_epoch", self.epochs // 2)
-        if not 0 <= self.unfreeze_epoch <= max(self.epochs, 1):
+        if not 0 <= self.unfreeze_at <= max(self.epochs, 1):
             raise ValueError(
-                f"unfreeze_epoch {self.unfreeze_epoch} outside [0, {self.epochs}]")
-        if self.validate_from is None:
-            object.__setattr__(self, "validate_from", self.unfreeze_epoch)
-        if self.validate_from < 0:
-            raise ValueError(f"validate_from must be >= 0, got {self.validate_from}")
+                f"unfreeze_epoch {self.unfreeze_at} outside [0, {self.epochs}]")
+        if self.validate_at < 0:
+            raise ValueError(f"validate_from must be >= 0, got {self.validate_at}")
+
+    @property
+    def unfreeze_at(self) -> int:
+        """unfreeze_epoch, or epochs // 2 when it is None."""
+        return self.epochs // 2 if self.unfreeze_epoch is None else self.unfreeze_epoch
+
+    @property
+    def validate_at(self) -> int:
+        """validate_from, or the unfreeze epoch when it is None."""
+        return self.unfreeze_at if self.validate_from is None else self.validate_from
 
     def to_json(self) -> str:
-        return json.dumps(dataclasses.asdict(self), indent=2, sort_keys=True)
+        """The config with every derived value resolved: what config.json holds."""
+        fields = dataclasses.asdict(self)
+        fields.update(unfreeze_epoch=self.unfreeze_at, validate_from=self.validate_at)
+        fields["encoder"]["convs_per_block"] = self.encoder.convs()
+        return json.dumps(fields, indent=2, sort_keys=True)
 
 
 @dataclass
@@ -242,7 +254,7 @@ def train(cfg: TrainConfig, dataset, train_ids: Sequence[str],
         try:
             for epoch in range(cfg.epochs):
                 lr = cosine_lr(cfg.lr0, cfg.epochs, epoch)
-                model.set_frozen(epoch < cfg.unfreeze_epoch)
+                model.set_frozen(epoch < cfg.unfreeze_at)
                 order = epoch_shuffle(train_ids, cfg.seed, epoch)
                 total, seen = 0.0, 0
                 for batch, start in enumerate(range(0, len(order), cfg.batch_size)):
@@ -260,7 +272,7 @@ def train(cfg: TrainConfig, dataset, train_ids: Sequence[str],
                     total += value * len(chunk)
                     seen += len(chunk)
                 row = EpochRow(epoch=epoch, lr=lr, train_loss=total / max(seen, 1))
-                if val_ids and epoch >= cfg.validate_from:
+                if val_ids and epoch >= cfg.validate_at:
                     report = evaluate(model, val_ids, dataset, batch_size=cfg.batch_size,
                                       loss=cfg.loss)
                     row.val_loss = report.loss

@@ -56,6 +56,23 @@ def conv2d_backward_loops(x, w, g):
     return dxp[:, :, p:p + h, p:p + wd], dw, db
 
 
+def conv2d_weight_grad_einsum(x, g, k, dtype=np.float64):
+    """Weight gradient (O, C, k, k) of same-padded conv2d for output gradient
+    g, one einsum per tap over the shifted input, summed in ``dtype``. Given
+    |x| and |g| it is sum |x * g| per weight: the scale of that gradient's
+    rounding error."""
+    n, cin, h, wd = x.shape
+    p = k // 2
+    xp = np.zeros((n, cin, h + 2 * p, wd + 2 * p), dtype=dtype)
+    xp[:, :, p:p + h, p:p + wd] = x
+    g = np.asarray(g, dtype=dtype)
+    dw = np.zeros((g.shape[1], cin, k, k), dtype=dtype)
+    for u in range(k):
+        for v in range(k):
+            dw[:, :, u, v] = np.einsum("nchw,nohw->oc", xp[:, :, u:u + h, v:v + wd], g)
+    return dw
+
+
 def max_pool2d_loops(x):
     n, c, h, w = x.shape
     out = np.zeros((n, c, h // 2, w // 2), dtype=x.dtype)

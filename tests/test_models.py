@@ -1,4 +1,5 @@
 """Variant construction, shape contracts, parameter accounting, checkpoints."""
+import dataclasses
 import functools
 import struct
 import tempfile
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import _oracles as oracle
 from drawseg import cbam as C
 from drawseg import models as M
 from drawseg import tensor as T
@@ -22,7 +24,7 @@ DESK = M.EncoderConfig(depth=4, base_width=8)
 def unet_base_param_count(enc: M.EncoderConfig, k: int) -> int:
     """Closed-form parameter total for the plain unet variant."""
     widths = enc.widths()
-    convs = enc.convs_per_block
+    convs = enc.convs()
     total = 0
     cin = M.IN_CHANNELS
     for lvl in range(enc.depth):
@@ -172,58 +174,126 @@ class TestForward:
         assert any(views)
 
     @staticmethod
-    def _tap_sums(monkeypatch, model, size):
-        """(O, C, span, tile widths) of every _tap_sum call in a forward and
-        backward of model on a (1, 1, size, size) input. Only GEMMs issued
-        inside _tap_sum count: other ops (upsample2x) also call matmul with out=."""
-        real_tap_sum, real_matmul, calls, inside = T._tap_sum, np.matmul, [], []
+    def _conv_gemms(monkeypatch, model, size):
+        """Each conv2d GEMM loop of a forward and backward of model on a
+        (1, 1, size, size) input, as (O, C, span, tile widths): the _tap_sum
+        calls (forwards and input gradients) and the weight gradients. A GEMM
+        counts for _tap_sum while it runs; a matmul with out= in a conv2d
+        backward outside _tap_sum is the weight gradient's. Other ops
+        (upsample2x) also call matmul with out=, and count for neither."""
+        real_tap_sum, real_matmul, real_conv = T._tap_sum, np.matmul, T.conv2d
+        taps, wgrads, inside = [], [], []   # inside: the loop that now runs GEMMs
 
         def tap_sum(mats, src, offsets, span):
-            calls.append((*mats.shape[1:], span, set()))
-            inside.append(True)
+            taps.append((*mats.shape[1:], span, set()))
+            inside.append(("tap", taps[-1][-1]))
             try:
                 return real_tap_sum(mats, src, offsets, span)
             finally:
                 inside.pop()
 
+        def conv2d(x, weight, bias, **kwargs):
+            out = real_conv(x, weight, bias, **kwargs)
+            o, c, k, _ = weight.shape
+            rule, span = out._backward, x.shape[2] * (x.shape[3] + 2 * (k // 2))
+
+            def backward(g):
+                wgrads.append((o, c, span, set()))
+                inside.append(("wgrad", wgrads[-1][-1]))
+                try:
+                    rule(g)
+                finally:
+                    inside.pop()
+
+            out._backward = backward
+            return out
+
         def matmul(a, b, **kwargs):
-            if inside and "out" in kwargs:   # a per-tap GEMM
-                calls[-1][-1].add(kwargs["out"].shape[-1])
+            if inside and "out" in kwargs:
+                kind, widths = inside[-1]
+                widths.add(b.shape[-1] if kind == "tap" else a.shape[-1])
             return real_matmul(a, b, **kwargs)
 
         x = np.random.default_rng(53).standard_normal((1, 1, size, size)).astype(np.float32)
         with monkeypatch.context() as m:
             m.setattr(T, "_tap_sum", tap_sum)
+            m.setattr(T, "conv2d", conv2d)
             m.setattr(np, "matmul", matmul)
             T.sum_all(model.forward(Tensor(x))).backward()
-        return calls
+        return taps, wgrads
 
     def test_column_tiles_follow_the_small_gemm_rule(self, monkeypatch):
         # desk convs never split; at train-large's 256x256 the narrow convs
-        # and the head 1x1 do, and no tile's GEMM passes _SMALL_GEMM
+        # and the head 1x1 do, in the tap sums and the weight gradients alike,
+        # and no tile's GEMM passes _SMALL_GEMM
         for variant in M.ALL_VARIANTS:
             model = M.build_model(variant, DESK, 6, seed=0)
-            for _, _, span, widths in self._tap_sums(monkeypatch, model, 64):
+            taps, wgrads = self._conv_gemms(monkeypatch, model, 64)
+            assert wgrads
+            for _, _, span, widths in taps + wgrads:
                 assert widths == {span}
         model = M.build_model(M.ModelVariant("unet", True, True), DESK, 6, seed=0)
-        split = [(o, c, max(widths)) for o, c, span, widths in
-                 self._tap_sums(monkeypatch, model, 256) if max(widths) < span]
+        taps, wgrads = self._conv_gemms(monkeypatch, model, 256)
+        split = [(o, c, max(widths)) for o, c, span, widths in taps if max(widths) < span]
         assert {(o, c) for o, c, _ in split} >= {(6, 8), (8, 8), (16, 8), (16, 16)}
         assert max(o * c * width for o, c, width in split) <= T._SMALL_GEMM
+        # the input gradient's tap sum is (C, O): each split weight gradient's
+        # conv splits its forward and input-gradient tap sums too, and no other does
+        split_w = [(o, c, max(widths)) for o, c, span, widths in wgrads if max(widths) < span]
+        pairs = {(o, c) for o, c, _ in split_w}
+        assert pairs | {(c, o) for o, c in pairs} == {(o, c) for o, c, _ in split}
+        assert max(o * c * width for o, c, width in split_w) <= T._SMALL_GEMM
 
     def test_column_tiles_change_no_bit(self, monkeypatch):
+        # at 128x128 some convs split their spans. That changes no bit of the
+        # logits, the bias gradients or the weight gradients of unsplit convs.
+        # A split weight gradient adds its tiles' sums, so its bits move within
+        # rounding: at most sqrt(N) * eps * sum|x * g| from the exact sum of
+        # the same float32 x and g, N = h*w terms per weight (see
+        # tests/test_tensor.py::TestConv2d::test_column_tiles_change_no_bit)
         def run():
+            calls, real = [], T.conv2d
+
+            def conv2d(x, weight, bias, *, relu=False):
+                out = real(x, weight, bias, relu=relu)
+                rule = out._backward
+
+                def backward(g):   # g as the weight gradient sees it, relu's mask applied
+                    calls.append((weight, x.data, g * (out.data > 0) if relu else g.copy()))
+                    rule(g)
+
+                out._backward = backward
+                return out
+
             model = M.build_model(M.ModelVariant("unet", True, True), DESK, 6, seed=6)
-            logits = model.forward(Tensor(x))
-            T.sum_all(T.mul(logits, Tensor(g))).backward()
-            return [logits.data.tobytes()] + [t.grad.tobytes() for t in model.parameters()]
+            with monkeypatch.context() as m:
+                m.setattr(T, "conv2d", conv2d)
+                logits = model.forward(Tensor(x))
+                T.sum_all(T.mul(logits, Tensor(g))).backward()
+            return logits.data.tobytes(), model.named_parameters(), calls
 
         rng = np.random.default_rng(59)
         x = rng.standard_normal((1, 1, 128, 128)).astype(np.float32)
         g = rng.standard_normal((1, 6, 128, 128)).astype(np.float32)
-        tiled = run()
+        tiled, tiled_params, calls = run()
+        split = set()
+        for weight, xs, gs in calls:
+            o, c, k, _ = weight.shape
+            n, _, h, w = xs.shape
+            span = h * (w + 2 * (k // 2))
+            if T._column_tile(o * c, span) < span:
+                split.add(id(weight))
+                exact = oracle.conv2d_weight_grad_einsum(xs, gs, k)
+                scale = oracle.conv2d_weight_grad_einsum(np.abs(xs), np.abs(gs), k)
+                bound = np.sqrt(n * h * w) * np.finfo(np.float32).eps * scale
+                assert (np.abs(weight.grad - exact) <= bound).all(), weight.shape
+        assert len(split) >= 6
         monkeypatch.setattr(T, "_SMALL_GEMM", 1 << 62)   # one tile per span
-        assert run() == tiled
+        whole, whole_params, _ = run()
+        assert whole == tiled
+        for (name, a), (_, b) in zip(tiled_params, whole_params, strict=True):
+            if id(a) not in split:
+                assert a.grad.tobytes() == b.grad.tobytes(), name
 
     def test_divisibility_rejected_with_message(self):
         model = M.build_model(M.ModelVariant("unet", False, False), DESK, 6, seed=0)
@@ -275,7 +345,7 @@ class TestFreezing:
 def write_long_level_checkpoint(path, convs: int = 20000) -> None:
     """A self-consistent unet-base checkpoint of depth 2, base width 1 and
     convs_per_block (convs, 1): 0.80 MB holding 40010 tensors at 20000."""
-    shape = types.SimpleNamespace(depth=2, convs_per_block=(convs, 1), widths=lambda: [1, 2])
+    shape = types.SimpleNamespace(depth=2, convs=lambda: (convs, 1), widths=lambda: [1, 2])
     count = unet_base_param_count(shape, 6)
     header = M._HEADER.pack(M._MAGIC, M._VERSION, 0, 0, 0, 2, 1, *M._FIXED, 6)
     path.write_bytes(header + struct.pack("<2IQ", convs, 1, count) + bytes(4 * count))
@@ -589,6 +659,17 @@ class TestEncoderConfigBounds:
         M.EncoderConfig(depth=2, convs_per_block=(M.MAX_CONVS, 1))   # the cap itself is allowed
         with pytest.raises(ValueError, match=f"at most {M.MAX_CONVS} convs, got {M.MAX_CONVS + 1}"):
             M.EncoderConfig(depth=2, convs_per_block=(1, M.MAX_CONVS + 1))
+
+    def test_replaced_depth_rederives_the_conv_list(self):
+        enc = dataclasses.replace(M.EncoderConfig(), depth=5)
+        assert enc.convs() == (2, 2, 2, 2, 2)
+        model = M.build_model(M.ModelVariant("unet", False, False), enc, 6, seed=0)
+        assert model.count_params() == unet_base_param_count(enc, 6)
+        # an explicit 2 per level is the default, so both forms are one config
+        assert M.EncoderConfig(convs_per_block=(2, 2, 2, 2)) == M.EncoderConfig()
+        # any other list is kept, and checked against the new depth
+        with pytest.raises(ValueError, match="needs 5 entries, got 4"):
+            dataclasses.replace(M.EncoderConfig(convs_per_block=(2, 2, 3, 3)), depth=5)
 
     def test_widths_double_up_to_cap(self):
         enc = M.EncoderConfig(depth=6, base_width=3)

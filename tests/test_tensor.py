@@ -161,6 +161,31 @@ class TestConv2d:
             for got, want in zip(self._grads(x, wt, b, g, True), whole):
                 np.testing.assert_array_equal(got, want)
 
+    @staticmethod
+    def _tile_widths(monkeypatch):
+        """Tile widths of conv2d's GEMMs from here on: (tap sums', weight
+        gradients'). A GEMM made while _tap_sum runs is a tap sum's; any
+        other matmul with out= (conv2d calls no other) is a weight gradient's."""
+        real_tap_sum, real_matmul, taps, wgrads, inside = T._tap_sum, np.matmul, set(), set(), []
+
+        def tap_sum(*args):
+            inside.append(True)
+            try:
+                return real_tap_sum(*args)
+            finally:
+                inside.pop()
+
+        def matmul(a, b, **kwargs):
+            if "out" in kwargs and inside:
+                taps.add(b.shape[-1])
+            elif "out" in kwargs:
+                wgrads.add(a.shape[-1])
+            return real_matmul(a, b, **kwargs)
+
+        monkeypatch.setattr(T, "_tap_sum", tap_sum)
+        monkeypatch.setattr(np, "matmul", matmul)
+        return taps, wgrads
+
     @pytest.mark.parametrize("relu", [False, True])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("k", [1, 3])
@@ -169,7 +194,13 @@ class TestConv2d:
     def test_column_tiles_change_no_bit(self, n, cin, k, dtype, relu, monkeypatch):
         # a 64x86 plane has a span of 5504 (k = 1) or 5632 (k = 3) columns; a
         # 2048-column bound splits it into three 64-column-aligned tiles, the
-        # last one narrower, in forward and in the input gradient alike
+        # last one narrower, in forward, the input gradient and the weight
+        # gradient alike. Tiles change no bit of the output, the input gradient
+        # or the bias gradient. The weight gradient sums each tile's products
+        # and then adds the tiles, so its bits move within rounding: at most
+        # sqrt(N) * eps * sum|x * g| from the exact sum, N = n*h*w terms per
+        # weight, the probabilistic bound lambda * sqrt(N) * u with u = eps / 2
+        # and lambda = 2 (Higham & Mary, SIAM J. Sci. Comput. 41(5), 2019)
         rng = np.random.default_rng(zlib.crc32(f"tiles{n}{cin}{k}".encode()))
         h, w, cout = 64, 86, 4
         x, wt, b, g = (rng.standard_normal(shape).astype(dtype) for shape in
@@ -180,24 +211,29 @@ class TestConv2d:
             xt, wtt, bt = (Tensor(a, requires_grad=True) for a in (x, wt, b))
             out = T.conv2d(xt, wtt, bt, relu=relu)
             T.sum_all(T.mul(out, Tensor(g))).backward()
-            return [a.tobytes() for a in (out.data, xt.grad, wtt.grad, bt.grad)]
-
-        real, widths = np.matmul, []
-
-        def spy(*args, **kwargs):
-            if "out" in kwargs:   # _tap_sum's per-tap GEMMs
-                widths.append(kwargs["out"].shape[-1])
-            return real(*args, **kwargs)
+            return [a.tobytes() for a in (out.data, xt.grad, bt.grad)], wtt.grad
 
         monkeypatch.setattr(T, "_SMALL_GEMM", 1 << 62)   # one tile: the whole span
-        want = run()
+        want, want_dw = run()
         monkeypatch.setattr(T, "_SMALL_GEMM", 2048 * cout * cin)
-        monkeypatch.setattr(np, "matmul", spy)
+        taps, wgrads = self._tile_widths(monkeypatch)
+        # the exact weight gradient from the same inputs, with relu's mask on g
+        mask = T.conv2d(Tensor(x), Tensor(wt), Tensor(b), relu=relu).data > 0 if relu else 1
+        exact = oracle.conv2d_weight_grad_einsum(x, g * mask, k, np.longdouble)
+        scale = oracle.conv2d_weight_grad_einsum(np.abs(x), np.abs(g * mask), k, np.longdouble)
+        bound = np.sqrt(n * h * w) * np.finfo(dtype).eps * scale
+        dws = []
         for tile_bytes in (T._TILE_BYTES, 1):
             monkeypatch.setattr(T, "_TILE_BYTES", tile_bytes)
-            assert run() == want, tile_bytes
-        assert min(widths) < max(widths) <= span / 2.5   # three tiles, the last one narrower
-        assert all(wd % 64 == 0 for wd in set(widths) - {min(widths)})
+            got, dw = run()
+            assert got == want, tile_bytes
+            assert (np.abs(dw - exact) <= bound).all(), tile_bytes
+            dws.append(dw.tobytes())
+        assert dws[0] == dws[1]   # sample groups never change the weight gradient
+        assert (np.abs(want_dw - exact) <= bound).all()
+        assert wgrads == taps   # one rule splits all three loops
+        assert min(taps) < max(taps) <= span / 2.5   # three tiles, the last one narrower
+        assert all(wd % 64 == 0 for wd in taps - {min(taps)})
 
     def test_one_sample_groups_match_loop_oracle(self, monkeypatch):
         monkeypatch.setattr(T, "_TILE_BYTES", 1)
@@ -211,6 +247,29 @@ class TestConv2d:
         np.testing.assert_allclose(out, oracle.conv2d_loops(x, w, b), rtol=1e-12, atol=1e-12)
         for got, want in ((dx, rdx), (dw, rdw), (db, rdb)):
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_weight_gradient_tiles_match_loop_oracle(self, n, k, monkeypatch):
+        # the 64x86 plane of test_column_tiles_change_no_bit, split into three
+        # tiles with a narrower last one, in float64, with a frozen and an
+        # unfrozen input
+        rng = np.random.default_rng(zlib.crc32(f"wtiles{n}{k}".encode()))
+        h, w, cin, cout = 64, 86, 2, 2
+        x, wt, b, g = (rng.standard_normal(shape) for shape in
+                       [(n, cin, h, w), (cout, cin, k, k), (cout,), (n, cout, h, w)])
+        monkeypatch.setattr(T, "_SMALL_GEMM", 2048 * cout * cin)
+        _, wgrads = self._tile_widths(monkeypatch)
+        rdx, rdw, rdb = oracle.conv2d_backward_loops(x, wt, g)
+        for x_grad in (True, False):
+            _, dx, dw, db = self._grads(x, wt, b, g, x_grad)
+            np.testing.assert_allclose(dw, rdw, rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(db, rdb, rtol=1e-12, atol=1e-12)
+            if x_grad:
+                np.testing.assert_allclose(dx, rdx, rtol=1e-12, atol=1e-12)
+            else:
+                assert dx is None
+        assert min(wgrads) < max(wgrads) <= h * (w + 2 * (k // 2)) / 2.5
 
     def test_no_grad_forward_holds_no_output_copy(self):
         # the output is a cropped view of the tap-sum buffer, biased (and relu'd) in
@@ -828,7 +887,7 @@ class TestBackward:
         assert report.passed, report.summary()
 
 
-from drawseg.checks import PRIMITIVE_BUILDERS
+from drawseg.checks import PRIMITIVE_BUILDERS, SAMPLED_BUILDERS
 
 
 @pytest.mark.parametrize("name", sorted(PRIMITIVE_BUILDERS))
@@ -837,6 +896,22 @@ def test_primitive_gradients_match_finite_differences(name):
     params, build = PRIMITIVE_BUILDERS[name](rng)
     report = T.grad_check(build, params, tol=1e-5)
     assert report.passed, f"{name}\n{report.summary()}"
+
+
+@pytest.mark.parametrize("name", sorted(SAMPLED_BUILDERS))
+def test_sampled_primitive_gradients_match_finite_differences(name):
+    make, probes = SAMPLED_BUILDERS[name]
+    params, build = make(np.random.default_rng(zlib.crc32(name.encode())))
+    report = T.grad_check(build, params, tol=1e-5, max_elements=probes)
+    assert report.passed, f"{name}\n{report.summary()}"
+
+
+def test_conv2d_tiles_row_splits_under_the_real_rule():
+    params, _ = SAMPLED_BUILDERS["conv2d_tiles"][0](np.random.default_rng(0))
+    o, c, k, _ = params["w"].shape
+    _, _, h, w = params["x"].shape
+    span = h * (w + 2 * (k // 2))
+    assert T._column_tile(o * c, span) < span
 
 
 @pytest.mark.parametrize("name", sorted(PRIMITIVE_BUILDERS))

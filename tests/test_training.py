@@ -49,22 +49,36 @@ def jsonable(value):
 
 class TestConfig:
     def test_json_roundtrip(self):
-        cfg = tiny_config(augment=True, validate_from=0)
+        # every derived value given, so the fields hold what config.json holds
+        enc = M.EncoderConfig(depth=3, base_width=4, convs_per_block=(1, 2, 1))
+        cfg = tiny_config(augment=True, validate_from=0, encoder=enc)
         assert json.loads(cfg.to_json()) == jsonable(dataclasses.asdict(cfg))
 
     def test_validate_from_defaults_to_unfreeze(self):
-        assert tiny_config().validate_from == 1
-        assert tiny_config(validate_from=0).validate_from == 0
+        assert tiny_config().validate_from is None
+        assert tiny_config().validate_at == 1
+        assert tiny_config(validate_from=0).validate_at == 0
 
     def test_derived_defaults_resolve(self):
         cfg = TR.TrainConfig(epochs=10)
-        assert (cfg.unfreeze_epoch, cfg.validate_from) == (5, 5)
+        assert (cfg.unfreeze_epoch, cfg.validate_from) == (None, None)
+        assert (cfg.unfreeze_at, cfg.validate_at) == (5, 5)
         written = json.loads(cfg.to_json())
         assert (written["unfreeze_epoch"], written["validate_from"]) == (5, 5)
+        assert written["encoder"]["convs_per_block"] == [2, 2, 2, 2]
         # neither the schedule's floor (lr0 / 100) nor the poly epsilon is a setting
         assert "eta_min" not in written and "poly_eps" not in written["loss"]
         cfg = TR.TrainConfig(epochs=10, unfreeze_epoch=2, lr0=1e-3)
-        assert (cfg.unfreeze_epoch, cfg.validate_from) == (2, 2)
+        assert (cfg.unfreeze_at, cfg.validate_at) == (2, 2)
+
+    def test_replaced_epochs_rederive_unfreeze_and_validation(self):
+        cfg = replace(TR.TrainConfig(), epochs=10)
+        assert (cfg.unfreeze_at, cfg.validate_at) == (5, 5)
+        assert cfg.to_json() == TR.TrainConfig(epochs=10).to_json()
+        # a value given explicitly is kept, and checked against the new epochs
+        assert replace(TR.TrainConfig(unfreeze_epoch=8), epochs=20).unfreeze_at == 8
+        with pytest.raises(ValueError, match="outside"):
+            replace(TR.TrainConfig(unfreeze_epoch=50), epochs=10)
 
     def test_replaced_lr0_moves_the_schedule_floor(self):
         cfg = replace(TR.TrainConfig(lr0=1e-3), lr0=1e-2)
@@ -191,7 +205,7 @@ class TestTrain:
         for name in ("config.json", "log.csv", "metrics.csv", "confusion.csv", "run.log",
                      "checkpoints/final.segm", "checkpoints/best.segm"):
             assert (root / name).exists(), name
-        assert json.loads((root / "config.json").read_text()) == jsonable(dataclasses.asdict(cfg))
+        assert (root / "config.json").read_text() == cfg.to_json() + "\n"
         lines = (root / "log.csv").read_text().strip().splitlines()
         assert lines[0] == TR.LOG_CSV_HEADER
         assert len(lines) == 3
