@@ -106,8 +106,7 @@ def spatial_attention(x: Tensor, block: CbamBlock) -> Tensor:
     3x3 same-padded convs with ReLU between them and a sigmoid at the end.
     """
     (w0, b0), (w1, b1), (w2, b2) = block.spatial
-    y = T.concat_channels(T.channel_avg_pool(x), T.channel_max_pool(x))
-    y = T.conv2d(y, w0, b0, relu=True)
+    y = T.conv2d(T.channel_avg_pool(x), w0, b0, relu=True, cat=T.channel_max_pool(x))
     y = T.conv2d(y, w1, b1, relu=True)
     return T.sigmoid(T.conv2d(y, w2, b2))
 

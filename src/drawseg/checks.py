@@ -48,9 +48,15 @@ def _sq_loss(t: Tensor) -> Tensor:
 # builder); everything runs in float64. A single-op row is
 # name -> (tensor op, {param: shape} in argument order, ramp), and its loss
 # is the op's squared sum; ramp draws the inputs of pools and relu off ties.
+# A param named ``cat`` goes to the op as that keyword (conv2d's second input).
 _SINGLE_OPS = {
     "conv2d": ("conv2d", {"x": (1, 2, 4, 4), "w": (3, 2, 3, 3), "b": (3,)}, False),
     "conv2d_single_channel": ("conv2d", {"x": (2, 1, 4, 4), "w": (3, 1, 3, 3), "b": (3,)}, False),
+    # the CBAM spatial gate's mean and max planes
+    "conv2d_cat_3x3": ("conv2d", {"x": (2, 1, 4, 4), "cat": (2, 1, 4, 4), "w": (2, 2, 3, 3),
+                                  "b": (2,)}, False),
+    "conv2d_cat_1x1": ("conv2d", {"x": (1, 2, 3, 3), "cat": (1, 3, 3, 3), "w": (4, 5, 1, 1),
+                                  "b": (4,)}, False),
     "max_pool2d": ("max_pool2d", {"x": (1, 2, 4, 4)}, True),
     "avg_pool2d": ("avg_pool2d", {"x": (1, 2, 4, 4)}, False),
     "upsample2x_bilinear": ("upsample2x", {"x": (1, 2, 3, 3)}, False),
@@ -72,8 +78,10 @@ _SINGLE_OPS = {
 def _single_op(op: str, shapes: dict, ramp: bool):
     def make(rng):
         p = {name: (_input if ramp else _rand)(rng, shape) for name, shape in shapes.items()}
+        args = [t for name, t in p.items() if name != "cat"]
+        kwargs = {"cat": p["cat"]} if "cat" in p else {}
         # looked up when the loss is built, so a patched op is the one checked
-        return p, lambda: _sq_loss(getattr(T, op)(*p.values()))
+        return p, lambda: _sq_loss(getattr(T, op)(*args, **kwargs))
     return make
 
 

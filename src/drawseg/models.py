@@ -120,15 +120,16 @@ class EncoderConfig:
 
 
 class _ConvStack:
-    """n_convs x (3x3 same conv + ReLU)."""
+    """n_convs x (3x3 same conv + ReLU); ``cat`` joins x at the first conv."""
 
     def __init__(self, store: ParamStore, prefix: str, cin: int, cout: int, n_convs: int):
         self.layers = [store.conv(f"{prefix}.conv{i}", cin if i == 0 else cout, cout, 3)
                        for i in range(n_convs)]
 
-    def forward(self, x: Tensor) -> Tensor:
+    def forward(self, x: Tensor, cat: Optional[Tensor] = None) -> Tensor:
         for w, b in self.layers:
-            x = T.conv2d(x, w, b, relu=True)
+            x = T.conv2d(x, w, b, relu=True, cat=cat)
+            cat = None
         return x
 
 
@@ -218,7 +219,7 @@ class SegModel:
         y = feats[-1]
         for stack, lvl in zip(self.decoder_stacks, range(self.enc.depth - 2, -1, -1)):
             y = T.upsample2x(y)
-            y = stack.forward(T.concat_channels(y, laterals[lvl]))
+            y = stack.forward(y, cat=laterals[lvl])
         return self._head_forward(y)
 
     def _forward_cnn(self, x: Tensor) -> Tensor:
@@ -229,7 +230,7 @@ class SegModel:
                 if self.cnn_branch is not None:
                     side = self.cnn_branch.forward(T.avg_pool2d(y))
                     side = T.upsample2x(side)
-                    y = T.conv2d(T.concat_channels(y, side), *self.cnn_fuse)
+                    y = T.conv2d(y, *self.cnn_fuse, cat=side)
                 if self.cnn_attention is not None:
                     y = cbam_forward(y, self.cnn_attention)
         return self._head_forward(y)

@@ -69,7 +69,7 @@ def dualpool_fuse(shallow: Tensor, deeper: Tensor, p: SkipBlockParams) -> Tensor
     a = T.relu(T.avg_pool2d(shallow))
     a = T.conv2d(a, w0, b0, relu=True)
     a = T.conv2d(a, w1, b1)
-    return T.conv2d(T.concat_channels(a, deeper), *p.fuse)
+    return T.conv2d(a, *p.fuse, cat=deeper)
 
 
 def skip_forward(shallow: Tensor, deeper: Optional[Tensor], p: SkipBlockParams) -> Tensor:
@@ -85,4 +85,4 @@ def skip_forward(shallow: Tensor, deeper: Optional[Tensor], p: SkipBlockParams) 
         lateral = T.upsample2x(lateral)
     else:
         lateral = cbam_forward(shallow, p.attention)
-    return T.conv2d(T.concat_channels(shallow, lateral), *p.reduce)
+    return T.conv2d(shallow, *p.reduce, cat=lateral)

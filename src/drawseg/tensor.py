@@ -15,7 +15,8 @@ leaves hold ``.grad``, and a freed graph cannot be walked again.
 One hand-over rule holds for every closure: each parent gets a writable
 array that the closure made for that parent alone, which ``_accumulate``
 stores as it is. An op that would pass on the gradient it received (add,
-concat_channels, power at exponent 1) hands over a copy instead.
+power at exponent 1), or hand two parents slices of one array
+(concat_channels, conv2d with ``cat``), hands over copies instead.
 
 An op's result may be a view of a larger buffer (conv2d returns the first
 W columns of its wider tap-sum rows), so no op may assume that ``.data``
@@ -201,16 +202,23 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
 # convolution and pooling
 
 
-def _zero_pad(a: np.ndarray, p: int) -> np.ndarray:
-    """N-C-H-W ``a`` zero-padded by p rows above, p + 1 below and p columns on
-    each side: conv2d's layout, whose spare bottom row takes the last tap's overrun.
+def _zero_pad(arrays: Sequence[np.ndarray], p: int) -> np.ndarray:
+    """The N-C-H-W ``arrays``, stacked in order along C, zero-padded by p rows
+    above, p + 1 below and p columns on each side: conv2d's layout, whose
+    spare bottom row takes the last tap's overrun.
 
-    One allocation and one slice copy: np.pad spends tens of microseconds
-    in Python set-up per call, more than the copy itself at these sizes.
+    One allocation and one slice copy per array: np.pad spends tens of
+    microseconds in Python set-up per call, more than the copy itself at
+    these sizes.
     """
-    n, c, h, w = a.shape
-    out = np.zeros((n, c, h + 2 * p + 1, w + 2 * p), dtype=a.dtype)
-    out[:, :, p:p + h, p:p + w] = a
+    n, _, h, w = arrays[0].shape
+    c = sum([a.shape[1] for a in arrays])
+    out = np.zeros((n, c, h + 2 * p + 1, w + 2 * p), dtype=arrays[0].dtype)
+    lo = 0
+    for a in arrays:
+        hi = lo + a.shape[1]
+        out[:, lo:hi, p:p + h, p:p + w] = a
+        lo = hi
     return out
 
 
@@ -258,7 +266,8 @@ def _tap_sum(mats, src: np.ndarray, offsets: Sequence[int], span: int) -> np.nda
     return out
 
 
-def conv2d(x: Tensor, weight: Tensor, bias: Tensor, *, relu: bool = False) -> Tensor:
+def conv2d(x: Tensor, weight: Tensor, bias: Tensor, *, relu: bool = False,
+           cat: Optional[Tensor] = None) -> Tensor:
     """Same-padded 2-D cross-correlation over N-C-H-W input with an O-C-k-k kernel.
 
     Layout: x is zero-padded by (p, p+1) rows and (p, p) columns (p = k // 2,
@@ -273,6 +282,29 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, *, relu: bool = False) -> Te
     output at 64x64, 10/8 at 8x8). Each value is the tap sum plus the bias,
     one rounding as in a cropped copy, so the bits are the same. For k = 1,
     Wp = W and the view is contiguous.
+
+    ``cat``, when given, is a second N-C'-H-W input stacked after x along C:
+    the result and every gradient are those of conv2d(concat_channels(x,
+    cat), ...), byte for byte, but no concatenated copy is kept. Each join
+    in the models feeds a conv, and the joined copy stayed alive until
+    backward beside the conv's padded copy of it. In one unet-full step at
+    256x256, batch 1, focal loss, tracemalloc counted 99.7 MiB of arrays
+    alive at the loss, 23.8 MiB of them concat_channels outputs; with
+    ``cat`` it counts 73.9 MiB. Memory-efficient DenseNets drop their
+    concatenations the same way (Pleiss et al., arXiv 1707.06990). For
+    k > 1, _zero_pad writes x and cat straight into the one padded buffer,
+    so the GEMMs read the bytes they read before. For k = 1 the GEMM operand
+    (x and cat joined, or the reshape copy of a strided x) is made for the
+    forward GEMM and dropped; backward makes it again only when the weight
+    needs a gradient. One GEMM per input instead would reorder sums:
+    splitting the rows of a float32 weight-gradient GEMM between two inputs
+    moved bits in 77 of 200 random shapes, by up to 1.4e-6 of the largest
+    value. Backward hands x and cat contiguous copies of their channel
+    slices of the input gradient, as concat_channels does, and only to
+    inputs that require grad. Strided views instead moved 4 of the 322
+    parameter gradients of the eight variants at 256x256 (unet-full's
+    skip.l0.reduce.b by 9.6e-8 of its largest value): a later sum over a
+    strided view adds in another order.
 
     relu=True applies np.maximum(., 0) in place on that biased wide buffer,
     one contiguous pass over the values relu(conv2d(...)) reads, so the
@@ -362,11 +394,18 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, *, relu: bool = False) -> Te
     because a stacked GEMM sums in another order. k = 1 needs no padding,
     and its input gradient is one matmul.
     """
-    if x.data.ndim != 4:
-        raise ShapeError(f"conv2d input must be rank 4, got {x.data.ndim}")
+    ins = (x,) if cat is None else (x, cat)
+    for t in ins:
+        if t.data.ndim != 4:
+            raise ShapeError(f"conv2d input must be rank 4, got {t.data.ndim}")
     if weight.data.ndim != 4:
         raise ShapeError(f"conv2d weight must be rank 4, got {weight.data.ndim}")
     n, cin, h, w = x.shape
+    if cat is not None:
+        if (cat.shape[0],) + cat.shape[2:] != (n, h, w):
+            raise ShapeError(
+                f"conv2d needs matching batch/spatial axes for cat, got {x.shape} vs {cat.shape}")
+        cin += cat.shape[1]
     cout, cw, kh, kw = weight.shape
     if kh != kw:
         raise ShapeError(f"conv2d kernel must be square, got {kh}x{kw}")
@@ -377,25 +416,35 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, *, relu: bool = False) -> Te
         raise ShapeError(f"same padding requires an odd kernel, got k={k}")
     if bias.shape != (cout,):
         raise ShapeError(f"conv2d bias must have shape ({cout},), got {bias.shape}")
-    _check_same_dtype(x, weight, bias)
+    _check_same_dtype(*ins, weight, bias)
 
     p = k // 2
     wp = w + 2 * p
     span = h * wp
-    xf = (_zero_pad(x.data, p) if p else x.data).reshape(n, cin, -1)
     offsets = [u * wp + v for u in range(k) for v in range(k)]
+
+    def operand() -> np.ndarray:
+        """x, then cat, along C as one (N, C, rows * Wp) array, zero-padded when k > 1."""
+        if p:
+            return _zero_pad([t.data for t in ins], p).reshape(n, cin, -1)
+        if cat is None:
+            return x.data.reshape(n, cin, -1)
+        return np.concatenate([x.data, cat.data], axis=1).reshape(n, cin, -1)
+
+    xf = operand() if p else None   # a 1x1's operand is transient, made again for dW
 
     def tap_weights() -> np.ndarray:
         """W_t for t = 0..k*k-1 as one (k*k, O, C) array, made when needed, never kept."""
         return np.ascontiguousarray(weight.data.transpose(2, 3, 0, 1)).reshape(k * k, cout, cin)
 
+    src = operand() if xf is None else xf
     if cin == 1:
-        cols = np.empty((n, k * k, span), dtype=xf.dtype)
+        cols = np.empty((n, k * k, span), dtype=src.dtype)
         for t, s in enumerate(offsets):
-            cols[:, t] = xf[:, 0, s:s + span]
+            cols[:, t] = src[:, 0, s:s + span]
         wide = np.matmul(weight.data.reshape(cout, k * k), cols)
     else:
-        wide = _tap_sum(tap_weights(), xf, offsets, span)
+        wide = _tap_sum(tap_weights(), src, offsets, span)
     wide += bias.data[:, None]
     if relu:
         np.maximum(wide, 0, out=wide)
@@ -406,8 +455,9 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, *, relu: bool = False) -> Te
             g *= out > 0      # g is this closure's own array (see _accumulate)
         if bias.requires_grad:
             _accumulate(bias, g.sum(axis=(0, 2, 3)))
-        gp = (_zero_pad(g, p) if p else g).reshape(n, cout, -1)
+        gp = (_zero_pad((g,), p) if p else g).reshape(n, cout, -1)
         if weight.requires_grad:
+            src = operand() if xf is None else xf
             mid = p * wp + p
             b = _column_tile(cout * cin, span)
             dw = np.empty((k * k, cin, cout), dtype=g.dtype)
@@ -416,18 +466,26 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, *, relu: bool = False) -> Te
                 w_j = min(b, span - j)
                 gwt = gp[:, :, mid + j:mid + j + w_j].transpose(0, 2, 1)
                 for t, s in enumerate(offsets):
-                    np.matmul(xf[:, :, s + j:s + j + w_j], gwt, out=part)
+                    np.matmul(src[:, :, s + j:s + j + w_j], gwt, out=part)
                     if j:
                         dw[t] += part.sum(axis=0)
                     else:
                         part.sum(axis=0, out=dw[t])
+            del src   # a 1x1's transient goes before gx is made
             _accumulate(weight, dw.reshape(k, k, cin, cout).transpose(3, 2, 0, 1))
-        if x.requires_grad:
+        if any(t.requires_grad for t in ins):
             back = [offsets[-1] - s for s in offsets]   # s_max - s_t
             gx = _tap_sum(tap_weights().transpose(0, 2, 1), gp, back, span)
-            _accumulate(x, gx.reshape(n, cin, h, wp)[..., :w])
+            gx = gx.reshape(n, cin, h, wp)[..., :w]
+            if cat is None:
+                _accumulate(x, gx)
+            else:   # contiguous copies, as concat_channels hands out (see above)
+                ca = x.shape[1]
+                for inp, piece in ((x, gx[:, :ca]), (cat, gx[:, ca:])):
+                    if inp.requires_grad:
+                        _accumulate(inp, piece.copy())
 
-    return _result(out, [x, weight, bias], backward)
+    return _result(out, [*ins, weight, bias], backward)
 
 
 def _check_even_spatial(x: Tensor, opname: str) -> None:
@@ -594,7 +652,11 @@ def upsample2x(x: Tensor) -> Tensor:
 
 
 def concat_channels(a: Tensor, b: Tensor) -> Tensor:
-    """Stack two feature maps along the channel axis."""
+    """Stack two feature maps along the channel axis.
+
+    No model calls it: conv2d's ``cat`` input does the same join without
+    keeping the copy, and its tests compare against this op's graph.
+    """
     na, ca, ha, wa = a.shape
     nb, cb, hb, wb = b.shape
     if (na, ha, wa) != (nb, hb, wb):

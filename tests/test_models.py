@@ -14,11 +14,27 @@ from hypothesis import strategies as st
 
 import _oracles as oracle
 from drawseg import cbam as C
+from drawseg import losses as L
 from drawseg import models as M
 from drawseg import tensor as T
 from drawseg.tensor import Tensor
 
 DESK = M.EncoderConfig(depth=4, base_width=8)
+
+
+def concat_graph(copies):
+    """conv2d as the models ran before its ``cat`` input: x and cat joined by
+    concat_channels, whose output conv2d takes as x. Appends each joined
+    copy's nbytes to ``copies``."""
+    real = T.conv2d
+
+    def conv2d(x, weight, bias, *, relu=False, cat=None):
+        if cat is not None:
+            x = T.concat_channels(x, cat)
+            copies.append(x.data.nbytes)
+        return real(x, weight, bias, relu=relu)
+
+    return conv2d
 
 
 def unet_base_param_count(enc: M.EncoderConfig, k: int) -> int:
@@ -254,12 +270,14 @@ class TestForward:
         def run():
             calls, real = [], T.conv2d
 
-            def conv2d(x, weight, bias, *, relu=False):
-                out = real(x, weight, bias, relu=relu)
+            def conv2d(x, weight, bias, *, relu=False, **kwargs):
+                out = real(x, weight, bias, relu=relu, **kwargs)
                 rule = out._backward
+                cat = kwargs.get("cat")   # the weight sees x, then cat, along C
+                xs = x.data if cat is None else np.concatenate([x.data, cat.data], axis=1)
 
                 def backward(g):   # g as the weight gradient sees it, relu's mask applied
-                    calls.append((weight, x.data, g * (out.data > 0) if relu else g.copy()))
+                    calls.append((weight, xs, g * (out.data > 0) if relu else g.copy()))
                     rule(g)
 
                 out._backward = backward
@@ -294,6 +312,57 @@ class TestForward:
         for (name, a), (_, b) in zip(tiled_params, whole_params, strict=True):
             if id(a) not in split:
                 assert a.grad.tobytes() == b.grad.tobytes(), name
+
+    @pytest.mark.parametrize("dtype, n, size", [
+        (np.float32, 4, 64), (np.float32, 1, 128), (np.float64, 2, 64)])
+    def test_cat_input_matches_concat_graph_bitwise(self, dtype, n, size, monkeypatch):
+        # every join of the models goes through conv2d's cat input; the graph
+        # that concatenates first gives the same logits and gradients, byte
+        # for byte
+        rng = np.random.default_rng(size + n)
+        x = rng.standard_normal((n, 1, size, size)).astype(dtype)
+        g = rng.standard_normal((n, 6, size, size)).astype(dtype)
+
+        def run(variant):
+            model = M.build_model(variant, DESK, 6, seed=8, dtype=dtype)
+            logits = model.forward(Tensor(x))
+            T.sum_all(T.mul(logits, Tensor(g))).backward()
+            return [logits.data.tobytes()] + [t.grad.tobytes() for t in model.parameters()]
+
+        for variant in M.ALL_VARIANTS:
+            got = run(variant)
+            copies = []
+            with monkeypatch.context() as m:
+                m.setattr(T, "conv2d", concat_graph(copies))
+                want = run(variant)
+            assert bool(copies) == (variant != M.ModelVariant("cnn", False, False))
+            assert got == want, variant.cli_name
+
+    def test_cat_input_keeps_no_concatenated_copy(self, monkeypatch):
+        # at the loss, the concatenating graph holds each joined copy besides
+        # what the cat= graph holds
+        rng = np.random.default_rng(67)
+        x = Tensor(rng.standard_normal((1, 1, 128, 128)).astype(np.float32))
+        targets = rng.integers(0, 6, size=(1, 128, 128))
+        model = M.build_model(M.ModelVariant("unet", True, True), DESK, 6, seed=9)
+
+        def live() -> int:
+            tracemalloc.start()
+            try:
+                loss = L.segmentation_loss(L.LossSpec("focal"), model.forward(x), targets)
+                current, _ = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert loss.requires_grad
+            return current
+
+        lean = live()
+        copies = []
+        with monkeypatch.context() as m:
+            m.setattr(T, "conv2d", concat_graph(copies))
+            joined = live()
+        assert len(copies) == 3 * 4   # per skip level: decoder, reduce, fuse and CBAM joins
+        assert joined - lean >= 0.99 * sum(copies)
 
     def test_divisibility_rejected_with_message(self):
         model = M.build_model(M.ModelVariant("unet", False, False), DESK, 6, seed=0)

@@ -356,6 +356,115 @@ class TestConv2d:
                 np.testing.assert_allclose(got, want, rtol=0, atol=1e-5 * np.abs(want).max())
 
 
+class TestConv2dCat:
+    """conv2d(x, w, b, cat=y) is conv2d over x and y stacked along C."""
+
+    @staticmethod
+    def _both(x, y, wt, b, g, relu, frozen=""):
+        """Output and x, y, w, b gradients of the cat= conv and of the
+        concat_channels graph, as bytes; ``frozen`` names inputs without grad."""
+        runs = []
+        for fused in (True, False):
+            xt, yt = (Tensor(a, requires_grad=name not in frozen)
+                      for name, a in (("x", x), ("y", y)))
+            wtt, bt = Tensor(wt, requires_grad=True), Tensor(b, requires_grad=True)
+            out = (T.conv2d(xt, wtt, bt, relu=relu, cat=yt) if fused
+                   else T.conv2d(T.concat_channels(xt, yt), wtt, bt, relu=relu))
+            T.sum_all(T.mul(out, Tensor(g))).backward()
+            runs.append([None if a is None else a.tobytes()
+                         for a in (out.data, xt.grad, yt.grad, wtt.grad, bt.grad)])
+        return runs
+
+    @pytest.mark.parametrize("frozen", ["", "x", "y"])
+    @pytest.mark.parametrize("relu", [False, True])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_matches_concat_graph_bitwise(self, n, k, dtype, relu, frozen):
+        rng = np.random.default_rng(zlib.crc32(f"cat{n}{k}{relu}{frozen}".encode()))
+        h, w, ca, cb, cout = 6, 7, 2, 3, 4
+        x, y, wt, b, g = (rng.standard_normal(shape).astype(dtype) for shape in
+                          [(n, ca, h, w), (n, cb, h, w), (cout, ca + cb, k, k), (cout,),
+                           (n, cout, h, w)])
+        got, want = self._both(x, y, wt, b, g, relu, frozen)
+        assert got == want
+        for name, i in (("x", 1), ("y", 2)):
+            assert (got[i] is None) == (name in frozen)
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_split_span_matches_concat_graph_bitwise(self, k):
+        # 12 input and 16 output channels over a 64x86 plane: the real
+        # column-tile rule splits the span in forward and in both gradients
+        rng = np.random.default_rng(zlib.crc32(f"catsplit{k}".encode()))
+        h, w, ca, cb, cout = 64, 86, 8, 4, 16
+        assert T._column_tile(cout * (ca + cb), h * (w + 2 * (k // 2))) < h * (w + 2 * (k // 2))
+        x, y, wt, b, g = (rng.standard_normal(shape).astype(np.float32) for shape in
+                          [(1, ca, h, w), (1, cb, h, w), (cout, ca + cb, k, k), (cout,),
+                           (1, cout, h, w)])
+        got, want = self._both(x, y, wt, b, g, True)
+        assert got == want
+
+    def test_single_channel_halves_match_concat_graph_bitwise(self):
+        # the CBAM spatial gate's input: a mean and a max plane
+        rng = np.random.default_rng(61)
+        x, y, wt, b, g = (rng.standard_normal(shape) for shape in
+                          [(2, 1, 8, 8), (2, 1, 8, 8), (2, 2, 3, 3), (2,), (2, 2, 8, 8)])
+        got, want = self._both(x, y, wt, b, g, True)
+        assert got == want
+
+    def test_input_gradients_are_contiguous_copies(self):
+        rng = np.random.default_rng(62)
+        x, y = (rand64(rng, (2, c, 5, 6), requires_grad=True) for c in (2, 3))
+        w, b = rand64(rng, (4, 5, 3, 3), requires_grad=True), rand64(rng, (4,), requires_grad=True)
+        loss = T.sum_all(T.mul(T.conv2d(x, w, b, cat=y), rand64(rng, (2, 4, 5, 6))))
+        flowing = record_flowing(loss)
+        loss.backward()
+        assert x.grad.flags.c_contiguous and y.grad.flags.c_contiguous
+        assert_leaf_gradients_unshared([x, y, w, b], flowing)
+
+    @pytest.mark.parametrize("shape, dtype, match", [
+        ((2, 3, 4, 4), np.float64, "batch/spatial"),
+        ((1, 3, 4, 5), np.float64, "batch/spatial"),
+        ((1, 3, 4), np.float64, "rank 4"),
+        ((1, 3, 4, 4), np.float32, "mixed precision")])
+    def test_mismatched_cat_rejected(self, shape, dtype, match):
+        x = t64(np.zeros((1, 2, 4, 4)))
+        y = Tensor(np.zeros(shape, dtype=dtype))
+        w, b = t64(np.zeros((1, 5, 3, 3))), t64(np.zeros(1))
+        with pytest.raises(T.ShapeError, match=match):
+            T.conv2d(x, w, b, cat=y)
+
+    def test_channel_count_includes_cat(self):
+        x, y = t64(np.zeros((1, 2, 4, 4))), t64(np.zeros((1, 3, 4, 4)))
+        with pytest.raises(T.ShapeError, match="input has 5, weight expects 2"):
+            T.conv2d(x, t64(np.zeros((1, 2, 1, 1))), t64(np.zeros(1)), cat=y)
+
+    def test_1x1_operand_dies_with_the_forward(self, monkeypatch):
+        # a 1x1 conv joins x and cat in a transient GEMM operand and keeps
+        # neither it nor a copy: every array its GEMMs read, other than its
+        # own inputs, is gone once conv2d returns
+        rng = np.random.default_rng(63)
+        x, y = (rand64(rng, (2, c, 6, 6), requires_grad=True) for c in (3, 2))
+        w, b = rand64(rng, (4, 5, 1, 1), requires_grad=True), rand64(rng, (4,), requires_grad=True)
+        read, real_matmul = [], np.matmul
+
+        def matmul(a, m, **kwargs):
+            for arr in (a, m):
+                while arr.base is not None:
+                    arr = arr.base
+                read.append(arr)
+            return real_matmul(a, m, **kwargs)
+
+        monkeypatch.setattr(np, "matmul", matmul)
+        out = T.conv2d(x, w, b, cat=y)
+        monkeypatch.undo()
+        kept = [a for a in read if not any(a is t.data for t in (x, y, w, b))]
+        refs = [weakref.ref(a) for a in kept]
+        del read, kept
+        assert refs and all(r() is None for r in refs)
+        assert out.requires_grad
+
+
 class TestPooling:
     def test_max_single_window(self):
         x = t64([[[[1.0, 2.0], [3.0, 4.0]]]])
