@@ -9,7 +9,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
 from .cbam import CbamBlock, ParamStore, build_cbam, cbam_forward
-from .data import AugmentSpec, DrawingDataset, Sample, augment, generate_dataset, kfold_split
+from .data import DrawingDataset, Sample, augment, generate_dataset, kfold_split
 from .losses import LossSpec, segmentation_loss
 from .metrics import MetricsReport, compute_report, confusion
 from .models import (ALL_VARIANTS, EncoderConfig, ModelVariant, SegModel,
@@ -22,7 +22,7 @@ from .training import RunLog, TrainConfig, evaluate, run_ablation, train
 __version__ = "0.1.0"
 
 __all__ = [
-    "Adam", "ALL_VARIANTS", "AugmentSpec", "CbamBlock", "DrawingDataset",
+    "Adam", "ALL_VARIANTS", "CbamBlock", "DrawingDataset",
     "EncoderConfig", "LossSpec", "MetricsReport", "ModelVariant",
     "ParamStore", "RunLog", "Sample", "SegModel", "SkipBlockParams", "Tensor", "TrainConfig",
     "augment", "build_cbam", "build_model", "build_skip_block", "cbam_forward",

@@ -28,7 +28,7 @@ from .models import ALL_VARIANTS, FAMILIES, EncoderConfig, ModelVariant, load_ch
 from .netpbm import write_pgm, write_ppm
 from .optim import NumericalError
 from .tensor import Tensor, no_grad
-from .training import TrainConfig, _batch_arrays, evaluate, run_ablation, train
+from .training import TrainConfig, evaluate, run_ablation, train
 
 # overlay palette, one RGB triple per class id
 PALETTE = {
@@ -178,9 +178,8 @@ def cmd_predict(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     for sid in ids:
         sample = dataset.load(sid)
-        image, _ = _batch_arrays([sample], model.dtype)
         with no_grad():
-            logits = model.forward(Tensor(image))
+            logits = model.forward(Tensor(sample.image.astype(model.dtype)[None, None]))
         pred = logits.data.argmax(axis=1)[0].astype(np.uint8)
         write_pgm(out / f"{sid}_pred.pgm", pred, maxval=model.num_classes - 1)
         write_ppm(out / f"{sid}_overlay.ppm", _overlay(sample.image, pred))

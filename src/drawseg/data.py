@@ -15,6 +15,10 @@ Line classes (mask ids):
     5 Numer  one-px shaft plus an attached 5x7 seven-segment digit glyph
              (whole object labeled Numer)
 
+Train-time augmentation is one function, augment(sample, rng). It mirrors
+and rotates image and mask alike, so labels stay exact, and adds Gaussian
+noise to the image only.
+
 On disk: out_dir/{images/<id>.pgm, masks/<id>.pgm, splits/fold<k>.txt,
 manifest.txt}, with manifest lines "<id> <width> <height>". Images are
 8-bit binary PGM; masks are binary PGM with maxval 5.
@@ -40,7 +44,7 @@ _DASH_ON = 4
 _DASH_OFF = 4
 _GLYPH_W, _GLYPH_H = 5, 7
 MIN_SIZE = 2 * _MARGIN + 1   # the smallest canvas with room for a stroke's endpoints
-TRAIN_NOISE_SIGMA = 0.02     # std of the Gaussian noise train-time augmentation adds
+TRAIN_NOISE_SIGMA = 0.02     # std of the Gaussian noise augment() adds
 
 # seven-segment membership per digit: (top, top-right, bottom-right,
 # bottom, bottom-left, top-left, middle)
@@ -198,43 +202,22 @@ def generate_samples(n: int, size: int, seed: int):
 # augmentation
 
 
-@dataclass(frozen=True)
-class AugmentSpec:
-    """Geometric ops hit image and mask identically; noise hits only the image.
-
-    Applied in the order horizontal mirror, vertical mirror, rotation
-    (multiples of 90 degrees, label-exact), Gaussian noise.
-    """
-    mirror_h: bool = False
-    mirror_v: bool = False
-    rot90: int = 0
-    noise_sigma: float = 0.0
-
-
-def augment(sample: Sample, spec: AugmentSpec, seed: int) -> Sample:
-    rng = np.random.default_rng(seed)
+def augment(sample: Sample, rng: np.random.Generator) -> Sample:
+    """The train-time policy, drawn from rng in this order: horizontal mirror,
+    vertical mirror, rotation by k * 90 degrees (label-exact), then Gaussian
+    noise of std TRAIN_NOISE_SIGMA on the image only, clipped to [0, 1]."""
     image, mask = sample.image, sample.mask
-    if spec.mirror_h:
-        image = image[:, ::-1]
-        mask = mask[:, ::-1]
-    if spec.mirror_v:
-        image = image[::-1, :]
-        mask = mask[::-1, :]
-    if spec.rot90 % 4:
-        image = np.rot90(image, spec.rot90)
-        mask = np.rot90(mask, spec.rot90)
-    image = np.ascontiguousarray(image)
-    mask = np.ascontiguousarray(mask)
-    if spec.noise_sigma > 0:
-        noisy = image.astype(np.float64) + rng.normal(0.0, spec.noise_sigma, image.shape)
-        image = np.clip(noisy, 0.0, 1.0).astype(np.float32)
-    return Sample(image=image, mask=mask)
-
-
-def random_augment_spec(rng: np.random.Generator) -> AugmentSpec:
-    """Train-time draw: random flips and rotation plus mild noise."""
-    return AugmentSpec(mirror_h=bool(rng.integers(2)), mirror_v=bool(rng.integers(2)),
-                       rot90=int(rng.integers(4)), noise_sigma=TRAIN_NOISE_SIGMA)
+    if rng.integers(2):
+        image, mask = image[:, ::-1], mask[:, ::-1]
+    if rng.integers(2):
+        image, mask = image[::-1, :], mask[::-1, :]
+    k = int(rng.integers(4))
+    image, mask = np.rot90(image, k), np.rot90(mask, k)
+    # a nested generator for the noise keeps the bytes of every earlier augmented run
+    noise = np.random.default_rng(int(rng.integers(2 ** 31))).normal(
+        0.0, TRAIN_NOISE_SIGMA, image.shape)
+    image = np.clip(image.astype(np.float64) + noise, 0.0, 1.0).astype(np.float32)
+    return Sample(image=image, mask=np.ascontiguousarray(mask))
 
 
 # ---------------------------------------------------------------------------

@@ -66,7 +66,7 @@ def dualpool_fuse(shallow: Tensor, deeper: Tensor, p: SkipBlockParams) -> Tensor
         raise T.ShapeError(
             f"deeper feature must be half resolution: got {deeper.shape[2:]} vs {shallow.shape[2:]}")
     (w0, b0), (w1, b1) = p.pool
-    a = T.relu(T.avg_pool2d(shallow))
+    a = T.avg_pool2d(shallow)
     a = T.conv2d(a, w0, b0, relu=True)
     a = T.conv2d(a, w1, b1)
     return T.conv2d(a, *p.fuse, cat=deeper)

@@ -37,7 +37,7 @@ import numpy as np
 
 from . import metrics as MT
 from . import tensor as T
-from .data import NUM_CLASSES, Sample, augment, random_augment_spec
+from .data import NUM_CLASSES, Sample, augment
 from .losses import LossSpec, segmentation_loss
 # load_checkpoint is unused here but stays importable as training.load_checkpoint,
 # a name perfbench's tracer wraps.
@@ -135,9 +135,7 @@ def _train_sample(dataset, sid, cfg: TrainConfig, epoch: int, position: int) -> 
     sample = dataset.load(sid)
     if not cfg.augment:
         return sample
-    rng = np.random.default_rng([cfg.seed, 202, epoch, position])
-    spec = random_augment_spec(rng)
-    return augment(sample, spec, int(rng.integers(2 ** 31)))
+    return augment(sample, np.random.default_rng([cfg.seed, 202, epoch, position]))
 
 
 def evaluate(model: SegModel, ids: Sequence[str], dataset, batch_size: int = 8,
@@ -321,43 +319,37 @@ def _run_job(job) -> tuple[Optional[MT.MetricsReport], int, float]:
     return log.final, model.count_params(), log.wall_seconds
 
 
-def _run_cells(cfg: TrainConfig, dataset, out_dir, cells: list[tuple[ModelVariant, int, str]],
-               jobs: int) -> list[tuple[MT.MetricsReport, int, float]]:
-    """Train each (variant, fold, dir name) cell into out_dir/<dir name>, after
-    reading every fold; returns each cell's (final report, parameter count,
-    wall seconds). Every cell's image sizes are checked before any cell trains."""
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
-    out = Path(out_dir)
-    queue = [(replace(cfg, variant=v), dataset, *dataset.fold(k), out / name)
-             for v, k, name in cells]
-    for v, _, _ in cells:
-        _check_sizes(v, cfg.encoder, dataset, dataset.ids)
-    out.mkdir(parents=True, exist_ok=True)
-    if jobs == 1:
-        return [_run_job(job) for job in queue]
-    import multiprocessing   # here, so importing training loads no pool machinery
-    from concurrent.futures import ProcessPoolExecutor
-    with ProcessPoolExecutor(jobs, mp_context=multiprocessing.get_context("spawn")) as pool:
-        return list(pool.map(_run_job, queue))
-
-
 def run_ablation(cfg: TrainConfig, dataset, family: str, out_dir,
                  jobs: int = 1) -> list[dict]:
     """Train the four variants of one family on every split file of the
     dataset, into out_dir/<cli name>/fold<k>; all cells share cfg's seed.
     metrics.csv holds each cell's final report on its fold's held-out ids, and
-    each variant's row is the mean and population stddev of its folds."""
+    each variant's row is the mean and population stddev of its folds. jobs,
+    every fold and every cell's image sizes are checked before anything is
+    written."""
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}")
     folds = dataset.num_folds
     if folds < 2:
         raise ValueError(f"ablate needs at least 2 split files under {dataset.root / 'splits'}, "
                          f"found {folds}")
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     variants = [v for v in ALL_VARIANTS if v.family == family]
     cells = [(v, k, f"{v.cli_name}/fold{k}") for v in variants for k in range(folds)]
-    results = _run_cells(cfg, dataset, out_dir, cells, jobs)
     out = Path(out_dir)
+    queue = [(replace(cfg, variant=v), dataset, *dataset.fold(k), out / name)
+             for v, k, name in cells]
+    for v in variants:
+        _check_sizes(v, cfg.encoder, dataset, dataset.ids)
+    out.mkdir(parents=True, exist_ok=True)
+    if jobs == 1:
+        results = [_run_job(job) for job in queue]
+    else:
+        import multiprocessing   # here, so importing training loads no pool machinery
+        from concurrent.futures import ProcessPoolExecutor
+        with ProcessPoolExecutor(jobs, mp_context=multiprocessing.get_context("spawn")) as pool:
+            results = list(pool.map(_run_job, queue))
     MT.write_metrics_csv(out / "metrics.csv",
                          [(name, report) for (_, _, name), (report, _, _) in zip(cells, results)])
 

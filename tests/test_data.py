@@ -1,4 +1,6 @@
 """Generator determinism, augmentation exactness, codec, folds, dataset text."""
+import hashlib
+import itertools
 import math
 import tempfile
 from pathlib import Path
@@ -10,6 +12,7 @@ from hypothesis import strategies as st
 
 from drawseg import cli
 from drawseg import data as D
+from drawseg import training as TR
 from drawseg.netpbm import read_pgm, write_pgm
 
 # frozen counting-pass result: 500 samples, 64x64, seed 0
@@ -82,40 +85,90 @@ class TestGeneration:
             ds.load(ids[1])
 
 
+def augment_draws(seed):
+    """A twin generator's draws, replayed by hand: (mirror_h, mirror_v, k, noise seed)."""
+    rng = np.random.default_rng(seed)
+    return (int(rng.integers(2)), int(rng.integers(2)), int(rng.integers(4)),
+            int(rng.integers(2 ** 31)))
+
+
+def seed_drawing(mirror_h, mirror_v, k):
+    return next(seed for seed in itertools.count()
+                if augment_draws(seed)[:3] == (mirror_h, mirror_v, k))
+
+
+def geometry_oracle(a, mirror_h, mirror_v, k):
+    """Mirrors, then k quarter turns counter-clockwise, pixel by pixel."""
+    h, w = a.shape
+    out = np.empty_like(a)
+    for i in range(h):
+        for j in range(w):
+            out[i, j] = a[h - 1 - i if mirror_v else i, w - 1 - j if mirror_h else j]
+    for _ in range(k):
+        h, w = out.shape
+        turned = np.empty((w, h), dtype=out.dtype)
+        for i in range(w):
+            for j in range(h):
+                turned[i, j] = out[j, w - 1 - i]
+        out = turned
+    return out
+
+
+def augment_oracle(sample, seed):
+    mirror_h, mirror_v, k, noise_seed = augment_draws(seed)
+    image = geometry_oracle(sample.image, mirror_h, mirror_v, k).astype(np.float64)
+    image += np.random.default_rng(noise_seed).normal(0.0, D.TRAIN_NOISE_SIGMA, image.shape)
+    return (np.clip(image, 0.0, 1.0).astype(np.float32),
+            geometry_oracle(sample.mask, mirror_h, mirror_v, k))
+
+
 class TestAugment:
     def sample(self, seed=11):
-        return next(iter(D.generate_samples(1, 32, seed)))[1]
+        # not square, so a quarter turn changes the shape
+        s = next(iter(D.generate_samples(1, 32, seed)))[1]
+        return D.Sample(image=s.image[:, :27].copy(), mask=s.mask[:, :27].copy())
+
+    def assert_oracle(self, sample, seed):
+        out = D.augment(sample, np.random.default_rng(seed))
+        image, mask = augment_oracle(sample, seed)
+        for got, want in ((out.image, image), (out.mask, mask)):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.flags.c_contiguous
+            assert got.tobytes() == want.tobytes()
+        return out
 
     def test_mirror_involution_bit_exact(self):
         s = self.sample()
-        spec = D.AugmentSpec(mirror_h=True)
-        twice = D.augment(D.augment(s, spec, 0), spec, 0)
-        np.testing.assert_array_equal(twice.image, s.image)
+        seed = seed_drawing(1, 0, 0)
+        once = self.assert_oracle(s, seed)
+        twice = self.assert_oracle(once, seed)
         np.testing.assert_array_equal(twice.mask, s.mask)
+        image, _ = augment_oracle(D.Sample(*augment_oracle(s, seed)), seed)
+        assert twice.image.tobytes() == image.tobytes()
 
     def test_mirror_moves_mask_with_image(self):
         s = self.sample()
-        out = D.augment(s, D.AugmentSpec(mirror_h=True), 0)
+        out = self.assert_oracle(s, seed_drawing(1, 0, 0))
         np.testing.assert_array_equal(out.mask, s.mask[:, ::-1])
-        np.testing.assert_array_equal(out.image, s.image[:, ::-1])
+        assert np.abs(out.image - s.image[:, ::-1]).max() <= 6 * D.TRAIN_NOISE_SIGMA
 
     def test_rot90_preserves_class_histogram(self):
         s = self.sample()
         for k in (1, 2, 3):
-            out = D.augment(s, D.AugmentSpec(rot90=k), 0)
+            out = self.assert_oracle(s, seed_drawing(0, 0, k))
             np.testing.assert_array_equal(
                 np.bincount(out.mask.reshape(-1), minlength=6),
                 np.bincount(s.mask.reshape(-1), minlength=6))
 
     def test_rot90_maps_positions_exactly(self):
         s = self.sample()
-        out = D.augment(s, D.AugmentSpec(rot90=1), 0)
+        out = self.assert_oracle(s, seed_drawing(0, 0, 1))
         np.testing.assert_array_equal(out.mask, np.rot90(s.mask, 1))
 
     def test_noise_statistics_and_mask_untouched(self):
         s = self.sample()
-        sigma = 0.05
-        out = D.augment(s, D.AugmentSpec(noise_sigma=sigma), 123)
+        sigma = D.TRAIN_NOISE_SIGMA
+        out = self.assert_oracle(s, seed_drawing(0, 0, 0))
         np.testing.assert_array_equal(out.mask, s.mask)
         assert not np.array_equal(out.image, s.image)
         delta = np.abs(out.image.astype(np.float64) - s.image.astype(np.float64)).mean()
@@ -124,22 +177,60 @@ class TestAugment:
 
     def test_same_seed_same_noise(self):
         s = self.sample()
-        spec = D.AugmentSpec(noise_sigma=0.05)
-        a = D.augment(s, spec, 7)
-        b = D.augment(s, spec, 7)
-        np.testing.assert_array_equal(a.image, b.image)
+        a = D.augment(s, np.random.default_rng(7))
+        b = D.augment(s, np.random.default_rng(7))
+        assert a.image.tobytes() == b.image.tobytes()
+        assert a.mask.tobytes() == b.mask.tobytes()
+        rng = np.random.default_rng(7)
+        rng.integers(2)
+        twin = np.random.default_rng()
+        twin.bit_generator.state = rng.bit_generator.state
+        c, d = D.augment(s, rng), D.augment(s, twin)
+        assert c.image.tobytes() == d.image.tobytes()
+        assert not np.array_equal(c.image, a.image)
+
+    def test_64_positions_draw_every_mirror_and_turn(self):
+        # the seeds _train_sample gives the first 64 positions of epoch 0
+        s = self.sample()
+        seen = set()
+        for seed in ([0, 202, 0, position] for position in range(64)):
+            self.assert_oracle(s, seed)
+            seen.add(augment_draws(seed)[:3])
+        assert seen == {(h, v, k) for h in (0, 1) for v in (0, 1) for k in range(4)}
 
     @given(st.integers(min_value=0, max_value=10 ** 6))
     @settings(max_examples=20, deadline=None)
     def test_geometric_ops_keep_mask_on_strokes(self, seed):
         rng = np.random.default_rng(seed)
         s = D.make_sample(32, rng)
-        spec = D.AugmentSpec(mirror_h=bool(rng.integers(2)),
-                             mirror_v=bool(rng.integers(2)),
-                             rot90=int(rng.integers(4)))
-        out = D.augment(s, spec, seed)
+        out = D.augment(s, rng)
         stroke = out.mask > 0
         assert np.all(out.image[stroke] < 1.0)
+
+    def test_train_sample_golden_digest(self):
+        # pins the bytes of augmented training samples: any change to the draw
+        # order or the noise changes this digest
+        class Memory:
+            def __init__(self, size):
+                self.samples = dict(D.generate_samples(4, size, size))
+
+            def load(self, sid):
+                return self.samples[sid]
+
+        digest = hashlib.sha256()
+        for size in (16, 32, 64):
+            dataset = Memory(size)
+            ids = sorted(dataset.samples)
+            for seed in (0, 7):
+                cfg = TR.TrainConfig(seed=seed, augment=True)
+                for epoch in range(3):
+                    for pos in range(8):
+                        out = TR._train_sample(dataset, ids[pos % 4], cfg, epoch, pos)
+                        for a in (out.image, out.mask):
+                            digest.update(f"{a.dtype}{a.shape}{a.flags.c_contiguous}".encode())
+                            digest.update(a.tobytes())
+        assert digest.hexdigest() == (
+            "fa9b50353a000af5423c61e4c06ba1b32cf97486f3b2fc9b90be79f91b7f65d2")
 
 
 class TestCodec:

@@ -16,6 +16,7 @@ import _oracles as oracle
 from drawseg import cbam as C
 from drawseg import losses as L
 from drawseg import models as M
+from drawseg import skipfuse as S
 from drawseg import tensor as T
 from drawseg.tensor import Tensor
 
@@ -336,6 +337,36 @@ class TestForward:
                 m.setattr(T, "conv2d", concat_graph(copies))
                 want = run(variant)
             assert bool(copies) == (variant != M.ModelVariant("cnn", False, False))
+            assert got == want, variant.cli_name
+
+    @pytest.mark.parametrize("dtype, n, size", [(np.float32, 4, 64), (np.float64, 2, 64)])
+    def test_dualpool_branch_needs_no_relu_after_its_pool(self, dtype, n, size, monkeypatch):
+        # the shallow feature is a conv+ReLU output, so its average pool is
+        # already >= 0: a ReLU there changes no logit or parameter gradient
+        rng = np.random.default_rng(size + n + 1)
+        x = Tensor(rng.standard_normal((n, 1, size, size)).astype(dtype))
+        targets = rng.integers(0, 6, size=(n, size, size))
+
+        def relu_after_pool(shallow, deeper, p):
+            (w0, b0), (w1, b1) = p.pool
+            a = T.relu(T.avg_pool2d(shallow))
+            a = T.conv2d(a, w0, b0, relu=True)
+            a = T.conv2d(a, w1, b1)
+            return T.conv2d(a, *p.fuse, cat=deeper)
+
+        def run(variant):
+            model = M.build_model(variant, DESK, 6, seed=10, dtype=dtype)
+            logits = model.forward(x)
+            L.segmentation_loss(L.LossSpec("focal"), logits, targets).backward()
+            return [logits.data.tobytes()] + [t.grad.tobytes() for t in model.parameters()]
+
+        for variant in M.ALL_VARIANTS:
+            if variant.family != "unet":
+                continue
+            got = run(variant)
+            with monkeypatch.context() as m:
+                m.setattr(S, "dualpool_fuse", relu_after_pool)
+                want = run(variant)
             assert got == want, variant.cli_name
 
     def test_cat_input_keeps_no_concatenated_copy(self, monkeypatch):
