@@ -4,7 +4,8 @@ All builders run in float64, seed their randomness, and jitter every
 parameter (biases start at exactly zero, which parks relu pre-activations
 precisely on the kink where central differences and reverse-mode gradients
 legitimately disagree). Inputs get a small deterministic ramp added for
-the same reason: it pushes pool windows off exact ties.
+the same reason: it pushes pool windows off exact ties. No scope sets its
+own finite-difference step or tolerance: grad_check has one of each.
 """
 from __future__ import annotations
 
@@ -154,13 +155,12 @@ def check_cbam() -> GradCheckReport:
         out = cbam_forward(x, block)
         return T.mean_all(T.mul(out, out))
 
-    # h=1e-5: composite blocks push the probe through many relu decisions
-    return grad_check(build, params, h=1e-5)
+    return grad_check(build, params)
 
 
 def check_skip() -> GradCheckReport:
     report = GradCheckReport()
-    for ave, cbam in ((True, False), (False, True), (True, True)):
+    for name, ave, cbam in (("ave", True, False), ("cbam", False, True), ("ave+cbam", True, True)):
         store = ParamStore(17, np.float64)
         block = build_skip_block(store, "skip", 4, 8, ave, cbam)
         rng = store.rng
@@ -176,8 +176,7 @@ def check_skip() -> GradCheckReport:
             out = skip_forward(shallow, deeper if ave else None, block)
             return T.mean_all(T.mul(out, out))
 
-        name = {(True, False): "ave", (False, True): "cbam", (True, True): "ave+cbam"}[(ave, cbam)]
-        _merge(report, grad_check(build, params, h=1e-5), name)
+        _merge(report, grad_check(build, params), name)
     return report
 
 
@@ -195,8 +194,7 @@ def check_model() -> GradCheckReport:
         out = model.forward(x)
         return T.mean_all(T.mul(out, out))
 
-    # h=1e-5: a first-layer nudge sweeps hundreds of relu/pool decisions
-    return grad_check(build, params, tol=1e-4, h=1e-5, max_elements=3)
+    return grad_check(build, params, max_elements=3)
 
 
 # the gradcheck scopes, by name; the CLI offers these keys

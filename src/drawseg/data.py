@@ -291,9 +291,13 @@ class DrawingDataset:
                                  f"with a new id, got {line!r}")
             if fields[0] in (".", "..") or "/" in fields[0] or "\\" in fields[0]:
                 raise ValueError(f"{manifest}:{n}: id {fields[0]!r} is not one path component")
-            w, h = int(fields[1]), int(fields[2])
+            try:   # int() alone also takes "+16", "1_6" and non-ASCII digits
+                w, h = (int(f) if f.isascii() and f.isdigit() else 0 for f in fields[1:])
+            except ValueError:   # more digits than int() converts
+                w = h = 0
             if w < 1 or h < 1:
-                raise ValueError(f"{manifest}:{n}: image size {w}x{h} is below 1x1")
+                raise ValueError(f"{manifest}:{n}: image size {fields[1]}x{fields[2]} "
+                                 "is not two decimal integers >= 1")
             self.ids.append(fields[0])
             self.sizes[fields[0]] = (w, h)
         self._cache: dict[str, Sample] = {}

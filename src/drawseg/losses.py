@@ -3,10 +3,12 @@
 Four kinds are compared by the training harness:
 
 * ce    -- mean softmax cross-entropy, -log p_t.
-* focal -- -alpha * (1 - p_t)^gamma * log p_t; the modulating factor
+* focal -- -FOCAL_ALPHA * (1 - p_t)^gamma * log p_t; the modulating factor
            down-weights pixels the model already classifies confidently,
            which matters here because background dominates the masks.
-           focal(gamma=0, alpha=1) reduces to ce bit-for-bit.
+           FOCAL_ALPHA = 0.25 (Lin et al., arXiv 1708.02002) only scales the
+           loss, which Adam ignores but for its eps, so it is a constant; a
+           power of two, so focal(gamma=0) is FOCAL_ALPHA * ce bit-for-bit.
 * bce   -- one-vs-rest binary cross-entropy on sigmoid(logits), averaged
            over pixels and classes.
 * poly  -- ce + POLY_EPS * mean(1 - p_t), the first-order polynomial
@@ -27,21 +29,19 @@ from .tensor import Tensor
 LOG_FLOOR = 1e-12
 LOSS_KINDS = ("ce", "bce", "poly", "focal")
 POLY_EPS = 1.0
+FOCAL_ALPHA = 0.25
 
 
 @dataclass(frozen=True)
 class LossSpec:
     kind: str = "focal"
     gamma: float = 2.0       # focal only
-    alpha: float = 0.25      # focal only
 
     def __post_init__(self):
         if self.kind not in LOSS_KINDS:
             raise ValueError(f"unknown loss kind {self.kind!r}; expected one of {LOSS_KINDS}")
         if not (math.isfinite(self.gamma) and self.gamma >= 0):
             raise ValueError(f"focal gamma must be finite and >= 0, got {self.gamma}")
-        if not 0 < self.alpha <= 1:
-            raise ValueError("focal alpha must lie in (0, 1]")
 
 
 def _validate_targets(targets: np.ndarray, logits: Tensor) -> None:
@@ -72,7 +72,7 @@ def segmentation_loss(spec: LossSpec, logits: Tensor, targets: np.ndarray) -> Te
     if spec.kind == "focal":
         p_true = _true_class_prob(logits, targets)
         modulator = T.power(T.affine(p_true, -1.0, 1.0), spec.gamma)
-        return T.mean_all(T.mul(T.affine(modulator, spec.alpha, 0.0), _nll(p_true)))
+        return T.mean_all(T.mul(T.affine(modulator, FOCAL_ALPHA, 0.0), _nll(p_true)))
     if spec.kind == "poly":
         p_true = _true_class_prob(logits, targets)
         ce = T.mean_all(_nll(p_true))

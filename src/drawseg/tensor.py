@@ -895,18 +895,21 @@ def take_channel(p: Tensor, classes: np.ndarray) -> Tensor:
 # ---------------------------------------------------------------------------
 # gradient checking
 
+H = 1e-5          # grad_check's one central-difference step
+RTOL = 1e-6       # its bound's term relative to the gradient
+ROUNDOFF = 4.0    # its bound's multiple of the roundoff in f(x + H) - f(x - H)
+
 
 @dataclass
 class GradCheckEntry:
     name: str
-    max_rel_err: float
+    max_rel_err: float   # worst |g_ad - g_fd| / bound over the probed elements (see grad_check)
     checked: int
 
 
 @dataclass
 class GradCheckReport:
     entries: list[GradCheckEntry] = field(default_factory=list)
-    tol: float = 1e-5
 
     @property
     def worst(self) -> Optional[GradCheckEntry]:
@@ -914,35 +917,43 @@ class GradCheckReport:
 
     @property
     def passed(self) -> bool:
-        return all(e.max_rel_err < self.tol for e in self.entries)
+        return all(e.max_rel_err < 1.0 for e in self.entries)
 
     def summary(self) -> str:
         lines = []
         for e in self.entries:
-            verdict = "PASS" if e.max_rel_err < self.tol else "FAIL"
-            lines.append(f"{verdict}  {e.name:40s} rel_err={e.max_rel_err:.3e} ({e.checked} elems)")
+            verdict = "PASS" if e.max_rel_err < 1.0 else "FAIL"
+            lines.append(f"{verdict}  {e.name:40s} err/bound={e.max_rel_err:.3e} ({e.checked} elems)")
         w = self.worst
-        tail = f"worst: {w.name} rel_err={w.max_rel_err:.3e}" if w else "no parameters"
-        lines.append(("PASS " if self.passed else "FAIL ") + f"(tol={self.tol:g})  " + tail)
+        tail = f"worst: {w.name} err/bound={w.max_rel_err:.3e}" if w else "no parameters"
+        lines.append(("PASS  " if self.passed else "FAIL  ") + tail)
         return "\n".join(lines)
 
 
 def grad_check(build: Callable[[], Tensor], params: dict[str, Tensor],
-               tol: float = 1e-5, h: float = 1e-4,
                max_elements: Optional[int] = None) -> GradCheckReport:
     """Compare reverse-mode gradients against central finite differences.
 
-    ``build`` must rebuild the scalar loss from the current ``params``
-    data each call. Relative error per element is
-    |g_ad - g_fd| / max(|g_ad|, |g_fd|, 1e-8). With ``max_elements`` set,
-    a seeded subset of coordinates per parameter is probed instead of all
-    of them (needed to keep whole-model checks inside the time budget).
+    ``build`` must rebuild the scalar loss from the current ``params`` data
+    each call. A probe gives g_fd = (f+ - f-) / 2H, f+- = f(x +- H), and
+    bound = RTOL * max(|g_ad|, |g_fd|) + ROUNDOFF * eps * max(|f+|, |f-|) / H,
+    eps the loss dtype's: f+- each carry roundoff of about eps * |f|, which
+    no tolerance relative to g alone bounds when |g| << |f|. An entry holds
+    the worst |g_ad - g_fd| / bound; a check passes when every entry is
+    below 1. With ``max_elements`` set, a seeded subset of coordinates per
+    parameter is probed (keeps whole-model checks inside the time budget).
+    On the float64 scopes of ``checks`` the worst err/bound reads 0.14
+    (primitive), 0.11 (cbam), 0.091 (skip) and 0.12 (model), at most 0.11
+    with conv2d's taps summed in reverse, and about 100 in each with a conv
+    or dense weight gradient 1.0001x off. H = 1e-4 crosses a ReLU kink in
+    the skip scope (4e5); at 1e-6 the model scope reads 0.48.
     """
-    report = GradCheckReport(tol=tol)
+    report = GradCheckReport()
     loss = build()
     if loss.data.size != 1 or not np.isfinite(loss.data).all():
         report.entries.append(GradCheckEntry("<loss>", float("inf"), 0))
         return report
+    eps = float(np.finfo(loss.data.dtype).eps)
     zero_grads(params.values())
     loss.backward()
     ad = {name: (p.grad.copy() if p.grad is not None else np.zeros_like(p.data))
@@ -961,17 +972,18 @@ def grad_check(build: Callable[[], Tensor], params: dict[str, Tensor],
         g_ad_flat = ad[name].reshape(-1)
         for i in picks:
             saved = flat[i]
-            flat[i] = saved + h
+            flat[i] = saved + H
             up = float(build().data)
-            flat[i] = saved - h
+            flat[i] = saved - H
             down = float(build().data)
             flat[i] = saved
-            if not (math.isfinite(up) and math.isfinite(down)):
+            g = float(g_ad_flat[i])
+            if not (math.isfinite(up) and math.isfinite(down) and math.isfinite(g)):
                 worst = float("inf")
                 break
-            g_fd = (up - down) / (2.0 * h)
-            g = float(g_ad_flat[i])
-            rel = abs(g - g_fd) / max(abs(g), abs(g_fd), 1e-8)
-            worst = max(worst, rel)
+            g_fd = (up - down) / (2.0 * H)
+            err = abs(g - g_fd)
+            bound = RTOL * max(abs(g), abs(g_fd)) + ROUNDOFF * eps * max(abs(up), abs(down)) / H
+            worst = max(worst, err / bound if err else 0.0)
         report.entries.append(GradCheckEntry(name, worst, len(picks)))
     return report

@@ -159,5 +159,5 @@ class TestFullBlock:
         def build():
             return T.mean_all(T.mul(y := C.cbam_forward(x, block), y))
 
-        report = T.grad_check(build, params, tol=1e-5)
+        report = T.grad_check(build, params)
         assert report.passed, report.summary()

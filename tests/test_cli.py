@@ -415,10 +415,11 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("command, flag", [
         ("train", "--eta-min"), ("train", "--poly-eps"), ("ablate", "--eta-min"),
-        ("ablate", "--poly-eps")])
+        ("ablate", "--poly-eps"), ("train", "--alpha"), ("ablate", "--alpha")])
     def test_schedule_floor_and_poly_eps_flags_are_gone(self, data_dir, tmp_path, capsys,
                                                          command, flag):
-        # the floor is always lr / 100 and the poly epsilon losses.POLY_EPS
+        # the floor is always lr / 100, the poly epsilon losses.POLY_EPS and focal
+        # alpha losses.FOCAL_ALPHA
         out = tmp_path / "r"
         head = self._GRID.get(command, [command])
         assert cli.main([*head, "--data", str(data_dir), "--out", str(out), "--epochs", "1",

@@ -491,7 +491,13 @@ class TestDatasetText:
         ("00000 16 16\n\n00001 16 16\n", r"manifest\.txt:2: expected"),
         ("00000 16\n", r"manifest\.txt:1: expected"),
         ("00000 16 16\n00000 16 16\n", r"manifest\.txt:2: .*new id"),
-        ("00000 16 x\n", "invalid literal"),
+        ("00000 16 x\n", r"manifest\.txt:1: image size 16xx is not two decimal integers"),
+        ("00001 16 1e3\n", r"manifest\.txt:1: image size 16x1e3 is not"),
+        ("00000 1_6 16\n", r"manifest\.txt:1: image size 1_6x16 is not"),
+        ("00000 +16 16\n", r"manifest\.txt:1: image size \+16x16 is not"),
+        ("00000 16 \u0661\u0666\n", r"manifest\.txt:1: image size 16x\u0661\u0666 is not"),
+        pytest.param("00000 16 " + "1" * 5000 + "\n", r"manifest\.txt:1: image size 16x1+ is not",
+                     id="more digits than int() converts"),
         ("00000 16 0\n", r"manifest\.txt:1: image size 16x0"),
         # an id names files under images/, masks/ and predict's --out
         ("00000 16 16\n../escape/e 16 16\n",

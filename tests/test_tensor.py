@@ -992,18 +992,18 @@ class TestBackward:
             y = T.dense(T.global_avg_pool(y), params["d"])
             return T.sum_all(T.mul(y, y))
 
-        report = T.grad_check(build, params, tol=1e-5)
+        report = T.grad_check(build, params)
         assert report.passed, report.summary()
 
 
-from drawseg.checks import PRIMITIVE_BUILDERS, SAMPLED_BUILDERS
+from drawseg.checks import PRIMITIVE_BUILDERS, SAMPLED_BUILDERS, SCOPES
 
 
 @pytest.mark.parametrize("name", sorted(PRIMITIVE_BUILDERS))
 def test_primitive_gradients_match_finite_differences(name):
     rng = np.random.default_rng(zlib.crc32(name.encode()))
     params, build = PRIMITIVE_BUILDERS[name](rng)
-    report = T.grad_check(build, params, tol=1e-5)
+    report = T.grad_check(build, params)
     assert report.passed, f"{name}\n{report.summary()}"
 
 
@@ -1011,7 +1011,7 @@ def test_primitive_gradients_match_finite_differences(name):
 def test_sampled_primitive_gradients_match_finite_differences(name):
     make, probes = SAMPLED_BUILDERS[name]
     params, build = make(np.random.default_rng(zlib.crc32(name.encode())))
-    report = T.grad_check(build, params, tol=1e-5, max_elements=probes)
+    report = T.grad_check(build, params, max_elements=probes)
     assert report.passed, f"{name}\n{report.summary()}"
 
 
@@ -1045,21 +1045,76 @@ def test_grad_check_flags_corrupted_rule(monkeypatch):
     monkeypatch.setattr(T, "sigmoid", negated_rule)
     rng = np.random.default_rng(99)
     params, build = PRIMITIVE_BUILDERS["sigmoid"](rng)
-    report = T.grad_check(build, params, tol=1e-5)
+    report = T.grad_check(build, params)
     assert not report.passed
 
 
 def test_grad_check_linear_graph_near_exact():
     rng = np.random.default_rng(41)
     p = {"x": rand64(rng, (1, 2, 3, 3), requires_grad=True)}
-    report = T.grad_check(lambda: T.sum_all(T.affine(p["x"], 3.0, 1.0)), p, tol=1e-9)
-    assert report.passed, report.summary()
+    report = T.grad_check(lambda: T.sum_all(T.affine(p["x"], 3.0, 1.0)), p)
+    # a linear graph has no truncation error: only the roundoff term of the bound is spent
+    assert report.worst.max_rel_err < 1e-3, report.summary()
 
 
 def test_grad_check_reports_nonfinite_loss_as_failure():
     p = {"x": t64(np.full((1, 1, 1, 1), np.nan), requires_grad=True)}
     report = T.grad_check(lambda: T.sum_all(p["x"]), p)
     assert not report.passed
+
+
+def test_grad_check_reports_nonfinite_gradient_as_failure(monkeypatch):
+    real = T.sum_all
+
+    def nan_rule(x):
+        out = real(x)
+        rule = out._backward
+        out._backward = lambda g: rule(g * np.nan)
+        return out
+
+    monkeypatch.setattr(T, "sum_all", nan_rule)
+    p = {"x": t64(np.ones((1, 1, 1, 2)), requires_grad=True)}
+    report = T.grad_check(lambda: T.sum_all(p["x"]), p)
+    assert not report.passed, report.summary()
+
+
+def _reorder_tap_sums(monkeypatch, dw_scale=1.0):
+    """Run conv2d's tap sums in reverse tap order, an exact gradient whose sums
+    are reordered, and scale every conv weight gradient by dw_scale."""
+    real_tap_sum, real_conv, real_accumulate = T._tap_sum, T.conv2d, T._accumulate
+    weights = {}   # id -> the weight, kept alive so that no other tensor takes its id
+
+    def conv2d(x, weight, bias, **kwargs):
+        weights[id(weight)] = weight
+        return real_conv(x, weight, bias, **kwargs)
+
+    monkeypatch.setattr(T, "_tap_sum", lambda mats, src, offsets, span:
+                        real_tap_sum(mats[::-1], src, offsets[::-1], span))
+    monkeypatch.setattr(T, "conv2d", conv2d)
+    monkeypatch.setattr(T, "_accumulate", lambda t, g:
+                        real_accumulate(t, g * dw_scale if id(t) in weights else g))
+
+
+def test_reversed_tap_order_moves_conv_bits(monkeypatch):
+    rng = np.random.default_rng(43)
+    x, w, b = (rand64(rng, s) for s in ((1, 16, 8, 8), (4, 16, 3, 3), (4,)))
+    before = T.conv2d(x, w, b).data.copy()
+    _reorder_tap_sums(monkeypatch)
+    assert (T.conv2d(x, w, b).data != before).any()
+
+
+@pytest.mark.parametrize("scope", sorted(SCOPES))
+def test_grad_check_passes_reordered_sums(monkeypatch, scope):
+    _reorder_tap_sums(monkeypatch)
+    report = SCOPES[scope]()
+    assert report.passed, report.summary()
+
+
+@pytest.mark.parametrize("scope", sorted(SCOPES))
+def test_grad_check_fails_reordered_sums_with_conv_weight_gradient_1e4_off(monkeypatch, scope):
+    _reorder_tap_sums(monkeypatch, dw_scale=1.0001)
+    report = SCOPES[scope]()
+    assert not report.passed, report.summary()
 
 
 def test_forward_ops_are_pure():

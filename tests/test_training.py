@@ -66,8 +66,8 @@ class TestConfig:
         written = json.loads(cfg.to_json())
         assert (written["unfreeze_epoch"], written["validate_from"]) == (5, 5)
         assert written["encoder"]["convs_per_block"] == [2, 2, 2, 2]
-        # neither the schedule's floor (lr0 / 100) nor the poly epsilon is a setting
-        assert "eta_min" not in written and "poly_eps" not in written["loss"]
+        # the schedule's floor (lr0 / 100), the poly epsilon and focal alpha are no settings
+        assert "eta_min" not in written and written["loss"] == {"kind": "focal", "gamma": 2.0}
         cfg = TR.TrainConfig(epochs=10, unfreeze_epoch=2, lr0=1e-3)
         assert (cfg.unfreeze_at, cfg.validate_at) == (2, 2)
 
