@@ -115,7 +115,7 @@ PRIMITIVE_BUILDERS["log_clamp_power_affine"] = _scalar_chain
 
 def _merge(report: GradCheckReport, sub: GradCheckReport, prefix: str) -> None:
     for e in sub.entries:
-        report.entries.append(type(e)(f"{prefix}.{e.name}", e.max_rel_err, e.checked))
+        report.entries.append(type(e)(f"{prefix}.{e.name}", e.err_over_bound, e.checked))
 
 
 def check_primitives() -> GradCheckReport:

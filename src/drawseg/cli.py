@@ -27,8 +27,7 @@ from .data import NUM_CLASSES, DrawingDataset, generate_dataset
 from .losses import LOSS_KINDS, LossSpec
 from .models import ALL_VARIANTS, FAMILIES, EncoderConfig, ModelVariant, load_checkpoint
 from .netpbm import write_pgm, write_ppm
-from .optim import NumericalError
-from .tensor import Tensor, no_grad
+from .tensor import NumericalError, Tensor, no_grad
 from .training import TrainConfig, evaluate, run_ablation, train
 
 # overlay palette, one RGB triple per class id

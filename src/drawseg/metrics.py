@@ -1,19 +1,20 @@
 """Segmentation metrics: confusion matrix, IoU, accuracy, AP and mAP.
 
 Conventions: confusion rows index the predicted class, columns the true
-class. The headline IoU averages the five foreground classes only, since
-background covers >90% of pixels and would mask quality; a with-background
-variant is reported alongside. AP is the mean of per-image precisions
-(defined only for images where the class is predicted at all), and mAP the
-mean of defined foreground APs. Undefined ratios are excluded from means
-and listed, never scored as zero.
+class. A report keeps the per-image counts and works out every rate from
+them (as FCN does, Long et al., arXiv 1411.4038). The headline IoU averages
+the five foreground classes only, since background covers >90% of pixels
+and would mask quality; a with-background variant is reported alongside.
+AP is the mean of per-image precisions, and mAP the mean of foreground APs.
+A rate whose denominator is 0 is None (``ratio``) and means skip it
+(``over_defined``): undefined rates are listed, never scored as zero.
 """
 from __future__ import annotations
 
 import io
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -34,96 +35,90 @@ def confusion(pred: np.ndarray, gt: np.ndarray, num_classes: int) -> np.ndarray:
         num_classes, num_classes)
 
 
-def iou(cm: np.ndarray, c: int) -> Optional[float]:
-    """Intersection over union for class c; None when the union is empty."""
-    inter = cm[c, c]
-    union = cm[c, :].sum() + cm[:, c].sum() - inter
-    return None if union == 0 else float(inter / union)
+def ratio(num, den) -> Optional[float]:
+    """num / den as a float; None when den is 0, where the rate is undefined."""
+    return None if den == 0 else float(num / den)
 
 
-def mean_iou(cm: np.ndarray, foreground_only: bool = True) -> Optional[float]:
-    k = cm.shape[0]
-    values = [iou(cm, c) for c in range(1 if foreground_only else 0, k)]
+def over_defined(stat: Callable, values: Iterable[Optional[float]]) -> Optional[float]:
+    """stat (np.mean, np.std) of the values that are not None; None if none is."""
     defined = [v for v in values if v is not None]
-    return float(np.mean(defined)) if defined else None
-
-
-def pixel_accuracy(cm: np.ndarray) -> float:
-    total = cm.sum()
-    if total == 0:
-        raise ValueError("empty confusion matrix")
-    return float(np.trace(cm) / total)
-
-
-def precision(cm: np.ndarray, c: int) -> Optional[float]:
-    predicted = cm[c, :].sum()
-    return None if predicted == 0 else float(cm[c, c] / predicted)
-
-
-def average_precision(per_image_cms: Sequence[np.ndarray], c: int) -> Optional[float]:
-    """Mean of per-image precisions over images where class c is predicted."""
-    if not per_image_cms:
-        raise ValueError("need at least one image")
-    values = [p for cm in per_image_cms if (p := precision(cm, c)) is not None]
-    return float(np.mean(values)) if values else None
-
-
-def mean_average_precision(per_image_cms: Sequence[np.ndarray]) -> tuple[Optional[float], dict]:
-    k = per_image_cms[0].shape[0]
-    per_class = {c: average_precision(per_image_cms, c) for c in range(1, k)}
-    defined = [v for v in per_class.values() if v is not None]
-    return (float(np.mean(defined)) if defined else None), per_class
+    return float(stat(defined)) if defined else None
 
 
 @dataclass
 class MetricsReport:
-    confusion: np.ndarray
-    per_class_iou: list            # index by class id; None where undefined
-    iou_mean: Optional[float]      # foreground classes only
-    iou_mean_with_bg: Optional[float]
-    accuracy: float
-    per_class_ap: dict             # foreground class id -> AP or None
-    map: Optional[float]
+    per_image: np.ndarray          # (images, K, K) int confusion counts, one matrix per image
     loss: Optional[float] = None   # per-image mean, when evaluate() is given a loss
+
+    @property
+    def confusion(self) -> np.ndarray:
+        return self.per_image.sum(axis=0)
+
+    @property
+    def per_class_iou(self) -> list:
+        """Index by class id; None where the class is neither predicted nor true."""
+        cm = self.confusion
+        return [ratio(cm[c, c], cm[c, :].sum() + cm[:, c].sum() - cm[c, c])
+                for c in range(cm.shape[0])]
+
+    @property
+    def iou_mean(self) -> Optional[float]:
+        """Over the foreground classes only."""
+        return over_defined(np.mean, self.per_class_iou[1:])
+
+    @property
+    def iou_mean_with_bg(self) -> Optional[float]:
+        return over_defined(np.mean, self.per_class_iou)
+
+    @property
+    def accuracy(self) -> float:
+        cm = self.confusion
+        return ratio(np.trace(cm), cm.sum())
+
+    @property
+    def per_class_ap(self) -> dict:
+        """Foreground class id -> the mean precision over the images that predict it."""
+        return {c: over_defined(np.mean, [ratio(cm[c, c], cm[c, :].sum())
+                                          for cm in self.per_image])
+                for c in range(1, self.per_image.shape[1])}
+
+    @property
+    def map(self) -> Optional[float]:
+        return over_defined(np.mean, self.per_class_ap.values())
 
     def summary(self) -> str:
         out = io.StringIO()
-        fmt = lambda v: "-" if v is None else f"{v:.4f}"
+        ious, aps = self.per_class_iou, self.per_class_ap
         out.write(f"pixel accuracy      {self.accuracy:.4f}\n")
-        out.write(f"mean IoU (fg)       {fmt(self.iou_mean)}\n")
-        out.write(f"mean IoU (with bg)  {fmt(self.iou_mean_with_bg)}\n")
-        out.write(f"mAP                 {fmt(self.map)}\n")
-        for c, v in enumerate(self.per_class_iou):
-            ap = self.per_class_ap.get(c)
-            out.write(f"  {CLASS_NAMES[c]:12s} IoU {fmt(v)}   AP {fmt(ap)}\n")
-        excluded = [f"IoU[{CLASS_NAMES[c]}]" for c, v in enumerate(self.per_class_iou)
-                    if v is None]
-        excluded += [f"AP[{CLASS_NAMES[c]}]" for c, v in self.per_class_ap.items() if v is None]
+        out.write(f"mean IoU (fg)       {_fmt(self.iou_mean)}\n")
+        out.write(f"mean IoU (with bg)  {_fmt(self.iou_mean_with_bg)}\n")
+        out.write(f"mAP                 {_fmt(self.map)}\n")
+        for c, v in enumerate(ious):
+            out.write(f"  {CLASS_NAMES[c]:12s} IoU {_fmt(v)}   AP {_fmt(aps.get(c))}\n")
+        excluded = [f"IoU[{CLASS_NAMES[c]}]" for c, v in enumerate(ious) if v is None]
+        excluded += [f"AP[{CLASS_NAMES[c]}]" for c, v in aps.items() if v is None]
         if excluded:
             out.write("undefined (excluded from means): " + ", ".join(excluded) + "\n")
         return out.getvalue()
 
 
 def compute_report(per_image_cms: Sequence[np.ndarray]) -> MetricsReport:
-    if not per_image_cms:
+    """The report on one confusion matrix per image; needs at least one pixel."""
+    if len(per_image_cms) == 0:
         raise ValueError("need at least one image")
-    total = np.sum(per_image_cms, axis=0)
-    k = total.shape[0]
-    per_class = [iou(total, c) for c in range(k)]
-    map_value, per_class_ap = mean_average_precision(per_image_cms)
-    return MetricsReport(
-        confusion=total,
-        per_class_iou=per_class,
-        iou_mean=mean_iou(total, foreground_only=True),
-        iou_mean_with_bg=mean_iou(total, foreground_only=False),
-        accuracy=pixel_accuracy(total),
-        per_class_ap=per_class_ap,
-        map=map_value,
-    )
+    counts = np.stack(per_image_cms)
+    if counts.sum() == 0:
+        raise ValueError("empty confusion matrix")
+    return MetricsReport(counts)
 
 
 # ---------------------------------------------------------------------------
 # rendering
+
+
+def _fmt(v: Optional[float]) -> str:
+    return "-" if v is None else f"{v:.4f}"
 
 
 def render_confusion(cm: np.ndarray) -> str:
@@ -134,7 +129,7 @@ def render_confusion(cm: np.ndarray) -> str:
     out.write(" " * width + "".join(f"{s:>{width}}" for s in labels) + "   (columns: true)\n")
     for p, row in enumerate(cm):
         s = row.sum()
-        cells = "".join(f"{'-' if s == 0 else f'{v / s:.4f}':>{width}}" for v in row)
+        cells = "".join(f"{_fmt(ratio(v, s)):>{width}}" for v in row)
         out.write(f"{labels[p]:>{width}}" + cells + "\n")
     return out.getvalue()
 

@@ -320,7 +320,8 @@ def save_checkpoint(model: SegModel, path) -> None:
 
 class _PayloadStore(ParamStore):
     """Hands each tensor, in creation order, an owned copy of the payload's
-    next f32 values, after checking that what is left of the payload fills it."""
+    next f32 values, after checking that what is left of the payload fills it
+    and that every value is finite."""
 
     def __init__(self, raw: bytes, offset: int):
         self.dtype, self.named = np.dtype(T.TRAIN32), []
@@ -337,6 +338,8 @@ class _PayloadStore(ParamStore):
         if 4 * n > len(self._raw) - self._pos:
             raise ValueError(f"checkpoint payload ends inside {name}, which needs {n} values")
         values = np.frombuffer(self._raw, "<f4", n, self._pos).reshape(shape).astype(self.dtype)
+        if not np.isfinite(values).all():
+            raise ValueError(f"checkpoint holds a non-finite value in {name}")
         self._pos += 4 * n
         return self._register(name, values)
 

@@ -8,7 +8,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .tensor import Tensor
+from .tensor import NumericalError, Tensor
 
 
 def cosine_lr(lr0: float, total_epochs: int, epoch: int) -> float:
@@ -19,10 +19,6 @@ def cosine_lr(lr0: float, total_epochs: int, epoch: int) -> float:
     eta_min = lr0 / 100.0
     span = lr0 - eta_min
     return eta_min + 0.5 * span * (1.0 + math.cos(math.pi * epoch / total_epochs))
-
-
-class NumericalError(RuntimeError):
-    """Raised when a training step meets non-finite values."""
 
 
 @dataclass

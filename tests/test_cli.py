@@ -342,6 +342,22 @@ class TestExitCodes:
         assert err.startswith("error:") and "7 classes" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("command", ["eval", "predict"])
+    def test_checkpoint_with_non_finite_weight_is_2_and_writes_nothing(
+            self, data_dir, tmp_path, capsys, command, value):
+        model = drawseg.build_model(drawseg.ModelVariant("unet", False, False),
+                                    drawseg.EncoderConfig(depth=2, base_width=2), 6, seed=0)
+        dict(model.named_parameters())["dec.l0.conv1.w"].data[0, 1, 2, 0] = value
+        ckpt = tmp_path / "bad.segm"
+        drawseg.save_checkpoint(model, ckpt)
+        out = tmp_path / "out"
+        assert cli.main([command, "--ckpt", str(ckpt), "--data", str(data_dir),
+                         "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: checkpoint holds a non-finite value in dec.l0.conv1.w\n"
+        assert "IoU" not in captured.out and not out.exists()
+
     @pytest.mark.parametrize("flag, value", [
         ("--lr", "-1.0"), ("--lr", "0.0"), ("--lr", "nan"), ("--validate-from", "-1")])
     def test_invalid_train_setting_is_2_and_writes_nothing(self, data_dir, tmp_path, capsys,

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import drawseg
 
-SETTABLE_VALUES = 78
+SETTABLE_VALUES = 71
 
 
 def _decorator_name(d: ast.expr) -> str:

@@ -7,13 +7,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import _oracles as oracle
 from drawseg import data as D
 from drawseg import metrics as MT
 from drawseg import models as M
 from drawseg import training as TR
 from drawseg.losses import LossSpec, segmentation_loss
-from drawseg.optim import Adam, NumericalError, cosine_lr
-from drawseg.tensor import Tensor, no_grad, zero_grads
+from drawseg.optim import Adam, cosine_lr
+from drawseg.tensor import NumericalError, Tensor, no_grad, zero_grads
 
 
 @pytest.fixture(scope="module")
@@ -372,8 +373,11 @@ class TestOverfitGate:
             zero_grads(model.parameters())
         with no_grad():
             pred = model.forward(Tensor(images)).data.argmax(axis=1)
-        cm = MT.confusion(pred, masks, D.NUM_CLASSES)
-        ious = {D.CLASS_NAMES[c]: MT.iou(cm, c) for c in range(D.NUM_CLASSES)}
+        report = MT.compute_report([MT.confusion(p, m, D.NUM_CLASSES)
+                                    for p, m in zip(pred, masks)])
+        ious = dict(zip(D.CLASS_NAMES, report.per_class_iou))
+        assert report.per_class_iou == [oracle.iou_loops(pred, masks, c)
+                                        for c in range(D.NUM_CLASSES)]
         assert min(ious.values()) >= 0.9, ious
 
 
