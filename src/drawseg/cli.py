@@ -4,7 +4,7 @@ Subcommands: gen-data, train, eval, predict, ablate, gradcheck.
 Every command echoes its resolved configuration as JSON before acting.
 Exit codes: 0 success, 1 verification failure, 2 usage or path error
 (including a --jobs worker that died and an array too large for memory),
-3 numerical failure. gen-data, train and ablate take --seed (default 0);
+3 numerical failure. gen-data, train and ablate take --seed >= 0 (default 0);
 eval and predict are deterministic and take no seed. The learning rate
 decays from --lr to --lr / 100; poly and focal use losses.POLY_EPS and
 FOCAL_ALPHA, with no flag. confusion.csv, from eval --out and in every run
@@ -47,8 +47,15 @@ def _echo(label: str, payload: dict) -> None:
     print(f"[{label}] " + json.dumps(payload, sort_keys=True, default=str))
 
 
+def _seed(text: str) -> int:
+    """A --seed value: decimal digits, since numpy seeds only from integers >= 0."""
+    if not (text.isascii() and text.isdigit()):
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
+    return int(text)
+
+
 def _add_seed(p):
-    p.add_argument("--seed", type=int, default=0, help="run seed")
+    p.add_argument("--seed", type=_seed, default=0, help="run seed")
 
 
 def _add_train_options(p):

@@ -1,9 +1,15 @@
 """Synthetic engineering-drawing samples, augmentation, disk layout, K-fold.
 
 Each sample is a white canvas with 3-10 dark strokes drawn from five line
-classes. Strokes are rasterized without anti-aliasing so masks stay exact;
-every mask pixel is set by the same stamp that darkens the image, and a
-later stroke overwrites earlier ones in both.
+classes. Strokes are rasterized without anti-aliasing so masks stay exact.
+A stroke's pixels are worked out as index arrays (its line in the closed
+form of Bresenham's loop, widened, dashed, or joined by its arrow head or
+digit glyph) and stamped with one array write that darkens the image and
+sets the mask alike; a later stroke overwrites earlier ones in both. The
+bytes are those of the per-pixel loop kept in tests/_oracles.py, because
+strokes are stamped in draw order and every rng draw is made in the same
+order; all pixels of one stroke share one shade and one class, so their
+order within the stroke does not matter.
 
 Line classes (mask ids):
     0 background
@@ -70,77 +76,74 @@ class Sample:
 # ---------------------------------------------------------------------------
 # rasterization
 
-
-def _bresenham(p0, p1):
-    x0, y0 = int(p0[0]), int(p0[1])
-    x1, y1 = int(p1[0]), int(p1[1])
-    dx, dy = abs(x1 - x0), -abs(y1 - y0)
-    sx = 1 if x0 < x1 else -1
-    sy = 1 if y0 < y1 else -1
-    err = dx + dy
-    pts = []
-    while True:
-        pts.append((x0, y0))
-        if x0 == x1 and y0 == y1:
-            return pts
-        e2 = 2 * err
-        if e2 >= dy:
-            err += dy
-            x0 += sx
-        if e2 <= dx:
-            err += dx
-            y0 += sy
+# the seven segments' (column, row) cells in a 5x7 glyph, in _SEGMENTS order
+_SEGMENT_CELLS = (
+    ((1, 0), (2, 0), (3, 0)), ((4, 1), (4, 2)), ((4, 4), (4, 5)), ((1, 6), (2, 6), (3, 6)),
+    ((0, 4), (0, 5)), ((0, 1), (0, 2)), ((1, 3), (2, 3), (3, 3)),
+)
+# per digit, the (columns, rows) of its lit cells
+_GLYPH_CELLS = {
+    digit: np.array([cell for seg, lit in zip(_SEGMENT_CELLS, on) if lit for cell in seg]).T
+    for digit, on in _SEGMENTS.items()
+}
+# an arrow head's (t, s) cells: row t = 0..5 back from the tip spans round(0.7 t) cells
+# either side of the shaft, round being half to even
+_HEAD_T, _HEAD_S = np.array([(t, s) for t in range(6)
+                             for s in range(-round(t * 0.7), round(t * 0.7) + 1)]).T
 
 
-def _stamp(canvas_u8, mask, x, y, class_id, shade):
-    h, w = mask.shape
-    if 0 <= x < w and 0 <= y < h:
-        canvas_u8[y, x] = shade
-        mask[y, x] = class_id
+def _line(p0, p1):
+    """The pixels (xs, ys) from p0 to p1 of the all-octant Bresenham loop (Zingl
+    2012, "A Rasterizing Algorithm for Drawing Curves"), in loop order.
+
+    The loop's closed form (Bresenham 1965, IBM Systems Journal 4(1)): along the
+    major axis point i steps i pixels, and along the minor axis
+    floor((2 i |minor| + |major|) / (2 |major|)) pixels."""
+    (x0, y0), (x1, y1) = p0, p1
+    adx, ady = abs(x1 - x0), abs(y1 - y0)
+    major, minor = max(adx, ady), min(adx, ady)
+    i = np.arange(major + 1)
+    j = (2 * i * minor + major) // max(2 * major, 1)
+    if adx < ady:
+        i, j = j, i
+    return x0 + np.sign(x1 - x0) * i, y0 + np.sign(y1 - y0) * j
 
 
-def _draw_polyline(canvas_u8, mask, pts, class_id, shade, width=1, pattern=None):
-    offsets = range(-(width // 2), width - width // 2)
-    for i, (x, y) in enumerate(pts):
-        if pattern is not None and not pattern(i):
-            continue
-        if width == 1:
-            _stamp(canvas_u8, mask, x, y, class_id, shade)
-        else:
-            for dx in offsets:
-                for dy in offsets:
-                    _stamp(canvas_u8, mask, x + dx, y + dy, class_id, shade)
-
-
-def _draw_arrow_head(canvas_u8, mask, tip, direction, shade):
+def _arrow_head(tip, direction):
+    """The pixels of a filled head at tip, pointing along direction (none if zero).
+    Each cell takes the float64 operations of the per-pixel loop elementwise and
+    rounds half to even, so it lands on the loop's pixel."""
     length = float(np.hypot(*direction))
     if length == 0:
-        return
+        return np.empty((2, 0), dtype=np.int64)
     ux, uy = direction[0] / length, direction[1] / length
-    px, py = -uy, ux
-    for t in range(6):
-        cx, cy = tip[0] - t * ux, tip[1] - t * uy
-        half = int(round(t * 0.7))
-        for s in range(-half, half + 1):
-            _stamp(canvas_u8, mask, int(round(cx + s * px)), int(round(cy + s * py)),
-                   ARROW, shade)
+    cx, cy = tip[0] - _HEAD_T * ux, tip[1] - _HEAD_T * uy
+    return (np.rint(cx + _HEAD_S * -uy).astype(np.int64),
+            np.rint(cy + _HEAD_S * ux).astype(np.int64))
 
 
-def _draw_glyph(canvas_u8, mask, left, top, digit, shade):
-    on = _SEGMENTS[digit]
-    rows = {
-        0: [(0, c) for c in range(1, 4)],                 # top
-        1: [(r, 4) for r in (1, 2)],                      # top-right
-        2: [(r, 4) for r in (4, 5)],                      # bottom-right
-        3: [(6, c) for c in range(1, 4)],                 # bottom
-        4: [(r, 0) for r in (4, 5)],                      # bottom-left
-        5: [(r, 0) for r in (1, 2)],                      # top-left
-        6: [(3, c) for c in range(1, 4)],                 # middle
-    }
-    for seg, cells in rows.items():
-        if on[seg]:
-            for r, c in cells:
-                _stamp(canvas_u8, mask, left + c, top + r, NUMBER, shade)
+def _stroke(class_id, p0, p1, size, rng):
+    """The pixels (xs, ys) of one stroke of class_id from p0 to p1; a thick
+    stroke draws its width and a number its digit from rng."""
+    xs, ys = _line(p0, p1)
+    if class_id == THICK:
+        width = int(rng.integers(3, 6))
+        # every (dx, dy) offset of a width x width pen
+        dx, dy = np.meshgrid(np.arange(width) - width // 2, np.arange(width) - width // 2)
+        return (xs[:, None] + dx.ravel()).ravel(), (ys[:, None] + dy.ravel()).ravel()
+    if class_id == DASH:
+        on = np.arange(len(xs)) % (_DASH_ON + _DASH_OFF) < _DASH_ON
+        return xs[on], ys[on]
+    if class_id == ARROW:
+        hx, hy = _arrow_head(p1, p1 - p0)
+        return np.concatenate([xs, hx]), np.concatenate([ys, hy])
+    if class_id == NUMBER:
+        mid = (p0 + p1) // 2
+        left = int(np.clip(mid[0] + 2, 0, size - _GLYPH_W))
+        top = int(np.clip(mid[1] + 2, 0, size - _GLYPH_H))
+        gx, gy = _GLYPH_CELLS[int(rng.integers(0, 10))]
+        return np.concatenate([xs, left + gx]), np.concatenate([ys, top + gy])
+    return xs, ys
 
 
 def _segment_endpoints(rng, size):
@@ -161,24 +164,11 @@ def make_sample(size: int, rng: np.random.Generator) -> Sample:
         class_id = int(rng.integers(1, 6))
         shade = int(rng.integers(0, 81))
         p0, p1 = _segment_endpoints(rng, size)
-        pts = _bresenham(p0, p1)
-        if class_id == THICK:
-            _draw_polyline(canvas, mask, pts, THICK, shade, width=int(rng.integers(3, 6)))
-        elif class_id == THIN:
-            _draw_polyline(canvas, mask, pts, THIN, shade)
-        elif class_id == DASH:
-            period = _DASH_ON + _DASH_OFF
-            _draw_polyline(canvas, mask, pts, DASH, shade,
-                           pattern=lambda i: i % period < _DASH_ON)
-        elif class_id == ARROW:
-            _draw_polyline(canvas, mask, pts, ARROW, shade)
-            _draw_arrow_head(canvas, mask, p1, p1 - p0, shade)
-        else:
-            _draw_polyline(canvas, mask, pts, NUMBER, shade)
-            mid = (p0 + p1) // 2
-            left = int(np.clip(mid[0] + 2, 0, size - _GLYPH_W))
-            top = int(np.clip(mid[1] + 2, 0, size - _GLYPH_H))
-            _draw_glyph(canvas, mask, left, top, int(rng.integers(0, 10)), shade)
+        xs, ys = _stroke(class_id, p0, p1, size, rng)
+        # one stroke, one shade and one class: the order of its pixels does not matter
+        inside = (xs >= 0) & (xs < size) & (ys >= 0) & (ys < size)
+        canvas[ys[inside], xs[inside]] = shade
+        mask[ys[inside], xs[inside]] = class_id
     # mask pixels must sit on darkened image pixels
     assert not np.any((mask > 0) & (canvas == _WHITE)), "mask/image consistency broken"
     return Sample(image=(canvas.astype(np.float32) / 255.0), mask=mask)

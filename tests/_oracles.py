@@ -327,3 +327,128 @@ def adam_reference(theta0, grads, lr, beta1=0.9, beta2=0.999, eps=1e-8):
         theta = theta - lr * mhat / (np.sqrt(vhat) + eps)
         history.append(theta.copy())
     return history
+
+
+# The per-pixel stroke rasterizer of data.make_sample: one Bresenham loop per
+# line, and one bounds check and one write per pixel. Class ids: 1 thick,
+# 2 thin, 3 dash, 4 arrow, 5 number.
+
+DASH_ON, DASH_OFF = 4, 4
+GLYPH_W, GLYPH_H = 5, 7
+# seven-segment membership per digit: (top, top-right, bottom-right,
+# bottom, bottom-left, top-left, middle)
+SEGMENTS = {
+    0: (1, 1, 1, 1, 1, 1, 0), 1: (0, 1, 1, 0, 0, 0, 0), 2: (1, 1, 0, 1, 1, 0, 1),
+    3: (1, 1, 1, 1, 0, 0, 1), 4: (0, 1, 1, 0, 0, 1, 1), 5: (1, 0, 1, 1, 0, 1, 1),
+    6: (1, 0, 1, 1, 1, 1, 1), 7: (1, 1, 1, 0, 0, 0, 0), 8: (1, 1, 1, 1, 1, 1, 1),
+    9: (1, 1, 1, 1, 0, 1, 1),
+}
+
+
+def bresenham_loop(p0, p1):
+    x0, y0 = int(p0[0]), int(p0[1])
+    x1, y1 = int(p1[0]), int(p1[1])
+    dx, dy = abs(x1 - x0), -abs(y1 - y0)
+    sx = 1 if x0 < x1 else -1
+    sy = 1 if y0 < y1 else -1
+    err = dx + dy
+    pts = []
+    while True:
+        pts.append((x0, y0))
+        if x0 == x1 and y0 == y1:
+            return pts
+        e2 = 2 * err
+        if e2 >= dy:
+            err += dy
+            x0 += sx
+        if e2 <= dx:
+            err += dx
+            y0 += sy
+
+
+def stamp_loop(canvas_u8, mask, x, y, class_id, shade):
+    h, w = mask.shape
+    if 0 <= x < w and 0 <= y < h:
+        canvas_u8[y, x] = shade
+        mask[y, x] = class_id
+
+
+def draw_polyline_loops(canvas_u8, mask, pts, class_id, shade, width=1, pattern=None):
+    offsets = range(-(width // 2), width - width // 2)
+    for i, (x, y) in enumerate(pts):
+        if pattern is not None and not pattern(i):
+            continue
+        if width == 1:
+            stamp_loop(canvas_u8, mask, x, y, class_id, shade)
+        else:
+            for dx in offsets:
+                for dy in offsets:
+                    stamp_loop(canvas_u8, mask, x + dx, y + dy, class_id, shade)
+
+
+def draw_arrow_head_loops(canvas_u8, mask, tip, direction, shade):
+    length = float(np.hypot(*direction))
+    if length == 0:
+        return
+    ux, uy = direction[0] / length, direction[1] / length
+    px, py = -uy, ux
+    for t in range(6):
+        cx, cy = tip[0] - t * ux, tip[1] - t * uy
+        half = int(round(t * 0.7))
+        for s in range(-half, half + 1):
+            stamp_loop(canvas_u8, mask, int(round(cx + s * px)), int(round(cy + s * py)),
+                       4, shade)
+
+
+def draw_glyph_loops(canvas_u8, mask, left, top, digit, shade):
+    on = SEGMENTS[digit]
+    rows = {
+        0: [(0, c) for c in range(1, 4)],                 # top
+        1: [(r, 4) for r in (1, 2)],                      # top-right
+        2: [(r, 4) for r in (4, 5)],                      # bottom-right
+        3: [(6, c) for c in range(1, 4)],                 # bottom
+        4: [(r, 0) for r in (4, 5)],                      # bottom-left
+        5: [(r, 0) for r in (1, 2)],                      # top-left
+        6: [(3, c) for c in range(1, 4)],                 # middle
+    }
+    for seg, cells in rows.items():
+        if on[seg]:
+            for r, c in cells:
+                stamp_loop(canvas_u8, mask, left + c, top + r, 5, shade)
+
+
+def draw_stroke_loops(canvas_u8, mask, class_id, shade, p0, p1, rng):
+    """One stroke of make_sample from p0 to p1 (int arrays); a thick stroke
+    draws its width and a number its digit from rng."""
+    size = mask.shape[0]
+    pts = bresenham_loop(p0, p1)
+    if class_id == 1:
+        draw_polyline_loops(canvas_u8, mask, pts, 1, shade, width=int(rng.integers(3, 6)))
+    elif class_id == 2:
+        draw_polyline_loops(canvas_u8, mask, pts, 2, shade)
+    elif class_id == 3:
+        period = DASH_ON + DASH_OFF
+        draw_polyline_loops(canvas_u8, mask, pts, 3, shade,
+                            pattern=lambda i: i % period < DASH_ON)
+    elif class_id == 4:
+        draw_polyline_loops(canvas_u8, mask, pts, 4, shade)
+        draw_arrow_head_loops(canvas_u8, mask, p1, p1 - p0, shade)
+    else:
+        draw_polyline_loops(canvas_u8, mask, pts, 5, shade)
+        mid = (p0 + p1) // 2
+        left = int(np.clip(mid[0] + 2, 0, size - GLYPH_W))
+        top = int(np.clip(mid[1] + 2, 0, size - GLYPH_H))
+        draw_glyph_loops(canvas_u8, mask, left, top, int(rng.integers(0, 10)), shade)
+
+
+def make_sample_loops(size, rng, segment_endpoints):
+    """make_sample's (uint8 canvas, mask), drawn pixel by pixel. segment_endpoints
+    is the library's endpoint draw, which holds no rasterization."""
+    canvas = np.full((size, size), 255, dtype=np.uint8)
+    mask = np.zeros((size, size), dtype=np.uint8)
+    for _ in range(int(rng.integers(3, 11))):
+        class_id = int(rng.integers(1, 6))
+        shade = int(rng.integers(0, 81))
+        p0, p1 = segment_endpoints(rng, size)
+        draw_stroke_loops(canvas, mask, class_id, shade, p0, p1, rng)
+    return canvas, mask

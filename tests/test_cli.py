@@ -368,6 +368,19 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith("error:")
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["gen-data", "train", "ablate"])
+    @pytest.mark.parametrize("seed", ["-1", "+3", "x"])
+    def test_seed_not_a_non_negative_integer_is_2_and_writes_nothing(
+            self, data_dir, tmp_path, capsys, command, seed):
+        out = tmp_path / "out"
+        head = {"gen-data": ["gen-data"], "train": ["train", "--data", str(data_dir)],
+                "ablate": [*self._GRID["ablate"], "--data", str(data_dir)]}[command]
+        assert cli.main([*head, "--out", str(out), f"--seed={seed}"]) == 2
+        captured = capsys.readouterr()
+        assert "argument --seed: expected an integer >= 0" in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
     def test_image_size_the_model_cannot_pool_is_2_and_writes_nothing(self, tmp_path, capsys):
         data = tmp_path / "data"
         assert cli.main(["gen-data", "--n", "4", "--size", "20", "--folds", "2",

@@ -15,6 +15,8 @@ from drawseg import data as D
 from drawseg import training as TR
 from drawseg.netpbm import read_pgm, write_pgm
 
+import _oracles as oracle
+
 # frozen counting-pass result: 500 samples, 64x64, seed 0
 FROZEN_FREQ = {
     "Background": 0.903369,
@@ -55,6 +57,25 @@ class TestGeneration:
         for i, name in enumerate(D.CLASS_NAMES):
             assert abs(freq[i] - FROZEN_FREQ[name]) < 1e-6, name
 
+    def test_make_sample_golden_digest(self):
+        # pins make_sample's image and mask bytes from MIN_SIZE to 256. These
+        # samples hold every class at every size, thick widths 3-5, dashes that
+        # reach their off phase, a glyph at the clip edge and arrow heads
+        # clipped at all four borders (the last three counted by instrumenting
+        # the per-pixel loop that tests/_oracles.py keeps)
+        digest = hashlib.sha256()
+        for size, n in ((D.MIN_SIZE, 16), (13, 48), (64, 48), (128, 16), (256, 8)):
+            seen = set()
+            for i in range(n):
+                s = D.make_sample(size, D.sample_rng(28, i))
+                seen.update(np.unique(s.mask).tolist())
+                for a in (s.image, s.mask):
+                    digest.update(f"{a.dtype}{a.shape}".encode())
+                    digest.update(a.tobytes())
+            assert seen == set(range(D.NUM_CLASSES)), size
+        assert digest.hexdigest() == (
+            "6338ce312c4b79bd2274aa0d4743e9351d1ff7f4f80e7d496ca9ac255b9e4886")
+
     def test_dataset_dir_byte_identical_on_rerun(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         D.generate_dataset(8, 32, 1, a)
@@ -83,6 +104,96 @@ class TestGeneration:
         assert ds.load(ids[0]).image.shape == (16, 16)
         with pytest.raises(ValueError, match=f"{ids[1]}.*16x16.*16x8"):
             ds.load(ids[1])
+
+
+class Draws:
+    """Stands in for a stroke's rng: integers() returns the given values in turn."""
+
+    def __init__(self, *values):
+        self.values = list(values)
+
+    def integers(self, lo, hi):
+        value = self.values.pop(0)
+        assert lo <= value < hi
+        return value
+
+
+def stroke_pixels(class_id, p0, p1, size, *draws):
+    """(closed-form pixels on the canvas, the loop's pixels, closed-form pixels
+    before clipping) of one stroke, as sets of (x, y)."""
+    p0, p1 = np.array(p0), np.array(p1)
+    xs, ys = D._stroke(class_id, p0, p1, size, Draws(*draws))
+    raw = set(zip(xs.tolist(), ys.tolist()))
+    mask = np.zeros((size, size), dtype=np.uint8)
+    oracle.draw_stroke_loops(np.full((size, size), 255, dtype=np.uint8), mask, class_id, 0,
+                             p0, p1, Draws(*draws))
+    want = {(int(x), int(y)) for y, x in zip(*np.nonzero(mask))}
+    return {(x, y) for x, y in raw if 0 <= x < size and 0 <= y < size}, want, raw
+
+
+class TestRasterizer:
+    """The closed-form rasterizer against the per-pixel loop in tests/_oracles.py."""
+
+    def test_line_matches_the_loop_for_every_offset_within_63(self):
+        # all octants, zero-length, axis-aligned and diagonal lines
+        for dx in range(-63, 64):
+            for dy in range(-63, 64):
+                p0, p1 = np.array([70, 70]), np.array([70 + dx, 70 + dy])
+                xs, ys = D._line(p0, p1)
+                assert list(zip(xs.tolist(), ys.tolist())) == oracle.bresenham_loop(p0, p1), \
+                    (dx, dy)
+
+    def test_line_matches_the_loop_on_a_256_canvas(self):
+        rng = np.random.default_rng(256)
+        for _ in range(2000):
+            p0, p1 = rng.integers(0, 256, size=(2, 2))
+            xs, ys = D._line(p0, p1)
+            assert list(zip(xs.tolist(), ys.tolist())) == oracle.bresenham_loop(p0, p1)
+
+    @pytest.mark.parametrize("width", [3, 4, 5])
+    def test_thick_stroke_clipped_at_the_corner(self, width):
+        got, want, raw = stroke_pixels(D.THICK, (0, 0), (23, 9), 24, width)
+        assert got == want
+        assert min(x for x, _ in raw) < 0 and min(y for _, y in raw) < 0
+
+    @pytest.mark.parametrize("p0, p1, size", [
+        ((2, 3), (60, 41), 64),   # many dash periods
+        ((3, 3), (9, 3), 13),     # one on phase, part of one off phase
+        ((3, 3), (3, 3), 7)])
+    def test_thin_and_dash_strokes(self, p0, p1, size):
+        for class_id in (D.THIN, D.DASH):
+            got, want, _ = stroke_pixels(class_id, p0, p1, size)
+            assert got == want
+
+    @pytest.mark.parametrize("p0, p1, clipped", [
+        ((1, 20), (1, 4), lambda x, y: x < 0),      # along the left border
+        ((22, 4), (22, 20), lambda x, y: x > 23),   # along the right border
+        ((4, 1), (20, 1), lambda x, y: y < 0),      # along the top border
+        ((20, 22), (4, 22), lambda x, y: y > 23),   # along the bottom border
+        ((3, 3), (23, 23), None),                   # into a corner
+        ((5, 9), (5, 9), None)])                    # zero length: no head
+    def test_arrow_head(self, p0, p1, clipped):
+        got, want, raw = stroke_pixels(D.ARROW, p0, p1, 24)
+        assert got == want
+        if clipped is not None:
+            assert any(clipped(x, y) for x, y in raw)
+
+    @pytest.mark.parametrize("digit", range(10))
+    def test_glyph_at_the_clip_edge(self, digit):
+        # unclipped, the glyph would start at column 23; clipped, it ends there
+        got, want, _ = stroke_pixels(D.NUMBER, (20, 20), (22, 22), 24, digit)
+        assert got == want and max(x for x, _ in got) == 23
+        got, want, _ = stroke_pixels(D.NUMBER, (3, 3), (3, 3), D.MIN_SIZE, digit)
+        assert got == want
+
+    @pytest.mark.parametrize("size", [D.MIN_SIZE, 8, 13, 31, 64, 97, 256])
+    def test_samples_match_the_loop(self, size):
+        for i in range(40 if size < 256 else 6):
+            s = D.make_sample(size, D.sample_rng(size, i))
+            canvas, mask = oracle.make_sample_loops(size, D.sample_rng(size, i),
+                                                    D._segment_endpoints)
+            np.testing.assert_array_equal(s.mask, mask)
+            np.testing.assert_array_equal(s.image, canvas.astype(np.float32) / 255.0)
 
 
 def augment_draws(seed):

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import drawseg
 
-SETTABLE_VALUES = 71
+SETTABLE_VALUES = 69
 
 
 def _decorator_name(d: ast.expr) -> str:
