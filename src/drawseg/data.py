@@ -49,7 +49,11 @@ _MARGIN = 3
 _DASH_ON = 4
 _DASH_OFF = 4
 _GLYPH_W, _GLYPH_H = 5, 7
-MIN_SIZE = 2 * _MARGIN + 1   # the smallest canvas with room for a stroke's endpoints
+# The smallest canvas _segment_endpoints can draw on: it needs two endpoints
+# at least size / 4 apart inside [_MARGIN, size - _MARGIN). At 7 and 8 no such
+# pair exists, so every stroke spends all 50 tries; at 9 one try succeeds with
+# p = 0.049 (all 50 fail with p = 0.08), at 10 with p = 0.30 (2e-8).
+MIN_SIZE = 10
 TRAIN_NOISE_SIGMA = 0.02     # std of the Gaussian noise augment() adds
 
 # seven-segment membership per digit: (top, top-right, bottom-right,
@@ -242,7 +246,7 @@ def generate_dataset(n: int, size: int, seed: int, out_dir, folds: int = 5) -> l
     an n below ``folds`` raises ValueError before anything is written.
     """
     if size < MIN_SIZE:
-        raise ValueError(f"--size {size} leaves no room for a stroke; the smallest is {MIN_SIZE}")
+        raise ValueError(f"--size {size} is too small for strokes; the smallest is {MIN_SIZE}")
     ids = sample_ids(n)
     split = kfold_split(ids, folds, seed)
     out = Path(out_dir)

@@ -59,8 +59,12 @@ class Adam:
             slot = self._slots[id(p)]
             g = p.grad if p.grad is not None else np.zeros_like(p.data)
             slot.t += 1
-            slot.m = self.beta1 * slot.m + (1.0 - self.beta1) * g
-            slot.v = self.beta2 * slot.v + (1.0 - self.beta2) * g * g
+            # in place, with the float operations of the out-of-place update in
+            # the same order, so the bits hold; v takes ((1 - beta2) * g) * g
+            slot.m *= self.beta1
+            slot.m += (1.0 - self.beta1) * g
+            slot.v *= self.beta2
+            slot.v += (1.0 - self.beta2) * g * g
             mhat = slot.m / (1.0 - self.beta1 ** slot.t)
             vhat = slot.v / (1.0 - self.beta2 ** slot.t)
-            p.data = p.data - (lr * mhat / (np.sqrt(vhat) + self.eps)).astype(p.data.dtype)
+            p.data -= lr * mhat / (np.sqrt(vhat) + self.eps)

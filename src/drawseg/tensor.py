@@ -289,26 +289,29 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, *, relu: bool = False,
 
     ``cat``, when given, is a second N-C'-H-W input stacked after x along C:
     the result and every gradient are those of conv2d(concat_channels(x,
-    cat), ...), byte for byte, but no concatenated copy is kept. Each join
-    in the models feeds a conv, and the joined copy stayed alive until
-    backward beside the conv's padded copy of it. In one unet-full step at
-    256x256, batch 1, focal loss, tracemalloc counted 99.7 MiB of arrays
-    alive at the loss, 23.8 MiB of them concat_channels outputs; with
-    ``cat`` it counts 73.9 MiB. Memory-efficient DenseNets drop their
-    concatenations the same way (Pleiss et al., arXiv 1707.06990). For
-    k > 1, _zero_pad writes x and cat straight into the one padded buffer,
-    so the GEMMs read the bytes they read before. For k = 1 the GEMM operand
-    (x and cat joined, or the reshape copy of a strided x) is made for the
-    forward GEMM and dropped; backward makes it again only when the weight
-    needs a gradient. One GEMM per input instead would reorder sums:
-    splitting the rows of a float32 weight-gradient GEMM between two inputs
-    moved bits in 77 of 200 random shapes, by up to 1.4e-6 of the largest
-    value. Backward hands x and cat contiguous copies of their channel
-    slices of the input gradient, as concat_channels does, and only to
-    inputs that require grad. Strided views instead moved 4 of the 322
-    parameter gradients of the eight variants at 256x256 (unet-full's
+    cat), ...), byte for byte, but no concatenated copy is kept. In one
+    unet-full step at 256x256, batch 1, focal loss, tracemalloc counted
+    99.7 MiB of arrays alive at the loss, 23.8 MiB of them concat_channels
+    outputs; with ``cat`` 73.9 MiB. One GEMM per input instead would
+    reorder sums: splitting the rows of a float32 weight-gradient GEMM
+    between two inputs moved bits in 77 of 200 random shapes, by up to
+    1.4e-6 of the largest value. Backward hands x and cat contiguous copies
+    of their channel slices of the input gradient, as concat_channels does,
+    and only to inputs that require grad. Strided views instead moved 4 of
+    the 322 parameter gradients of the eight variants at 256x256 (unet-full's
     skip.l0.reduce.b by 9.6e-8 of its largest value): a later sum over a
     strided view adds in another order.
+
+    The GEMM operand xf (x and cat in one buffer, zero-padded when k > 1) is
+    transient for every k: forward makes it, runs the tap sums and drops
+    it; backward makes it again only when the weight needs a gradient. A
+    kept xf copies what the graph already holds: in that step today, the
+    3x3 convs' kept copies took the arrays alive at the loss from 48.8 to
+    72.8 MiB and the traced peak from 56.1 to 76.1 MiB. Memory-efficient
+    DenseNets rebuild their concatenations in backward the same way (Pleiss
+    et al., arXiv 1707.06990; recomputation for memory: Chen et al., arXiv
+    1604.06174). The bits hold: no op changes an input while it is in a
+    graph, so the rebuilt operand has the padded bytes a kept one had.
 
     relu=True applies np.maximum(., 0) in place on that biased wide buffer,
     one contiguous pass over the values relu(conv2d(...)) reads, so the
@@ -435,13 +438,11 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, *, relu: bool = False,
             return x.data.reshape(n, cin, -1)
         return np.concatenate([x.data, cat.data], axis=1).reshape(n, cin, -1)
 
-    xf = operand() if p else None   # a 1x1's operand is transient, made again for dW
-
     def tap_weights() -> np.ndarray:
         """W_t for t = 0..k*k-1 as one (k*k, O, C) array, made when needed, never kept."""
         return np.ascontiguousarray(weight.data.transpose(2, 3, 0, 1)).reshape(k * k, cout, cin)
 
-    src = operand() if xf is None else xf
+    src = operand()   # transient: made again in backward for dW
     if cin == 1:
         cols = np.empty((n, k * k, span), dtype=src.dtype)
         for t, s in enumerate(offsets):
@@ -461,7 +462,7 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, *, relu: bool = False,
             _accumulate(bias, g.sum(axis=(0, 2, 3)))
         gp = (_zero_pad((g,), p) if p else g).reshape(n, cout, -1)
         if weight.requires_grad:
-            src = operand() if xf is None else xf
+            src = operand()
             mid = p * wp + p
             b = _column_tile(cout * cin, span)
             dw = np.empty((k * k, cin, cout), dtype=g.dtype)
@@ -475,7 +476,7 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, *, relu: bool = False,
                         dw[t] += part.sum(axis=0)
                     else:
                         part.sum(axis=0, out=dw[t])
-            del src   # a 1x1's transient goes before gx is made
+            del src   # the transient goes before gx is made
             _accumulate(weight, dw.reshape(k, k, cin, cout).transpose(3, 2, 0, 1))
         if any(t.requires_grad for t in ins):
             back = [offsets[-1] - s for s in offsets]   # s_max - s_t

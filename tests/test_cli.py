@@ -69,15 +69,17 @@ class TestGenData:
         assert not out.exists()
 
     def test_size_boundary(self, tmp_path, capsys):
-        # a stroke's endpoints are drawn 3 px inside the border
-        assert cli.main(["gen-data", "--n", "20", "--size", "7", "--folds", "2",
-                         "--out", str(tmp_path / "d7")]) == 0
-        assert len(list((tmp_path / "d7" / "images").glob("*.pgm"))) == 20
-        out = tmp_path / "d6"
-        assert cli.main(["gen-data", "--n", "20", "--size", "6", "--folds", "2",
-                         "--out", str(out)]) == 2
-        assert "--size 6" in capsys.readouterr().err
-        assert not out.exists()
+        # a stroke's endpoints are drawn 3 px inside the border and at least
+        # size / 4 apart: below 10 that pair is rare (9) or impossible (6-8)
+        assert cli.main(["gen-data", "--n", "20", "--size", "10", "--folds", "2",
+                         "--out", str(tmp_path / "d10")]) == 0
+        assert len(list((tmp_path / "d10" / "images").glob("*.pgm"))) == 20
+        for size in ("6", "7", "8", "9"):
+            out = tmp_path / f"d{size}"
+            assert cli.main(["gen-data", "--n", "20", "--size", size, "--folds", "2",
+                             "--out", str(out)]) == 2
+            assert f"--size {size}" in capsys.readouterr().err
+            assert not out.exists()
 
     def test_runs_as_module(self, tmp_path):
         src = str(Path(drawseg.__file__).resolve().parents[1])

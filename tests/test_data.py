@@ -58,13 +58,13 @@ class TestGeneration:
             assert abs(freq[i] - FROZEN_FREQ[name]) < 1e-6, name
 
     def test_make_sample_golden_digest(self):
-        # pins make_sample's image and mask bytes from MIN_SIZE to 256. These
+        # pins make_sample's image and mask bytes from 7 to 256. These
         # samples hold every class at every size, thick widths 3-5, dashes that
         # reach their off phase, a glyph at the clip edge and arrow heads
         # clipped at all four borders (the last three counted by instrumenting
         # the per-pixel loop that tests/_oracles.py keeps)
         digest = hashlib.sha256()
-        for size, n in ((D.MIN_SIZE, 16), (13, 48), (64, 48), (128, 16), (256, 8)):
+        for size, n in ((7, 16), (13, 48), (64, 48), (128, 16), (256, 8)):
             seen = set()
             for i in range(n):
                 s = D.make_sample(size, D.sample_rng(28, i))
@@ -75,6 +75,22 @@ class TestGeneration:
             assert seen == set(range(D.NUM_CLASSES)), size
         assert digest.hexdigest() == (
             "6338ce312c4b79bd2274aa0d4743e9351d1ff7f4f80e7d496ca9ac255b9e4886")
+
+    def test_strokes_at_min_size_keep_their_endpoints_apart(self, monkeypatch):
+        # _segment_endpoints falls back to its last draw after 50 failed tries;
+        # at MIN_SIZE no stroke of these samples needs that fallback
+        pairs = []
+        real = D._segment_endpoints
+
+        def spy(rng, size):
+            pairs.append(real(rng, size))
+            return pairs[-1]
+
+        monkeypatch.setattr(D, "_segment_endpoints", spy)
+        for i in range(200):
+            D.make_sample(D.MIN_SIZE, D.sample_rng(29, i))
+        assert len(pairs) >= 600
+        assert all(np.hypot(*(p1 - p0)) >= D.MIN_SIZE / 4 for p0, p1 in pairs)
 
     def test_dataset_dir_byte_identical_on_rerun(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -186,7 +202,7 @@ class TestRasterizer:
         got, want, _ = stroke_pixels(D.NUMBER, (3, 3), (3, 3), D.MIN_SIZE, digit)
         assert got == want
 
-    @pytest.mark.parametrize("size", [D.MIN_SIZE, 8, 13, 31, 64, 97, 256])
+    @pytest.mark.parametrize("size", [7, 8, D.MIN_SIZE, 13, 31, 64, 97, 256])
     def test_samples_match_the_loop(self, size):
         for i in range(40 if size < 256 else 6):
             s = D.make_sample(size, D.sample_rng(size, i))

@@ -395,6 +395,40 @@ class TestForward:
         assert len(copies) == 3 * 4   # per skip level: decoder, reduce, fuse and CBAM joins
         assert joined - lean >= 0.99 * sum(copies)
 
+    @pytest.mark.parametrize("n, size", [(1, 64), (2, 32)])
+    @pytest.mark.parametrize("variant", M.ALL_VARIANTS, ids=lambda v: v.cli_name)
+    def test_graph_holds_no_array_beside_its_results(self, variant, n, size):
+        # at the loss, the arrays alive are the buffers the op results own:
+        # no op keeps a second copy (a padded input, a joined input) of what
+        # the graph already holds. The slack is the graph's Python
+        # bookkeeping (each result's Tensor, closure and cells, 550-640 bytes
+        # per node) and numpy's few scalars; the arrays' bytes are exact.
+        rng = np.random.default_rng(71)
+        x = Tensor(rng.standard_normal((n, 1, size, size)).astype(np.float32))
+        targets = rng.integers(0, 6, size=(n, size, size))
+        model = M.build_model(variant, DESK, 6, seed=9)
+        model.forward(x)   # warm-up: caches filled outside the traced build
+        tracemalloc.start()
+        try:
+            loss = L.segmentation_loss(L.LossSpec("focal"), model.forward(x), targets)
+            live, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        owners, nodes, stack = {}, set(), [loss]
+        while stack:
+            t = stack.pop()
+            if id(t) in nodes:
+                continue
+            nodes.add(id(t))
+            stack.extend(t._prev)
+            if t._backward is not None:
+                buf = t.data
+                while buf.base is not None:
+                    buf = buf.base
+                owners[id(buf)] = buf.nbytes
+        held = sum(owners.values())
+        assert live <= held + 1024 * len(nodes) + 4096, (live, held, len(nodes))
+
     def test_divisibility_rejected_with_message(self):
         model = M.build_model(M.ModelVariant("unet", False, False), DESK, 6, seed=0)
         x = Tensor(np.zeros((1, 1, 60, 60), dtype=np.float32))
