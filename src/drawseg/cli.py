@@ -6,8 +6,8 @@ Exit codes: 0 success, 1 verification failure, 2 usage or path error
 (including a --jobs worker that died and an array too large for memory),
 3 numerical failure. gen-data, train and ablate take --seed >= 0 (default 0);
 eval and predict are deterministic and take no seed. The learning rate
-decays from --lr to --lr / 100; poly and focal use losses.POLY_EPS and
-FOCAL_ALPHA, with no flag. confusion.csv, from eval --out and in every run
+decays from --lr to --lr / 100; focal uses losses.FOCAL_ALPHA and
+FOCAL_GAMMA, with no flag. confusion.csv, from eval --out and in every run
 directory, holds pixel counts. gradcheck prints each parameter's worst
 finite-difference error over its bound (tensor.grad_check).
 """
@@ -61,7 +61,6 @@ def _add_seed(p):
 def _add_train_options(p):
     cfg = TrainConfig()   # the defaults
     p.add_argument("--loss", choices=LOSS_KINDS, default=cfg.loss.kind)
-    p.add_argument("--gamma", type=float, default=cfg.loss.gamma, help="focal gamma")
     p.add_argument("--epochs", type=int, default=cfg.epochs)
     # --unfreeze-epoch and --validate-from default to None, not to TrainConfig()'s values:
     # TrainConfig derives them from --epochs
@@ -88,7 +87,7 @@ def _train_config(args) -> TrainConfig:
         unfreeze_epoch=args.unfreeze_epoch,
         validate_from=args.validate_from,
         batch_size=args.batch_size,
-        loss=LossSpec(kind=args.loss, gamma=args.gamma),
+        loss=LossSpec(kind=args.loss),
         lr0=args.lr,
         seed=args.seed,
         augment=args.augment,

@@ -14,9 +14,9 @@ leaves hold ``.grad``, and a freed graph cannot be walked again.
 
 One hand-over rule holds for every closure: each parent gets a writable
 array that the closure made for that parent alone, which ``_accumulate``
-stores as it is. An op that would pass on the gradient it received (add,
-power at exponent 1), or hand two parents slices of one array
-(concat_channels, conv2d with ``cat``), hands over copies instead.
+stores as it is. An op that would pass on the gradient it received (add),
+or hand two parents slices of one array (concat_channels, conv2d with
+``cat``), hands over copies instead.
 
 An op's result may be a view of a larger buffer (conv2d returns the first
 W columns of its wider tap-sum rows), so no op may assume that ``.data``
@@ -774,17 +774,12 @@ def clamp_min(x: Tensor, floor: float) -> Tensor:
 
 
 def power(x: Tensor, exponent: float) -> Tensor:
-    """x ** exponent for a non-negative base and constant exponent."""
+    """x ** exponent for a non-negative base and a constant exponent >= 1,
+    where the derivative exponent * x ** (exponent - 1) is finite at 0."""
     out = np.power(x.data, exponent)
 
     def backward(g: np.ndarray) -> None:
-        if exponent == 0.0:
-            return
-        if exponent == 1.0:
-            _accumulate(x, g.copy())
-            return
-        local = np.where(x.data > 0, exponent * np.power(x.data, exponent - 1.0), 0.0)
-        _accumulate(x, g * local.astype(g.dtype, copy=False))
+        _accumulate(x, g * (exponent * np.power(x.data, exponent - 1.0)))
 
     return _result(out, [x], backward)
 

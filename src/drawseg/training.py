@@ -169,9 +169,17 @@ def evaluate(model: SegModel, ids: Sequence[str], dataset, batch_size: int = 8,
 
 
 def _check_sizes(variant: ModelVariant, enc: EncoderConfig, dataset, ids) -> None:
-    """Check the manifest size of every id against the model's input rule."""
-    for w, h in {dataset.size(sid) for sid in ids}:
+    """Check the manifest size of every id against the model's input rule,
+    and that the ids share one size, so that a batch can stack them."""
+    first = {}   # size -> the first id of that size
+    for sid in ids:
+        first.setdefault(dataset.size(sid), sid)
+    for w, h in first:
         check_input_size(variant, enc, h, w)
+    if len(first) > 1:
+        (a, sid_a), (b, sid_b) = list(first.items())[:2]
+        raise T.ShapeError(f"images must share one size: {sid_a!r} is {a[0]}x{a[1]}, "
+                           f"{sid_b!r} is {b[0]}x{b[1]}")
 
 
 class _RunDir:
@@ -227,12 +235,13 @@ def train(cfg: TrainConfig, dataset, train_ids: Sequence[str],
 
     Deterministic for a fixed (config, seed) on one platform: the shuffle
     stream, augmentation draws and initialisation all derive from cfg.seed.
-    On a non-finite loss or gradient the weights go back to the start of the
-    epoch, they are written as the final checkpoint, run.log notes the abort
-    and NumericalError propagates. The encoder is frozen by switching off its
+    On a non-finite loss or gradient, or an epoch's steps that leave a
+    non-finite weight, the weights go back to the start of the epoch, they
+    are written as the final checkpoint, run.log notes the abort and
+    NumericalError propagates. The encoder is frozen by switching off its
     parameters' gradients; however the epoch loop ends, they are on again.
-    The manifest size of every id is checked against the model's input rule
-    before anything is written.
+    Before anything is written, the manifest size of every id is checked
+    against the model's input rule, and the ids must share one size.
     """
     if model is None:
         model = build_model(cfg.variant, cfg.encoder, cfg.num_classes, cfg.seed)
@@ -268,6 +277,9 @@ def train(cfg: TrainConfig, dataset, train_ids: Sequence[str],
                     zero_grads(model.parameters())
                     total += value * len(chunk)
                     seen += len(chunk)
+                for name, p in model.named_parameters():
+                    if not np.isfinite(p.data).all():
+                        raise NumericalError(f"non-finite weight in parameter {name}")
                 row = EpochRow(epoch=epoch, lr=lr, train_loss=total / max(seen, 1))
                 if val_ids and epoch >= cfg.validate_at:
                     report = evaluate(model, val_ids, dataset, batch_size=cfg.batch_size,

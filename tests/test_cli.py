@@ -220,10 +220,9 @@ class TestParallelJobs:
 
 
 class TestExitCodes:
-    # Grid cases: "ablate" is the cnn family's grid and "kfold" the unet
-    # family's, whose every-fold runs of unet-full the kfold command made
-    # before ablate trained each variant on every fold.
-    _GRID = {"ablate": ["ablate", "--family", "cnn"], "kfold": ["ablate", "--family", "unet"]}
+    # Grid cases: "ablate" is the cnn family's grid and "ablate-unet" the unet family's.
+    _GRID = {"ablate": ["ablate", "--family", "cnn"],
+             "ablate-unet": ["ablate", "--family", "unet"]}
 
     def test_missing_dataset_is_2(self, tmp_path):
         assert cli.main(["train", "--data", str(tmp_path / "nope"),
@@ -299,7 +298,7 @@ class TestExitCodes:
                          "--out", str(tmp_path / "abl"), "--jobs", "2"]) == 2
         assert capsys.readouterr().err.splitlines()[-1].startswith("error:")
 
-    @pytest.mark.parametrize("command", ["train", "ablate", "kfold", "eval", "predict"])
+    @pytest.mark.parametrize("command", ["train", "ablate", "ablate-unet", "eval", "predict"])
     def test_unknown_split_id_is_2_and_writes_nothing(self, data_dir, run_dir, tmp_path, capsys,
                                                       command):
         data = tmp_path / "data"
@@ -394,13 +393,13 @@ class TestExitCodes:
         assert not out.exists()
 
     @pytest.mark.parametrize("command, flag, value", [
-        ("ablate", "--jobs", "0"), ("ablate", "--jobs", "-3"), ("kfold", "--jobs", "0"),
+        ("ablate", "--jobs", "0"), ("ablate", "--jobs", "-3"), ("ablate-unet", "--jobs", "0"),
         ("eval", "--batch-size", "0"), ("eval", "--batch-size", "-2")])
     def test_count_below_one_is_2_and_writes_nothing(self, data_dir, run_dir, tmp_path, capsys,
                                                      command, flag, value):
         out = tmp_path / "out"
         argv = {"ablate": ["--epochs", "1", "--base-width", "2"],
-                "kfold": ["--epochs", "1", "--depth", "2", "--base-width", "2"],
+                "ablate-unet": ["--epochs", "1", "--depth", "2", "--base-width", "2"],
                 "eval": ["--ckpt", str(run_dir / "checkpoints" / "final.segm")]}[command]
         head = self._GRID.get(command, [command])
         assert cli.main([*head, "--data", str(data_dir), "--out", str(out), *argv,
@@ -408,17 +407,26 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith("error:")
         assert not out.exists()
 
-    @pytest.mark.parametrize("command, flag", [
-        ("train", "--gamma"), ("kfold", "--gamma"), ("ablate", "--gamma")])
-    def test_non_finite_loss_setting_is_2_and_writes_nothing(self, data_dir, tmp_path, capsys,
-                                                             command, flag):
+    @pytest.mark.parametrize("command", ["train", "ablate"])
+    def test_images_of_two_sizes_are_2_and_write_nothing(self, data_dir, tmp_path, capsys,
+                                                          command):
+        # 16x16 and 32x32 both pass the depth-2 rule, but a batch cannot stack them
+        data = tmp_path / "data"
+        shutil.copytree(data_dir, data)
+        small = tmp_path / "small"
+        assert cli.main(["gen-data", "--n", "2", "--size", "16", "--folds", "2",
+                         "--out", str(small)]) == 0
+        for sub in ("images", "masks"):
+            shutil.copy(small / sub / "00000.pgm", data / sub / "00003.pgm")
+        manifest = data / "manifest.txt"
+        manifest.write_text(manifest.read_text().replace("00003 32 32", "00003 16 16"))
+        capsys.readouterr()
         out = tmp_path / "r"
         head = self._GRID.get(command, [command])
-        assert cli.main([*head, "--data", str(data_dir), "--out", str(out),
-                         "--epochs", "1", "--depth", "2", "--base-width", "2", flag, "nan"]) == 2
-        captured = capsys.readouterr()
-        assert captured.err.startswith("error:") and "finite" in captured.err
-        assert captured.out == ""   # refused before the config echo
+        assert cli.main([*head, "--data", str(data), "--out", str(out), "--epochs", "1",
+                         "--depth", "2", "--base-width", "2", "--batch-size", "4"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: images must share one size:") and "'00003' is 16x16" in err
         assert not out.exists()
 
     def test_model_too_large_for_memory_is_2_and_writes_nothing(self, data_dir, tmp_path,
@@ -446,11 +454,12 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("command, flag", [
         ("train", "--eta-min"), ("train", "--poly-eps"), ("ablate", "--eta-min"),
-        ("ablate", "--poly-eps"), ("train", "--alpha"), ("ablate", "--alpha")])
+        ("ablate", "--poly-eps"), ("train", "--alpha"), ("ablate", "--alpha"),
+        ("train", "--gamma"), ("ablate", "--gamma")])
     def test_schedule_floor_and_poly_eps_flags_are_gone(self, data_dir, tmp_path, capsys,
                                                          command, flag):
-        # the floor is always lr / 100, the poly epsilon losses.POLY_EPS and focal
-        # alpha losses.FOCAL_ALPHA
+        # the floor is always lr / 100, poly's epsilon 1, and focal's alpha and gamma
+        # losses.FOCAL_ALPHA and losses.FOCAL_GAMMA
         out = tmp_path / "r"
         head = self._GRID.get(command, [command])
         assert cli.main([*head, "--data", str(data_dir), "--out", str(out), "--epochs", "1",
@@ -491,7 +500,8 @@ class TestExitCodes:
         assert "invalid choice: 'kfold'" in capsys.readouterr().err
         assert not (tmp_path / "kf").exists()
 
-    @pytest.mark.parametrize("command", ["gen-data", "eval", "predict", "ablate", "kfold"])
+    @pytest.mark.parametrize("command", ["gen-data", "eval", "predict", "ablate",
+                                         "ablate-unet"])
     def test_out_naming_a_file_is_2(self, data_dir, run_dir, tmp_path, capsys, command):
         taken = tmp_path / "taken"
         taken.write_text("")

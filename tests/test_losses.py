@@ -22,10 +22,10 @@ def confident_logits(targets, k, margin=25.0):
 
 class TestWorkedValues:
     def test_focal_single_pixel_half_probability(self):
-        # two equal logits -> p_t exactly 0.5; gamma=2, FOCAL_ALPHA=0.25
+        # two equal logits -> p_t exactly 0.5; FOCAL_GAMMA=2, FOCAL_ALPHA=0.25
         logits = Tensor(np.zeros((1, 2, 1, 1)))
         target = np.zeros((1, 1, 1), dtype=int)
-        spec = L.LossSpec(kind="focal", gamma=2.0)
+        spec = L.LossSpec(kind="focal")
         value = float(L.segmentation_loss(spec, logits, target).data)
         assert abs(value - 0.25 * 0.25 * math.log(2.0)) < 1e-9
 
@@ -46,28 +46,29 @@ class TestWorkedValues:
 
 
 class TestFocalIdentities:
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_focal_gamma0_is_alpha_times_ce_bitwise(self, dtype):
-        # FOCAL_ALPHA is a power of two, so scaling by it rounds nothing
-        assert L.FOCAL_ALPHA == 0.25
+    def test_focal_matches_numpy_reference(self):
+        assert (L.FOCAL_ALPHA, L.FOCAL_GAMMA) == (0.25, 2.0)   # Lin et al.
         for seed in range(20):
             rng = np.random.default_rng([2, seed])
-            logits = Tensor((3 * rng.standard_normal((2, 5, 4, 4))).astype(dtype))
+            logits = 3 * rng.standard_normal((2, 5, 4, 4))
+            logits[0, :, 0, 0] = [30.0, -30.0, -30.0, -30.0, -30.0]   # saturated pixels
+            logits[1, :, 3, 3] = [-30.0, 30.0, -30.0, 30.0, -30.0]
             target = rng.integers(0, 5, size=(2, 4, 4))
-            ce = L.segmentation_loss(L.LossSpec(kind="ce"), logits, target)
-            focal = L.segmentation_loss(L.LossSpec(kind="focal", gamma=0.0), logits, target)
-            assert focal.data.dtype == dtype
-            assert focal.data.tobytes() == (ce.data * dtype(L.FOCAL_ALPHA)).tobytes()
+            focal = L.segmentation_loss(L.LossSpec(kind="focal"), Tensor(logits), target)
+            e = np.exp(logits - logits.max(axis=1, keepdims=True))
+            p_t = np.take_along_axis(e / e.sum(axis=1, keepdims=True), target[:, None], 1)
+            want = L.FOCAL_ALPHA * np.mean(
+                (1 - p_t) ** L.FOCAL_GAMMA * -np.log(np.maximum(p_t, L.LOG_FLOOR)))
+            assert abs(float(focal.data) - want) <= 1e-12 * max(want, 1e-3), seed
 
     def test_modulating_factor_strictly_decreasing(self):
-        gamma = 2.0
         pts = np.linspace(0.01, 0.99, 50)
-        factors = (1.0 - pts) ** gamma
+        factors = (1.0 - pts) ** L.FOCAL_GAMMA
         assert np.all(np.diff(factors) < 0)
 
     def test_focal_downweights_confident_pixels_relative_to_ce(self):
-        # ratio focal/ce per pixel is FOCAL_ALPHA*(1-p_t)^gamma: smaller when p_t larger
-        spec = L.LossSpec(kind="focal", gamma=2.0)
+        # ratio focal/ce per pixel is FOCAL_ALPHA*(1-p_t)^FOCAL_GAMMA: smaller when p_t larger
+        spec = L.LossSpec(kind="focal")
         ratios = []
         for margin in (0.5, 2.0, 5.0):
             logits = np.zeros((1, 2, 1, 1))
@@ -96,7 +97,6 @@ class TestValidationAndGradients:
         p = T.softmax_channels(logits).data
         ni, hi, wi = np.ogrid[:1, :4, :4]
         shortfall = (1.0 - p[ni, target, hi, wi]).mean()
-        assert L.POLY_EPS == 1.0   # Poly-1
         assert abs(poly - (ce + shortfall)) < 1e-12
 
     @pytest.mark.parametrize("kind", L.LOSS_KINDS)
@@ -111,11 +111,3 @@ class TestValidationAndGradients:
     def test_invalid_spec_rejected(self):
         with pytest.raises(ValueError):
             L.LossSpec(kind="dice")
-        with pytest.raises(ValueError):
-            L.LossSpec(kind="focal", gamma=-1.0)
-
-    @pytest.mark.parametrize("field", ["gamma"])
-    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
-    def test_non_finite_setting_rejected(self, field, value):
-        with pytest.raises(ValueError, match="finite"):
-            L.LossSpec(kind="focal", **{field: value})

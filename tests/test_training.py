@@ -67,8 +67,9 @@ class TestConfig:
         written = json.loads(cfg.to_json())
         assert (written["unfreeze_epoch"], written["validate_from"]) == (5, 5)
         assert written["encoder"]["convs_per_block"] == [2, 2, 2, 2]
-        # the schedule's floor (lr0 / 100), the poly epsilon and focal alpha are no settings
-        assert "eta_min" not in written and written["loss"] == {"kind": "focal", "gamma": 2.0}
+        # the schedule's floor (lr0 / 100), the poly epsilon and focal alpha and gamma are
+        # no settings
+        assert "eta_min" not in written and written["loss"] == {"kind": "focal"}
         cfg = TR.TrainConfig(epochs=10, unfreeze_epoch=2, lr0=1e-3)
         assert (cfg.unfreeze_at, cfg.validate_at) == (2, 2)
 
@@ -267,6 +268,20 @@ class TestTrain:
         assert final.read_bytes() == (tmp_path / "one" / "checkpoints" / "final.segm").read_bytes()
         M.load_checkpoint(final)
         assert "aborted" in (tmp_path / "boom" / "run.log").read_text()
+
+    def test_overflowing_step_aborts_at_initial_weights(self, tiny_dataset, tmp_path):
+        # finite gradients, but lr * mhat overflows float32: Adam writes non-finite weights
+        cfg = tiny_config(epochs=1, unfreeze_epoch=0, validate_from=0, lr0=1e39)
+        ids = tiny_dataset.ids
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericalError, match="non-finite weight in parameter enc.l0"):
+                TR.train(cfg, tiny_dataset, ids[:4], ids[4:6], run_dir=tmp_path / "boom")
+        init = M.build_model(cfg.variant, cfg.encoder, cfg.num_classes, cfg.seed)
+        M.save_checkpoint(init, tmp_path / "init.segm")
+        final = tmp_path / "boom" / "checkpoints" / "final.segm"
+        assert final.read_bytes() == (tmp_path / "init.segm").read_bytes()
+        M.load_checkpoint(final)
+        assert (tmp_path / "boom" / "log.csv").read_text() == TR.LOG_CSV_HEADER + "\n"
 
 
 class TestFrozenAndValidation:
