@@ -4,7 +4,9 @@ import os
 
 # One BLAS thread per process unless the environment names a count: a second one
 # gains nothing at these sizes and oversubscribes --jobs workers. BLAS reads these
-# when numpy loads, so this runs before any import of numpy.
+# when numpy loads, so this runs before any import of numpy. A script that imports
+# numpy before drawseg keeps numpy's thread default: two desk training cells run
+# side by side that way took 4-5x as long as with one thread each.
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 

@@ -1,15 +1,14 @@
 """Command-line entry point.
 
-Subcommands: gen-data, train, eval, predict, ablate, gradcheck.
+Subcommands: gen-data, train, eval, predict, ablate.
 Every command echoes its resolved configuration as JSON before acting.
-Exit codes: 0 success, 1 verification failure, 2 usage or path error
-(including a --jobs worker that died and an array too large for memory),
-3 numerical failure. gen-data, train and ablate take --seed >= 0 (default 0);
-eval and predict are deterministic and take no seed. The learning rate
-decays from --lr to --lr / 100; focal uses losses.FOCAL_ALPHA and
-FOCAL_GAMMA, with no flag. confusion.csv, from eval --out and in every run
-directory, holds pixel counts. gradcheck prints each parameter's worst
-finite-difference error over its bound (tensor.grad_check).
+Exit codes: 0 success, 2 usage or path error (including a --jobs worker
+that died and an array too large for memory), 3 numerical failure.
+gen-data, train and ablate take --seed >= 0 (default 0); eval and predict
+are deterministic and take no seed. The learning rate decays from --lr to
+--lr / 100; focal uses losses.FOCAL_ALPHA and FOCAL_GAMMA, with no flag.
+confusion.csv, from eval --out and in every run directory, holds pixel
+counts.
 """
 from __future__ import annotations
 
@@ -21,7 +20,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import checks
 from . import metrics as MT
 from .data import NUM_CLASSES, DrawingDataset, generate_dataset
 from .losses import LOSS_KINDS, LossSpec
@@ -203,13 +201,6 @@ def cmd_ablate(args) -> int:
     return 0
 
 
-def cmd_gradcheck(args) -> int:
-    _echo("gradcheck", {"scope": args.scope})
-    report = checks.run_scope(args.scope)
-    print(report.summary())
-    return 0 if report.passed else 1
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="drawseg",
@@ -256,10 +247,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=int, default=1)
     _add_train_options(p)
     p.set_defaults(fn=cmd_ablate)
-
-    p = sub.add_parser("gradcheck", help="finite-difference verification suites")
-    p.add_argument("--scope", choices=checks.SCOPES, required=True)
-    p.set_defaults(fn=cmd_gradcheck)
 
     return parser
 

@@ -67,4 +67,7 @@ class Adam:
             slot.v += (1.0 - self.beta2) * g * g
             mhat = slot.m / (1.0 - self.beta1 ** slot.t)
             vhat = slot.v / (1.0 - self.beta2 ** slot.t)
-            p.data -= lr * mhat / (np.sqrt(vhat) + self.eps)
+            # a step that overflows writes non-finite weights, which train's
+            # epoch-end check reports; numpy's warning would only come first
+            with np.errstate(over="ignore", invalid="ignore"):
+                p.data -= lr * mhat / (np.sqrt(vhat) + self.eps)

@@ -328,7 +328,7 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, *, relu: bool = False,
     forward is a single GEMM with inner dimension k*k instead of k*k GEMMs
     with inner dimension 1. Stacking is kept to C = 1 because at C = 8 it
     was slower than the per-tap GEMMs. C = 2 and 4 are ROADMAP item 8's
-    open lead: stacked there, taps pass all four gradcheck scopes.
+    open lead: stacked there, taps pass the checks in tests/_gradcheck.py.
 
     _tap_sum blocks its loop over samples (Goto & van de Geijn's loop
     blocking, at the level of whole samples): it runs all taps over a group
@@ -942,11 +942,12 @@ def grad_check(build: Callable[[], Tensor], params: dict[str, Tensor],
     the worst |g_ad - g_fd| / bound; a check passes when every entry is
     below 1. With ``max_elements`` set, a seeded subset of coordinates per
     parameter is probed (keeps whole-model checks inside the time budget).
-    On the float64 scopes of ``checks`` the worst err/bound reads 0.14
-    (primitive), 0.11 (cbam), 0.091 (skip) and 0.12 (model), at most 0.11
-    with conv2d's taps summed in reverse, and about 100 in each with a conv
-    or dense weight gradient 1.0001x off. H = 1e-4 crosses a ReLU kink in
-    the skip scope (4e5); at 1e-6 the model scope reads 0.48.
+    On the float64 cases of tests/_gradcheck.py the worst err/bound reads
+    0.14 (primitives and losses), 0.11 (cbam), 0.091 (skip) and 0.12
+    (model), at most 0.11 with conv2d's taps summed in reverse, and about
+    100 in each with a conv or dense weight gradient 1.0001x off. H = 1e-4
+    crosses a ReLU kink in the skip cases (4e5); at 1e-6 the model case
+    reads 0.48.
     """
     report = GradCheckReport()
     loss = build()

@@ -150,6 +150,7 @@ def evaluate(model: SegModel, ids: Sequence[str], dataset, batch_size: int = 8,
         raise ValueError("evaluate needs at least one sample id")
     if batch_size < 1:
         raise ValueError(f"batch size must be >= 1, got {batch_size}")
+    _check_sizes(model.variant, model.enc, dataset, ids)
     cms = []
     total = 0.0
     with T.no_grad():
@@ -277,6 +278,7 @@ def train(cfg: TrainConfig, dataset, train_ids: Sequence[str],
                     zero_grads(model.parameters())
                     total += value * len(chunk)
                     seen += len(chunk)
+                batch = None   # past the steps: a fault from here on names no batch
                 for name, p in model.named_parameters():
                     if not np.isfinite(p.data).all():
                         raise NumericalError(f"non-finite weight in parameter {name}")
@@ -299,8 +301,9 @@ def train(cfg: TrainConfig, dataset, train_ids: Sequence[str],
                 p.data = saved
             zero_grads(model.parameters())
             out.checkpoint(model, "final")
-            out.note(f"aborted at epoch {epoch}, batch {batch}: {err}; "
-                     f"weights from the start of the epoch kept as final")
+            where = (f"at epoch {epoch}, batch {batch}" if batch is not None
+                     else f"after epoch {epoch}'s steps")
+            out.note(f"aborted {where}: {err}; weights from the start of the epoch kept as final")
             raise
         finally:
             model.set_frozen(False)

@@ -1,26 +1,28 @@
-"""Finite-difference verification suites for the CLI and the test suite.
+"""Finite-difference gradient checks shared by the test suite.
 
-All builders run in float64, seed their randomness, and jitter every
-parameter (biases start at exactly zero, which parks relu pre-activations
-precisely on the kink where central differences and reverse-mode gradients
-legitimately disagree). Inputs get a small deterministic ramp added for
-the same reason: it pushes pool windows off exact ties. No scope sets its
-own finite-difference step or tolerance: grad_check has one of each.
+Each check_* function builds one case in float64 from its own seeds and
+returns tensor.grad_check's report. Every parameter is jittered (biases
+start at exactly zero, which parks relu pre-activations precisely on the
+kink where central differences and reverse-mode gradients legitimately
+disagree). Inputs get a small deterministic ramp added for the same
+reason: it pushes pool windows off exact ties. No case sets its own
+finite-difference step or tolerance: grad_check has one of each.
 """
-from __future__ import annotations
-
 import zlib
 
 import numpy as np
 
-from . import losses as L
-from . import tensor as T
-from .cbam import ParamStore, build_cbam, cbam_forward
-from .models import EncoderConfig, ModelVariant, build_model
-from .skipfuse import build_skip_block, skip_forward
-from .tensor import GradCheckReport, Tensor, grad_check
+from drawseg import losses as L
+from drawseg import tensor as T
+from drawseg.cbam import ParamStore, build_cbam, cbam_forward
+from drawseg.models import EncoderConfig, ModelVariant, build_model
+from drawseg.skipfuse import build_skip_block, skip_forward
+from drawseg.tensor import GradCheckReport, Tensor, grad_check
 
 JITTER = 0.05   # half-width of the uniform draw _jitter adds to every parameter
+
+# (ave, cbam) of each skip mode that has parameters
+SKIP_MODES = ((True, False), (False, True), (True, True))
 
 
 def _jitter(params, rng):
@@ -46,10 +48,10 @@ def _sq_loss(t: Tensor) -> Tensor:
 
 
 # Each builder takes a seeded generator and returns (params dict, loss
-# builder); everything runs in float64. A single-op row is
-# name -> (tensor op, {param: shape} in argument order, ramp), and its loss
-# is the op's squared sum; ramp draws the inputs of pools and relu off ties.
-# A param named ``cat`` goes to the op as that keyword (conv2d's second input).
+# builder). A single-op row is name -> (tensor op, {param: shape} in
+# argument order, ramp), and its loss is the op's squared sum; ramp draws
+# the inputs of pools and relu off ties. A param named ``cat`` goes to the
+# op as that keyword (conv2d's second input).
 _SINGLE_OPS = {
     "conv2d": ("conv2d", {"x": (1, 2, 4, 4), "w": (3, 2, 3, 3), "b": (3,)}, False),
     "conv2d_single_channel": ("conv2d", {"x": (2, 1, 4, 4), "w": (3, 1, 3, 3), "b": (3,)}, False),
@@ -86,18 +88,6 @@ def _single_op(op: str, shapes: dict, ramp: bool):
     return make
 
 
-PRIMITIVE_BUILDERS = {name: _single_op(*row) for name, row in _SINGLE_OPS.items()}
-
-# rows too large to probe at every coordinate: name -> (builder, coordinates
-# probed per parameter, a seeded sample as in check_model)
-SAMPLED_BUILDERS = {
-    # O*C = 384 over a span of 32 rows of 66 columns: conv2d's column-tile rule
-    # splits it in two for the forward, input-gradient and weight-gradient GEMMs
-    "conv2d_tiles": (_single_op("conv2d", {"x": (1, 16, 32, 64), "w": (24, 16, 3, 3),
-                                           "b": (24,)}, False), 24),
-}
-
-
 def _scalar_chain(rng):
     p = {"x": _rand(rng, (1, 2, 3, 3))}
 
@@ -110,36 +100,34 @@ def _scalar_chain(rng):
     return p, build
 
 
+PRIMITIVE_BUILDERS = {name: _single_op(*row) for name, row in _SINGLE_OPS.items()}
 PRIMITIVE_BUILDERS["log_clamp_power_affine"] = _scalar_chain
 
-
-def _merge(report: GradCheckReport, sub: GradCheckReport, prefix: str) -> None:
-    for e in sub.entries:
-        report.entries.append(type(e)(f"{prefix}.{e.name}", e.err_over_bound, e.checked))
-
-
-def check_primitives() -> GradCheckReport:
-    """Every tensor primitive plus each loss kind against central differences."""
-    report = GradCheckReport()
-    rows = {name: (make, None) for name, make in PRIMITIVE_BUILDERS.items()} | SAMPLED_BUILDERS
-    for name, (make, probes) in rows.items():
-        rng = np.random.default_rng(zlib.crc32(name.encode()))
-        params, build = make(rng)
-        _merge(report, grad_check(build, params, max_elements=probes), name)
-    _merge(report, check_losses(), "loss")
-    return report
+# rows too large to probe at every coordinate: name -> (builder, coordinates
+# probed per parameter, a seeded sample as in check_model)
+SAMPLED_BUILDERS = {
+    # O*C = 384 over a span of 32 rows of 66 columns: conv2d's column-tile rule
+    # splits it in two for the forward, input-gradient and weight-gradient GEMMs
+    "conv2d_tiles": (_single_op("conv2d", {"x": (1, 16, 32, 64), "w": (24, 16, 3, 3),
+                                           "b": (24,)}, False), 24),
+}
 
 
-def check_losses() -> GradCheckReport:
-    report = GradCheckReport()
+def check_primitive(name: str) -> GradCheckReport:
+    """One row of PRIMITIVE_BUILDERS or SAMPLED_BUILDERS, seeded by the crc32
+    of its name, which unlike hash() is the same in every process."""
+    make, probes = (SAMPLED_BUILDERS[name] if name in SAMPLED_BUILDERS
+                    else (PRIMITIVE_BUILDERS[name], None))
+    params, build = make(np.random.default_rng(zlib.crc32(name.encode())))
+    return grad_check(build, params, max_elements=probes)
+
+
+def check_loss(kind: str) -> GradCheckReport:
     rng = np.random.default_rng(2024)
     logits = Tensor(rng.standard_normal((1, 3, 4, 4)), requires_grad=True)
     target = rng.integers(0, 3, size=(1, 4, 4))
-    for kind in ("ce", "bce", "poly", "focal"):
-        spec = L.LossSpec(kind=kind)
-        sub = grad_check(lambda: L.segmentation_loss(spec, logits, target), {"logits": logits})
-        _merge(report, sub, kind)
-    return report
+    spec = L.LossSpec(kind=kind)
+    return grad_check(lambda: L.segmentation_loss(spec, logits, target), {"logits": logits})
 
 
 def check_cbam() -> GradCheckReport:
@@ -158,26 +146,23 @@ def check_cbam() -> GradCheckReport:
     return grad_check(build, params)
 
 
-def check_skip() -> GradCheckReport:
-    report = GradCheckReport()
-    for name, ave, cbam in (("ave", True, False), ("cbam", False, True), ("ave+cbam", True, True)):
-        store = ParamStore(17, np.float64)
-        block = build_skip_block(store, "skip", 4, 8, ave, cbam)
-        rng = store.rng
-        params = dict(store.named)
-        _jitter(params.values(), rng)
-        shallow = _input(rng, (1, 4, 8, 8))
-        deeper = _input(rng, (1, 8, 4, 4))
-        params["shallow"] = shallow
-        if ave:
-            params["deeper"] = deeper
+def check_skip(ave: bool, cbam: bool) -> GradCheckReport:
+    store = ParamStore(17, np.float64)
+    block = build_skip_block(store, "skip", 4, 8, ave, cbam)
+    rng = store.rng
+    params = dict(store.named)
+    _jitter(params.values(), rng)
+    shallow = _input(rng, (1, 4, 8, 8))
+    deeper = _input(rng, (1, 8, 4, 4))
+    params["shallow"] = shallow
+    if ave:
+        params["deeper"] = deeper
 
-        def build(ave=ave, block=block, shallow=shallow, deeper=deeper):
-            out = skip_forward(shallow, deeper if ave else None, block)
-            return T.mean_all(T.mul(out, out))
+    def build():
+        out = skip_forward(shallow, deeper if ave else None, block)
+        return T.mean_all(T.mul(out, out))
 
-        _merge(report, grad_check(build, params), name)
-    return report
+    return grad_check(build, params)
 
 
 def check_model() -> GradCheckReport:
@@ -195,14 +180,3 @@ def check_model() -> GradCheckReport:
         return T.mean_all(T.mul(out, out))
 
     return grad_check(build, params, max_elements=3)
-
-
-# the gradcheck scopes, by name; the CLI offers these keys
-SCOPES = {"primitive": check_primitives, "cbam": check_cbam, "skip": check_skip,
-          "model": check_model}
-
-
-def run_scope(scope: str) -> GradCheckReport:
-    if scope not in SCOPES:
-        raise ValueError(f"unknown gradcheck scope {scope!r}; expected one of {tuple(SCOPES)}")
-    return SCOPES[scope]()

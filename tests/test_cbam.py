@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+import _gradcheck as G
 from drawseg import cbam as C
 from drawseg import tensor as T
 from drawseg.tensor import Tensor
@@ -149,15 +150,5 @@ class TestFullBlock:
         assert not np.allclose(both, avg_only)
 
     def test_full_block_gradient_check(self):
-        store = C.ParamStore(21, np.float64)
-        block = C.build_cbam(store, "cbam", 4)
-        rng = np.random.default_rng(22)
-        x = Tensor(rng.standard_normal((1, 4, 4, 4)), requires_grad=True)
-        params = dict(store.named)
-        params["input"] = x
-
-        def build():
-            return T.mean_all(T.mul(y := C.cbam_forward(x, block), y))
-
-        report = T.grad_check(build, params)
+        report = G.check_cbam()
         assert report.passed, report.summary()

@@ -13,7 +13,6 @@ import pytest
 
 import drawseg
 from drawseg import cli
-from drawseg import tensor as T
 from drawseg.netpbm import read_pgm, write_pgm
 from test_models import write_long_level_checkpoint
 
@@ -407,7 +406,7 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith("error:")
         assert not out.exists()
 
-    @pytest.mark.parametrize("command", ["train", "ablate"])
+    @pytest.mark.parametrize("command", ["train", "ablate", "eval"])
     def test_images_of_two_sizes_are_2_and_write_nothing(self, data_dir, tmp_path, capsys,
                                                           command):
         # 16x16 and 32x32 both pass the depth-2 rule, but a batch cannot stack them
@@ -420,11 +419,18 @@ class TestExitCodes:
             shutil.copy(small / sub / "00000.pgm", data / sub / "00003.pgm")
         manifest = data / "manifest.txt"
         manifest.write_text(manifest.read_text().replace("00003 32 32", "00003 16 16"))
+        if command == "eval":
+            ckpt = tmp_path / "d2.segm"
+            drawseg.save_checkpoint(drawseg.build_model(
+                drawseg.ModelVariant("unet", False, False),
+                drawseg.EncoderConfig(depth=2, base_width=2), 6, seed=0), ckpt)
+            argv = ["eval", "--ckpt", str(ckpt)]
+        else:
+            argv = [*self._GRID.get(command, [command]), "--epochs", "1", "--depth", "2",
+                    "--base-width", "2"]
         capsys.readouterr()
         out = tmp_path / "r"
-        head = self._GRID.get(command, [command])
-        assert cli.main([*head, "--data", str(data), "--out", str(out), "--epochs", "1",
-                         "--depth", "2", "--base-width", "2", "--batch-size", "4"]) == 2
+        assert cli.main([*argv, "--data", str(data), "--out", str(out), "--batch-size", "4"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: images must share one size:") and "'00003' is 16x16" in err
         assert not out.exists()
@@ -494,11 +500,12 @@ class TestExitCodes:
         assert not (tmp_path / "abl").exists()
 
     def test_kfold_command_is_gone(self, data_dir, tmp_path, capsys):
-        # one variant's rows of the ablate grid
-        assert cli.main(["kfold", "--data", str(data_dir), "--out", str(tmp_path / "kf"),
-                         "--epochs", "1"]) == 2
-        assert "invalid choice: 'kfold'" in capsys.readouterr().err
-        assert not (tmp_path / "kf").exists()
+        # kfold: one variant's rows of the ablate grid; gradcheck: tests/_gradcheck.py
+        for command in ("kfold", "gradcheck"):
+            assert cli.main([command, "--data", str(data_dir), "--out", str(tmp_path / "kf"),
+                             "--epochs", "1"]) == 2
+            assert f"invalid choice: '{command}'" in capsys.readouterr().err
+            assert not (tmp_path / "kf").exists()
 
     @pytest.mark.parametrize("command", ["gen-data", "eval", "predict", "ablate",
                                          "ablate-unet"])
@@ -551,37 +558,20 @@ class TestExitCodes:
         assert cli.main(["eval", "--ckpt", str(path), "--data", str(data_dir)]) == 2
         assert "at most 8 convs" in capsys.readouterr().err
 
-    def test_gradcheck_corrupted_rule_is_1(self, monkeypatch):
-        real = T.sigmoid
-
-        def negated_rule(x):
-            out = real(x)
-            rule = out._backward
-            out._backward = lambda g: rule(-g)
-            return out
-
-        monkeypatch.setattr(T, "sigmoid", negated_rule)
-        assert cli.main(["gradcheck", "--scope", "primitive"]) == 1
-
 
 class TestGradcheckCommand:
-    @pytest.mark.parametrize("scope", ["cbam", "skip"])
-    def test_scopes_pass(self, scope):
-        assert cli.main(["gradcheck", "--scope", scope]) == 0
-
-    def test_unknown_scope_rejected(self):
-        assert cli.main(["gradcheck", "--scope", "everything"]) == 2
-
+    # the primitive cases of tests/_gradcheck.py
     def test_primitive_report_independent_of_hash_seed(self):
         # the builders' seeds must not depend on per-process string hashing
         src = str(Path(drawseg.__file__).resolve().parents[1])
+        paths = [src, str(Path(__file__).parent), os.environ.get("PYTHONPATH", "")]
         reports = []
         for hash_seed in ("1", "2"):
-            env = dict(os.environ, PYTHONHASHSEED=hash_seed,
-                       PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=os.pathsep.join(paths))
             proc = subprocess.run(
-                [sys.executable, "-c", "import sys; from drawseg import cli; "
-                 "sys.exit(cli.main(['gradcheck', '--scope', 'primitive']))"],
+                [sys.executable, "-c", "import _gradcheck as G\n"
+                 "for name in sorted(G.PRIMITIVE_BUILDERS | G.SAMPLED_BUILDERS):\n"
+                 "    print(name, G.check_primitive(name).summary())"],
                 env=env, capture_output=True, text=True, timeout=300)
             assert proc.returncode == 0, proc.stdout + proc.stderr
             reports.append(proc.stdout)

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import _gradcheck as G
 from drawseg import losses as L
 from drawseg import tensor as T
 from drawseg.tensor import Tensor
@@ -101,11 +102,7 @@ class TestValidationAndGradients:
 
     @pytest.mark.parametrize("kind", L.LOSS_KINDS)
     def test_gradients_match_finite_differences(self, kind):
-        rng = np.random.default_rng(4)
-        logits = Tensor(rng.standard_normal((1, 3, 4, 4)), requires_grad=True)
-        target = rng.integers(0, 3, size=(1, 4, 4))
-        spec = L.LossSpec(kind=kind)
-        report = T.grad_check(lambda: L.segmentation_loss(spec, logits, target), {"logits": logits})
+        report = G.check_loss(kind)
         assert report.passed, report.summary()
 
     def test_invalid_spec_rejected(self):

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import _gradcheck as G
 import _oracles as oracle
 from drawseg import cbam as C
 from drawseg import losses as L
@@ -436,8 +437,7 @@ class TestForward:
             model.forward(x)
 
     def test_full_model_gradient_check(self):
-        from drawseg.checks import check_model
-        report = check_model()
+        report = G.check_model()
         assert report.passed, report.summary()
 
 

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import drawseg
 
-SETTABLE_VALUES = 68
+SETTABLE_VALUES = 64
 
 
 def _decorator_name(d: ast.expr) -> str:

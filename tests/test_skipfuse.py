@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+import _gradcheck as G
 import _oracles as oracle
 from drawseg import skipfuse as S
 from drawseg import tensor as T
@@ -103,23 +104,9 @@ class TestSkipForward:
         with pytest.raises(T.ShapeError, match="deeper"):
             S.skip_forward(shallow, None, p)
 
-    @pytest.mark.parametrize("ave,cbam", [m for m in MODES if m != (False, False)])
+    @pytest.mark.parametrize("ave,cbam", G.SKIP_MODES)
     def test_gradient_check_each_mode(self, ave, cbam):
-        store = ParamStore(7, np.float64)
-        p = S.build_skip_block(store, "skip", 4, 8, ave, cbam)
-        rng = np.random.default_rng(8)
-        shallow = Tensor(rng.standard_normal((1, 4, 8, 8)), requires_grad=True)
-        deeper = Tensor(rng.standard_normal((1, 8, 4, 4)), requires_grad=True)
-        params = dict(store.named)
-        params["shallow"] = shallow
-        if ave:
-            params["deeper"] = deeper
-
-        def build():
-            out = S.skip_forward(shallow, deeper if ave else None, p)
-            return T.mean_all(T.mul(out, out))
-
-        report = T.grad_check(build, params)
+        report = G.check_skip(ave, cbam)
         assert report.passed, report.summary()
 
     def test_parameter_counts_grow_with_modes(self):

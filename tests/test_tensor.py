@@ -2,14 +2,17 @@
 import tracemalloc
 import weakref
 import zlib
+from functools import partial
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import _gradcheck as G
 import _oracles as oracle
 from drawseg import tensor as T
+from drawseg.losses import LOSS_KINDS
 from drawseg.tensor import Tensor
 
 
@@ -1007,37 +1010,30 @@ class TestBackward:
         assert report.passed, report.summary()
 
 
-from drawseg.checks import PRIMITIVE_BUILDERS, SAMPLED_BUILDERS, SCOPES
-
-
-@pytest.mark.parametrize("name", sorted(PRIMITIVE_BUILDERS))
+@pytest.mark.parametrize("name", sorted(G.PRIMITIVE_BUILDERS))
 def test_primitive_gradients_match_finite_differences(name):
-    rng = np.random.default_rng(zlib.crc32(name.encode()))
-    params, build = PRIMITIVE_BUILDERS[name](rng)
-    report = T.grad_check(build, params)
+    report = G.check_primitive(name)
     assert report.passed, f"{name}\n{report.summary()}"
 
 
-@pytest.mark.parametrize("name", sorted(SAMPLED_BUILDERS))
+@pytest.mark.parametrize("name", sorted(G.SAMPLED_BUILDERS))
 def test_sampled_primitive_gradients_match_finite_differences(name):
-    make, probes = SAMPLED_BUILDERS[name]
-    params, build = make(np.random.default_rng(zlib.crc32(name.encode())))
-    report = T.grad_check(build, params, max_elements=probes)
+    report = G.check_primitive(name)
     assert report.passed, f"{name}\n{report.summary()}"
 
 
 def test_conv2d_tiles_row_splits_under_the_real_rule():
-    params, _ = SAMPLED_BUILDERS["conv2d_tiles"][0](np.random.default_rng(0))
+    params, _ = G.SAMPLED_BUILDERS["conv2d_tiles"][0](np.random.default_rng(0))
     o, c, k, _ = params["w"].shape
     _, _, h, w = params["x"].shape
     span = h * (w + 2 * (k // 2))
     assert T._column_tile(o * c, span) < span
 
 
-@pytest.mark.parametrize("name", sorted(PRIMITIVE_BUILDERS))
+@pytest.mark.parametrize("name", sorted(G.PRIMITIVE_BUILDERS))
 def test_primitive_leaf_gradients_share_no_memory(name):
     rng = np.random.default_rng(zlib.crc32(name.encode()))
-    params, build = PRIMITIVE_BUILDERS[name](rng)
+    params, build = G.PRIMITIVE_BUILDERS[name](rng)
     loss = build()
     flowing = record_flowing(loss)
     loss.backward()
@@ -1055,7 +1051,7 @@ def test_grad_check_flags_corrupted_rule(monkeypatch):
 
     monkeypatch.setattr(T, "sigmoid", negated_rule)
     rng = np.random.default_rng(99)
-    params, build = PRIMITIVE_BUILDERS["sigmoid"](rng)
+    params, build = G.PRIMITIVE_BUILDERS["sigmoid"](rng)
     report = T.grad_check(build, params)
     assert not report.passed
 
@@ -1114,18 +1110,29 @@ def test_reversed_tap_order_moves_conv_bits(monkeypatch):
     assert (T.conv2d(x, w, b).data != before).any()
 
 
+# every case of tests/_gradcheck.py, by the scope it checks
+SCOPES = {
+    "primitive": [partial(G.check_primitive, name)
+                  for name in sorted(G.PRIMITIVE_BUILDERS | G.SAMPLED_BUILDERS)]
+                 + [partial(G.check_loss, kind) for kind in LOSS_KINDS],
+    "cbam": [G.check_cbam],
+    "skip": [partial(G.check_skip, ave, cbam) for ave, cbam in G.SKIP_MODES],
+    "model": [G.check_model],
+}
+
+
 @pytest.mark.parametrize("scope", sorted(SCOPES))
 def test_grad_check_passes_reordered_sums(monkeypatch, scope):
     _reorder_tap_sums(monkeypatch)
-    report = SCOPES[scope]()
-    assert report.passed, report.summary()
+    for check in SCOPES[scope]:
+        report = check()
+        assert report.passed, report.summary()
 
 
 @pytest.mark.parametrize("scope", sorted(SCOPES))
 def test_grad_check_fails_reordered_sums_with_conv_weight_gradient_1e4_off(monkeypatch, scope):
     _reorder_tap_sums(monkeypatch, dw_scale=1.0001)
-    report = SCOPES[scope]()
-    assert not report.passed, report.summary()
+    assert not all(check().passed for check in SCOPES[scope])
 
 
 def test_forward_ops_are_pure():

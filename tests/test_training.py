@@ -2,6 +2,7 @@
 import dataclasses
 import json
 import shutil
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -283,6 +284,18 @@ class TestTrain:
         M.load_checkpoint(final)
         assert (tmp_path / "boom" / "log.csv").read_text() == TR.LOG_CSV_HEADER + "\n"
 
+    def test_overflowing_step_note_names_the_epoch_end_check(self, tiny_dataset, tmp_path):
+        # the weight check runs after the epoch's steps, so its note names no batch;
+        # Adam's overflowing update raises no numpy warning ahead of it
+        cfg = tiny_config(epochs=2, unfreeze_epoch=0, lr0=1e39)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="non-finite weight"):
+                TR.train(cfg, tiny_dataset, tiny_dataset.ids[:4], run_dir=tmp_path / "boom")
+        log = (tmp_path / "boom" / "run.log").read_text()
+        assert "aborted after epoch 0's steps: non-finite weight" in log, log
+        assert "batch" not in log, log
+
 
 class TestFrozenAndValidation:
     def test_frozen_step_computes_no_encoder_gradients(self, tiny_dataset, monkeypatch):
@@ -372,7 +385,8 @@ class TestEvaluate:
 
 class TestOverfitGate:
     def test_unet_base_learns_every_class_of_two_images(self):
-        # Catches a model or gradient fault that the per-op gradchecks miss: with the
+        # Catches a model fault that the gradient checks of tests/_gradcheck.py
+        # cannot, since they prove the gradients of whatever graph is wired: with the
         # skip wired to the half-resolution level (upsample2x(max_pool2d(shallow)))
         # Dash stops at IoU 0.40. Here the lowest class reaches about 0.985.
         samples = [D.make_sample(32, D.sample_rng(0, i)) for i in range(2)]
