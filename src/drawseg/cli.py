@@ -3,7 +3,8 @@
 Subcommands: gen-data, train, eval, predict, ablate.
 Every command echoes its resolved configuration as JSON before acting.
 Exit codes: 0 success, 2 usage or path error (including a --jobs worker
-that died and an array too large for memory), 3 numerical failure.
+that died and an array too large for memory), 3 numerical failure (a
+training step met a non-finite loss or weight; see training.train).
 gen-data, train and ablate take --seed >= 0 (default 0); eval and predict
 are deterministic and take no seed. The learning rate decays from --lr to
 --lr / 100; focal uses losses.FOCAL_ALPHA and FOCAL_GAMMA, with no flag.
@@ -25,8 +26,8 @@ from .data import NUM_CLASSES, DrawingDataset, generate_dataset
 from .losses import LOSS_KINDS, LossSpec
 from .models import ALL_VARIANTS, FAMILIES, EncoderConfig, ModelVariant, load_checkpoint
 from .netpbm import write_pgm, write_ppm
-from .tensor import NumericalError, Tensor, no_grad
-from .training import TrainConfig, evaluate, run_ablation, train
+from .tensor import Tensor, no_grad
+from .training import NumericalError, TrainConfig, evaluate, run_ablation, train
 
 # overlay palette, one RGB triple per class id
 PALETTE = {

@@ -142,9 +142,7 @@ class SegModel:
         if num_classes < 2:
             raise ValueError(f"num_classes must be >= 2, got {num_classes}")
         self.variant = variant
-        # the cnn family reads base_width only; the default depth and conv list
-        # give each cnn network one checkpoint byte form
-        self.enc = enc if variant.family == "unet" else EncoderConfig(base_width=enc.base_width)
+        self.enc = encoder_of(variant, enc)
         self.num_classes = num_classes
         self.dtype = store.dtype
         if variant.family == "unet":
@@ -258,6 +256,12 @@ class SegModel:
 
     def count_params(self) -> int:
         return sum(t.data.size for t in self.parameters())
+
+
+def encoder_of(variant: ModelVariant, enc: EncoderConfig) -> EncoderConfig:
+    """The encoder a variant builds from ``enc``: the cnn family reads base_width
+    only, and its default depth and conv list give it one checkpoint byte form."""
+    return enc if variant.family == "unet" else EncoderConfig(base_width=enc.base_width)
 
 
 def check_input_size(variant: ModelVariant, enc: EncoderConfig, h: int, w: int) -> None:
@@ -379,10 +383,10 @@ def load_checkpoint(path) -> SegModel:
 
     variant = ModelVariant(FAMILIES[fam], bool(ave), bool(cbam))
     enc = EncoderConfig(depth=depth, base_width=base, convs_per_block=tuple(convs))
-    default = EncoderConfig(base_width=base)
-    if variant.family == "cnn" and enc != default:
+    stored = encoder_of(variant, enc)
+    if enc != stored:
         raise ValueError(f"cnn checkpoint holds depth {depth} and conv list {convs}; "
-                         f"the cnn family stores {default.depth} and {default.convs()}")
+                         f"the cnn family stores {stored.depth} and {stored.convs()}")
     store = _PayloadStore(raw, off)
     model = SegModel(variant, enc, k, store)
     if store._pos != len(raw):

@@ -8,7 +8,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .tensor import NumericalError, Tensor
+from .tensor import Tensor
 
 
 def cosine_lr(lr0: float, total_epochs: int, epoch: int) -> float:
@@ -35,7 +35,7 @@ class Adam:
     frozen) keeps its slot untouched; its step counter resumes when it is
     stepped again, so bias correction stays well defined after unfreezing.
     Frozen parameters are the caller's business: pass only the tensors to
-    update.
+    update. So are non-finite values: ``step`` checks none.
     """
 
     beta1 = 0.9
@@ -47,27 +47,24 @@ class Adam:
             id(p): _Slot(np.zeros_like(p.data), np.zeros_like(p.data)) for p in params}
 
     def step(self, params: Sequence[Tensor], lr: float) -> None:
-        """Update every tensor in ``params``, or, if any is unknown or has a
-        non-finite gradient, raise before changing any of them."""
+        """Update every tensor in ``params``, or, if any is unknown, raise
+        before changing any of them. A non-finite gradient writes a non-finite
+        weight: NaN through m, +-inf as mhat / sqrt(vhat) = inf / inf."""
         for p in params:
             if id(p) not in self._slots:
                 raise KeyError(f"parameter {p.name or p.shape} unknown to this optimizer")
-            if p.grad is not None and not np.isfinite(p.grad).all():
-                raise NumericalError(
-                    f"non-finite gradient in parameter {p.name or p.shape}; step rejected")
-        for p in params:
-            slot = self._slots[id(p)]
-            g = p.grad if p.grad is not None else np.zeros_like(p.data)
-            slot.t += 1
-            # in place, with the float operations of the out-of-place update in
-            # the same order, so the bits hold; v takes ((1 - beta2) * g) * g
-            slot.m *= self.beta1
-            slot.m += (1.0 - self.beta1) * g
-            slot.v *= self.beta2
-            slot.v += (1.0 - self.beta2) * g * g
-            mhat = slot.m / (1.0 - self.beta1 ** slot.t)
-            vhat = slot.v / (1.0 - self.beta2 ** slot.t)
-            # a step that overflows writes non-finite weights, which train's
-            # epoch-end check reports; numpy's warning would only come first
-            with np.errstate(over="ignore", invalid="ignore"):
+        # an overflowing step writes non-finite weights, which the caller checks
+        with np.errstate(over="ignore", invalid="ignore"):
+            for p in params:
+                slot = self._slots[id(p)]
+                g = p.grad if p.grad is not None else np.zeros_like(p.data)
+                slot.t += 1
+                # in place, with the float operations of the out-of-place update in
+                # the same order, so the bits hold; v takes ((1 - beta2) * g) * g
+                slot.m *= self.beta1
+                slot.m += (1.0 - self.beta1) * g
+                slot.v *= self.beta2
+                slot.v += (1.0 - self.beta2) * g * g
+                mhat = slot.m / (1.0 - self.beta1 ** slot.t)
+                vhat = slot.v / (1.0 - self.beta2 ** slot.t)
                 p.data -= lr * mhat / (np.sqrt(vhat) + self.eps)

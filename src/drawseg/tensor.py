@@ -10,7 +10,8 @@ The computation graph is implicit: every op result keeps references to
 its parents together with a closure that scatters the incoming gradient
 to them. ``backward`` on a scalar loss runs one reverse topological pass
 and frees each op result as soon as its closure has run: afterwards only
-leaves hold ``.grad``, and a freed graph cannot be walked again.
+leaves hold ``.grad``, and a freed graph cannot be walked again. No op
+checks for NaN or inf; training.train checks each step's loss and weights.
 
 One hand-over rule holds for every closure: each parent gets a writable
 array that the closure made for that parent alone, which ``_accumulate``
@@ -44,10 +45,6 @@ class ShapeError(ValueError):
 
 class GraphError(RuntimeError):
     """Raised on misuse of the autodiff graph (e.g. double backward)."""
-
-
-class NumericalError(RuntimeError):
-    """Raised when a loss or a training step meets non-finite values."""
 
 
 class no_grad:
@@ -109,12 +106,10 @@ class Tensor:
         loss built on a freed result, raises GraphError. Leaves that
         already hold a gradient are rejected too (call :func:`zero_grads`
         between steps); silent accumulation across steps is a classic
-        correctness trap. A non-finite loss raises NumericalError.
+        correctness trap.
         """
         if self.data.size != 1:
             raise GraphError(f"backward requires a scalar loss, got shape {self.data.shape}")
-        if not np.isfinite(self.data).all():
-            raise NumericalError(f"backward on a non-finite loss {float(self.data)}")
         if self._done:
             raise GraphError("backward already ran on this graph; rebuild the graph before calling again")
 
@@ -862,7 +857,8 @@ def dense(x: Tensor, weight: Tensor) -> Tensor:
         raise ShapeError(f"dense channel mismatch on axis 1: input has {c}, weight expects {cin}")
     _check_same_dtype(x, weight)
     x2 = x.data.reshape(n, c)
-    out = (x2 @ weight.data.T).reshape(n, cout, 1, 1)
+    # per sample, as x2 @ weight.T would take BLAS's gemv at N = 1, which sums in another order
+    out = np.matmul(x2[:, None, :], weight.data.T).reshape(n, cout, 1, 1)
 
     def backward(g: np.ndarray) -> None:
         g2 = g.reshape(n, cout)

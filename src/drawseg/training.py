@@ -41,10 +41,14 @@ from .data import NUM_CLASSES, Sample, augment
 from .losses import LossSpec, segmentation_loss
 # load_checkpoint is unused here but stays importable as training.load_checkpoint,
 # a name perfbench's tracer wraps.
-from .models import (ALL_VARIANTS, FAMILIES, EncoderConfig, ModelVariant, SegModel,
-                     build_model, check_input_size, load_checkpoint, save_checkpoint)
+from .models import (ALL_VARIANTS, FAMILIES, EncoderConfig, ModelVariant, SegModel, build_model,
+                     check_input_size, encoder_of, load_checkpoint, save_checkpoint)
 from .optim import Adam, cosine_lr
-from .tensor import NumericalError, Tensor, zero_grads
+from .tensor import Tensor, zero_grads
+
+
+class NumericalError(RuntimeError):
+    """A training step met a non-finite loss or wrote a non-finite weight."""
 
 
 @dataclass(frozen=True)
@@ -104,12 +108,7 @@ class EpochRow:
     val_accuracy: Optional[float] = None
 
 
-LOG_CSV_HEADER = "epoch,lr,train_loss,val_loss,val_iou,val_map,val_accuracy"
-
-
-def _row_csv(row: EpochRow) -> str:
-    cells = (row.lr, row.train_loss, row.val_loss, row.val_iou, row.val_map, row.val_accuracy)
-    return ",".join([str(row.epoch)] + [MT.csv_cell(v) for v in cells])
+LOG_CSV_HEADER = ",".join(f.name for f in dataclasses.fields(EpochRow))
 
 
 @dataclass
@@ -201,7 +200,8 @@ class _RunDir:
     def row(self, row: EpochRow):
         if self.path is None:
             return
-        self._log.write(_row_csv(row) + "\n")
+        epoch, *cells = dataclasses.astuple(row)
+        self._log.write(",".join([str(epoch)] + [MT.csv_cell(v) for v in cells]) + "\n")
         self._log.flush()
 
     def checkpoint(self, model, name: str):
@@ -236,34 +236,35 @@ def train(cfg: TrainConfig, dataset, train_ids: Sequence[str],
 
     Deterministic for a fixed (config, seed) on one platform: the shuffle
     stream, augmentation draws and initialisation all derive from cfg.seed.
-    On a non-finite loss or gradient, or an epoch's steps that leave a
-    non-finite weight, the weights go back to the start of the epoch, they
-    are written as the final checkpoint, run.log notes the abort and
-    NumericalError propagates. The encoder is frozen by switching off its
-    parameters' gradients; however the epoch loop ends, they are on again.
-    Before anything is written, the manifest size of every id is checked
-    against the model's input rule, and the ids must share one size.
+    Each step checks its loss before backward and the weights Adam wrote,
+    which a non-finite gradient makes non-finite. On a non-finite value the
+    weights go back to the start of the epoch and are written as the final
+    checkpoint, run.log names the epoch and batch, and NumericalError
+    propagates. The encoder is frozen by switching off its parameters'
+    gradients; however the epoch loop ends, they are on again. Before
+    anything is written, a given model must be the one cfg describes, and
+    every id's manifest size must pass the model's input rule, one size for all.
     """
     if model is None:
         model = build_model(cfg.variant, cfg.encoder, cfg.num_classes, cfg.seed)
-    if model.variant != cfg.variant:
-        raise ValueError(f"model is {model.variant}, config wants {cfg.variant}")
-    if model.num_classes != cfg.num_classes:
-        raise ValueError(f"model has {model.num_classes} classes, config wants {cfg.num_classes}")
+    have = (model.variant, model.num_classes, model.enc)
+    want = (cfg.variant, cfg.num_classes, encoder_of(cfg.variant, cfg.encoder))
+    if have != want:
+        raise ValueError(f"model (variant, classes, encoder) is {have}, config wants {want}")
     _check_sizes(model.variant, model.enc, dataset, (*train_ids, *val_ids))
     adam = Adam(model.parameters())
     log = RunLog()
     out = _RunDir(run_dir, cfg)
     started = time.time()
     best_iou = report = None
-    last_good = [p.data.copy() for p in model.parameters()]
 
-    epoch = batch = 0
     try:
         try:
             for epoch in range(cfg.epochs):
+                last_good = [p.data.copy() for p in model.parameters()]
                 lr = cosine_lr(cfg.lr0, cfg.epochs, epoch)
                 model.set_frozen(epoch < cfg.unfreeze_at)
+                stepped = [(name, p) for name, p in model.named_parameters() if p.requires_grad]
                 order = epoch_shuffle(train_ids, cfg.seed, epoch)
                 total, seen = 0.0, 0
                 for batch, start in enumerate(range(0, len(order), cfg.batch_size)):
@@ -273,15 +274,16 @@ def train(cfg: TrainConfig, dataset, train_ids: Sequence[str],
                     images, masks = _batch_arrays(chunk, model.dtype)
                     loss = segmentation_loss(cfg.loss, model.forward(Tensor(images)), masks)
                     value = float(loss.data)
+                    if not math.isfinite(value):
+                        raise NumericalError(f"non-finite loss {value}")
                     loss.backward()
-                    adam.step([p for p in model.parameters() if p.requires_grad], lr)
+                    adam.step([p for _, p in stepped], lr)
                     zero_grads(model.parameters())
+                    for name, p in stepped:
+                        if not np.isfinite(p.data).all():
+                            raise NumericalError(f"non-finite weight in parameter {name}")
                     total += value * len(chunk)
                     seen += len(chunk)
-                batch = None   # past the steps: a fault from here on names no batch
-                for name, p in model.named_parameters():
-                    if not np.isfinite(p.data).all():
-                        raise NumericalError(f"non-finite weight in parameter {name}")
                 row = EpochRow(epoch=epoch, lr=lr, train_loss=total / max(seen, 1))
                 if val_ids and epoch >= cfg.validate_at:
                     report = evaluate(model, val_ids, dataset, batch_size=cfg.batch_size,
@@ -295,15 +297,12 @@ def train(cfg: TrainConfig, dataset, train_ids: Sequence[str],
                         out.checkpoint(model, "best")
                 log.rows.append(row)
                 out.row(row)
-                last_good = [p.data.copy() for p in model.parameters()]
         except NumericalError as err:
-            for p, saved in zip(model.parameters(), last_good):
+            for p, saved in zip(model.parameters(), last_good):   # no check raises holding grads
                 p.data = saved
-            zero_grads(model.parameters())
             out.checkpoint(model, "final")
-            where = (f"at epoch {epoch}, batch {batch}" if batch is not None
-                     else f"after epoch {epoch}'s steps")
-            out.note(f"aborted {where}: {err}; weights from the start of the epoch kept as final")
+            out.note(f"aborted at epoch {epoch}, batch {batch}: {err}; "
+                     "weights from the start of the epoch kept as final")
             raise
         finally:
             model.set_frozen(False)

@@ -160,6 +160,17 @@ class TestForward:
         x = Tensor(np.random.default_rng(2).standard_normal((1, 1, 16, 16)).astype(np.float32))
         np.testing.assert_array_equal(model.forward(x).data, model.forward(x).data)
 
+    @pytest.mark.parametrize("variant", M.ALL_VARIANTS, ids=lambda v: v.cli_name)
+    def test_logits_do_not_depend_on_the_batch(self, variant):
+        # predict runs one image at a time; eval and validation score batches
+        model = M.build_model(variant, DESK, 6, seed=3)
+        x = np.random.default_rng(4).random((4, 1, 32, 32)).astype(np.float32)
+        with T.no_grad():
+            batch = model.forward(Tensor(x)).data
+            for i in range(4):
+                alone = model.forward(Tensor(x[i:i + 1])).data
+                assert alone.tobytes() == batch[i:i + 1].tobytes(), i
+
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_conv_output_views_change_no_bit(self, dtype, monkeypatch):
         # conv2d returns a cropped view of its tap-sum buffer; a contiguous copy

@@ -77,12 +77,17 @@ class TestAdam:
                 break
         assert abs(p.data[0] - 3.0) < 0.01, f"not converged after {steps} steps"
 
-    def test_nonfinite_gradient_rejected(self):
-        p = Tensor(np.array([1.0]), requires_grad=True)
-        adam = O.Adam([p])
-        p.grad = np.array([np.nan])
-        with pytest.raises(O.NumericalError):
+    def test_nonfinite_gradient_writes_nonfinite_weight(self):
+        # so train's check of the stepped weights catches every non-finite
+        # gradient: NaN reaches the weight through m, +-inf through inf / inf
+        for bad in (np.nan, np.inf, -np.inf):
+            p = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+            adam = O.Adam([p])
+            p.grad = np.array([0.5, -0.5])
             adam.step([p], lr=0.1)
+            p.grad = np.array([bad, 0.5])
+            adam.step([p], lr=0.1)
+            assert np.isnan(p.data[0]) and np.isfinite(p.data[1]), (bad, p.data)
 
     def test_rejected_step_changes_nothing(self):
         a = Tensor(np.array([1.0, 2.0]), requires_grad=True)
@@ -93,11 +98,7 @@ class TestAdam:
         adam.step([a, b, c], lr=0.1)
         before = {id(p): (p.data.copy(), adam._slots[id(p)].m.copy(),
                           adam._slots[id(p)].v.copy(), adam._slots[id(p)].t) for p in (a, b, c)}
-        b.grad = np.array([np.nan])
-        with pytest.raises(O.NumericalError):
-            adam.step([a, b, c], lr=0.1)
         stranger = Tensor(np.array([0.0]), requires_grad=True)
-        b.grad = np.array([1.0])
         with pytest.raises(KeyError):
             adam.step([a, b, stranger], lr=0.1)
         for p in (a, b, c):

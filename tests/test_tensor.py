@@ -829,13 +829,6 @@ class TestBackward:
         with pytest.raises(T.GraphError, match="scalar"):
             T.relu(x).backward()
 
-    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
-    def test_non_finite_loss_rejected(self, value):
-        x = t64(np.array([[[[1.0, value]]]]), requires_grad=True)
-        with pytest.raises(T.NumericalError, match=f"non-finite loss {value}"):
-            T.sum_all(x).backward()
-        assert x.grad is None
-
     def test_double_backward_rejected(self):
         x = t64(np.ones((1, 1, 2, 2)), requires_grad=True)
         loss = T.sum_all(x)

@@ -15,7 +15,8 @@ from drawseg import models as M
 from drawseg import training as TR
 from drawseg.losses import LossSpec, segmentation_loss
 from drawseg.optim import Adam, cosine_lr
-from drawseg.tensor import NumericalError, Tensor, no_grad, zero_grads
+from drawseg.tensor import Tensor, no_grad, zero_grads
+from drawseg.training import NumericalError
 
 
 @pytest.fixture(scope="module")
@@ -104,6 +105,25 @@ class TestTrain:
         assert log.final is None  # no validation ids, no final report
         for a, b in zip(model.parameters(), init.parameters()):
             np.testing.assert_array_equal(a.data, b.data)
+
+    @pytest.mark.parametrize("family, enc", [("unet", M.EncoderConfig(depth=2, base_width=4)),
+                                             ("unet", M.EncoderConfig(depth=3, base_width=8)),
+                                             ("cnn", M.EncoderConfig(depth=3, base_width=8))],
+                             ids=["unet-depth", "unet-width", "cnn-width"])
+    def test_model_of_another_encoder_rejected(self, tiny_dataset, tmp_path, family, enc):
+        cfg = tiny_config(variant=M.ModelVariant(family, False, True))
+        model = M.build_model(cfg.variant, enc, cfg.num_classes, cfg.seed)
+        with pytest.raises(ValueError, match="encoder"):
+            TR.train(cfg, tiny_dataset, tiny_dataset.ids[:4], run_dir=tmp_path / "run",
+                     model=model)
+        assert not (tmp_path / "run").exists()
+
+    def test_cnn_model_of_another_depth_accepted(self, tiny_dataset):
+        # the cnn family reads base_width only
+        cfg = tiny_config(variant=M.ModelVariant("cnn", False, True), epochs=0, unfreeze_epoch=0)
+        model = M.build_model(cfg.variant, M.EncoderConfig(depth=2, base_width=4),
+                              cfg.num_classes, cfg.seed)
+        assert TR.train(cfg, tiny_dataset, tiny_dataset.ids[:4], model=model)[0] is model
 
     def test_model_with_other_class_count_rejected(self, tiny_dataset, tmp_path, monkeypatch):
         cfg = tiny_config(epochs=1, unfreeze_epoch=0)
@@ -238,12 +258,26 @@ class TestTrain:
 
         monkeypatch.setattr(TR, "segmentation_loss", poisoned)
         cfg = tiny_config(epochs=2, unfreeze_epoch=0, batch_size=2)
-        with pytest.raises(NumericalError, match="non-finite"):
+        with pytest.raises(NumericalError, match="non-finite loss nan"):
             TR.train(cfg, tiny_dataset, tiny_dataset.ids[:6], run_dir=tmp_path / "boom")
         ckpt = tmp_path / "boom" / "checkpoints" / "final.segm"
         assert ckpt.exists()
         M.load_checkpoint(ckpt)   # still parseable
+        assert "aborted at epoch 0, batch 1: non-finite loss nan" in (
+            tmp_path / "boom" / "run.log").read_text()
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_loss_rejected(self, tiny_dataset, monkeypatch, value):
+        # checked before backward: no step runs on the gradients it would leave
+        def poisoned(spec, logits, targets):
+            return Tensor(np.asarray(value, dtype=np.float32))
+
+        steps = []
+        monkeypatch.setattr(TR, "segmentation_loss", poisoned)
+        monkeypatch.setattr(Adam, "step", lambda *a: steps.append(a))
+        with pytest.raises(NumericalError, match=f"non-finite loss {value}"):
+            TR.train(tiny_config(), tiny_dataset, tiny_dataset.ids[:4])
+        assert steps == []
 
     def test_nonfinite_gradient_aborts_at_epoch_start_weights(self, tiny_dataset, tmp_path,
                                                               monkeypatch):
@@ -263,20 +297,20 @@ class TestTrain:
             return real(adam, params, lr)
 
         monkeypatch.setattr(Adam, "step", step)
-        with pytest.raises(NumericalError, match="non-finite gradient"):
+        with pytest.raises(NumericalError, match="non-finite weight in parameter head.conv1.b"):
             TR.train(cfg, tiny_dataset, ids, run_dir=tmp_path / "boom")
         final = tmp_path / "boom" / "checkpoints" / "final.segm"
         assert final.read_bytes() == (tmp_path / "one" / "checkpoints" / "final.segm").read_bytes()
         M.load_checkpoint(final)
-        assert "aborted" in (tmp_path / "boom" / "run.log").read_text()
+        assert "aborted at epoch 1, batch 1: non-finite weight in parameter head.conv1.b" in (
+            tmp_path / "boom" / "run.log").read_text()
 
     def test_overflowing_step_aborts_at_initial_weights(self, tiny_dataset, tmp_path):
         # finite gradients, but lr * mhat overflows float32: Adam writes non-finite weights
         cfg = tiny_config(epochs=1, unfreeze_epoch=0, validate_from=0, lr0=1e39)
         ids = tiny_dataset.ids
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(NumericalError, match="non-finite weight in parameter enc.l0"):
-                TR.train(cfg, tiny_dataset, ids[:4], ids[4:6], run_dir=tmp_path / "boom")
+        with pytest.raises(NumericalError, match="non-finite weight in parameter enc.l0"):
+            TR.train(cfg, tiny_dataset, ids[:4], ids[4:6], run_dir=tmp_path / "boom")
         init = M.build_model(cfg.variant, cfg.encoder, cfg.num_classes, cfg.seed)
         M.save_checkpoint(init, tmp_path / "init.segm")
         final = tmp_path / "boom" / "checkpoints" / "final.segm"
@@ -284,17 +318,16 @@ class TestTrain:
         M.load_checkpoint(final)
         assert (tmp_path / "boom" / "log.csv").read_text() == TR.LOG_CSV_HEADER + "\n"
 
-    def test_overflowing_step_note_names_the_epoch_end_check(self, tiny_dataset, tmp_path):
-        # the weight check runs after the epoch's steps, so its note names no batch;
-        # Adam's overflowing update raises no numpy warning ahead of it
-        cfg = tiny_config(epochs=2, unfreeze_epoch=0, lr0=1e39)
+    def test_overflowing_step_note_names_its_batch(self, tiny_dataset, tmp_path):
+        # two steps per epoch: the first writes non-finite weights, and the check
+        # after it stops the run before the second step's forward reads them
+        cfg = tiny_config(epochs=2, unfreeze_epoch=0, batch_size=2, lr0=1e39)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(NumericalError, match="non-finite weight"):
+            with pytest.raises(NumericalError, match="non-finite weight in parameter "):
                 TR.train(cfg, tiny_dataset, tiny_dataset.ids[:4], run_dir=tmp_path / "boom")
         log = (tmp_path / "boom" / "run.log").read_text()
-        assert "aborted after epoch 0's steps: non-finite weight" in log, log
-        assert "batch" not in log, log
+        assert "aborted at epoch 0, batch 0: non-finite weight in parameter " in log, log
 
 
 class TestFrozenAndValidation:
