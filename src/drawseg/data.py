@@ -230,26 +230,34 @@ def save_sample(root, sid: str, sample: Sample) -> None:
 
 
 def load_sample(root, sid: str) -> Sample:
-    root = Path(root)
-    pixels, _ = read_pgm(root / "images" / f"{sid}.pgm")
-    mask, maxval = read_pgm(root / "masks" / f"{sid}.pgm")
+    """Sample sid under root: its image must be 8-bit (maxval 255), its mask
+    hold maxval NUM_CLASSES - 1."""
+    image_path, mask_path = (Path(root) / kind / f"{sid}.pgm" for kind in ("images", "masks"))
+    pixels, maxval = read_pgm(image_path)
+    if maxval != 255:
+        raise ValueError(f"{image_path}: image maxval {maxval}, expected 255")
+    mask, maxval = read_pgm(mask_path)
     if maxval != NUM_CLASSES - 1:
-        raise ValueError(
-            f"{root / 'masks' / (sid + '.pgm')}: mask maxval {maxval}, expected {NUM_CLASSES - 1}")
+        raise ValueError(f"{mask_path}: mask maxval {maxval}, expected {NUM_CLASSES - 1}")
     return Sample(image=pixels.astype(np.float32) / 255.0, mask=mask)
 
 
 def generate_dataset(n: int, size: int, seed: int, out_dir, folds: int = 5) -> list[str]:
     """Write n samples plus manifest and K-fold split lists; returns the ids.
 
-    The size and the split are checked first, so a size below MIN_SIZE or
-    an n below ``folds`` raises ValueError before anything is written.
+    The size, the split and out_dir are checked first, so a size below
+    MIN_SIZE, an n below ``folds`` or an out_dir that already holds
+    manifest.txt or splits/ (whose old fold files a new split would not all
+    replace) raises ValueError before anything is written.
     """
     if size < MIN_SIZE:
         raise ValueError(f"--size {size} is too small for strokes; the smallest is {MIN_SIZE}")
     ids = sample_ids(n)
     split = kfold_split(ids, folds, seed)
     out = Path(out_dir)
+    if (out / "manifest.txt").exists() or (out / "splits").exists():
+        raise ValueError(f"{out} already holds a dataset (manifest.txt or splits/); "
+                         "generate into a new directory")
     out.mkdir(parents=True, exist_ok=True)
     for sid, sample in generate_samples(n, size, seed):
         save_sample(out, sid, sample)

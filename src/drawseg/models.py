@@ -2,9 +2,11 @@
 
 Two families, four attention modes each:
 
-* unet -- VGG-style encoder (3x3 conv + ReLU stacks, 2x2 max pool between
-  levels), per-level skip blocks, bilinear-upsampling decoder whose final
-  feature width equals the base width, then a 3x3 + 1x1 head.
+* unet -- VGG-style encoder (two 3x3 conv + ReLU per level, 2x2 max pool
+  between levels), per-level skip blocks, bilinear-upsampling decoder whose
+  final feature width equals the base width, then a 3x3 + 1x1 head. The
+  paper's VGG16 backbone holds 2, 2, 3, 3, 3 convs per level; this build
+  holds 2 per level at every depth (see EncoderConfig).
 * cnn  -- a resolution-preserving stack of 3x3 conv + ReLU blocks with the
   same optional attention / dual-pool attachments mid-stack, same head.
 
@@ -33,7 +35,6 @@ MODES = {(False, False): ("base", "Base"), (True, False): ("ave", "Base+Ave"),
          (False, True): ("cbam", "Base+CBAM"), (True, True): ("full", "Base+Ave+CBAM")}
 IN_CHANNELS = 1        # a drawing is one gray plane
 WIDTH_CAP = 8          # unet widths stop doubling at base_width * WIDTH_CAP
-MAX_CONVS = 8          # unet: most convs in one encoder level (VGG16 uses 3)
 CNN_BLOCKS = 6         # cnn family: conv blocks in the stack
 CNN_ATTACH_AFTER = 3   # cnn family: dual-pool/attention attach after this many blocks
 
@@ -70,40 +71,23 @@ ALL_VARIANTS = tuple(ModelVariant(f, ave, cbam) for f in FAMILIES for ave, cbam 
 
 @dataclass(frozen=True)
 class EncoderConfig:
-    """Depth, widths and convs per level of the unet backbone; the cnn
-    family uses base_width only.
+    """Depth and base width of the unet backbone; the cnn family uses
+    base_width only.
 
-    Desk default is depth 4 / base 8; the paper's VGG16 backbone is depth
-    5 / base 64 with convs_per_block (2, 2, 3, 3, 3), whose widths give the
-    64-128-256-512-512 ladder via WIDTH_CAP. A level holds 1 to MAX_CONVS
-    convs, so a checkpoint cannot describe thousands of tiny tensors whose
-    bookkeeping outweighs their values.
+    Desk default is depth 4 / base 8; depth 5 / base 64 gives the paper's
+    VGG16 width ladder 64-128-256-512-512 via WIDTH_CAP. Deviation: VGG16
+    holds 2, 2, 3, 3, 3 convs per level, and every level here holds 2, at
+    any depth, because no model in use sets another count. A caller that
+    needs the VGG16 layout may bring a per-level setting back.
     """
     depth: int = 4
     base_width: int = 8
-    convs_per_block: Optional[tuple] = None   # None -> 2 per level (see convs)
 
     def __post_init__(self):
         if self.depth < 2:
             raise ValueError(f"depth must be >= 2, got {self.depth}")
         if self.base_width < 1:
             raise ValueError(f"base_width must be >= 1, got {self.base_width}")
-        resolved = self.convs()
-        if len(resolved) != self.depth:
-            raise ValueError(
-                f"convs_per_block needs {self.depth} entries, got {len(resolved)}")
-        if min(resolved) < 1:
-            raise ValueError(f"every level needs at least one conv, got {resolved}")
-        if max(resolved) > MAX_CONVS:
-            raise ValueError(f"a level holds at most {MAX_CONVS} convs, got {max(resolved)}")
-        # 2 per level is kept as None, so equal configs compare equal and
-        # dataclasses.replace of depth re-derives the list
-        object.__setattr__(self, "convs_per_block",
-                           None if resolved == (2,) * self.depth else resolved)
-
-    def convs(self) -> tuple:
-        """Convs per level: convs_per_block, or 2 per level when it is None."""
-        return tuple(self.convs_per_block) if self.convs_per_block else (2,) * self.depth
 
     def widths(self) -> list[int]:
         """base_width * 2**level, capped at base_width * WIDTH_CAP."""
@@ -160,7 +144,7 @@ class SegModel:
         cin = IN_CHANNELS
         for lvl in range(enc.depth):
             self.encoder_stacks.append(
-                _ConvStack(store, f"enc.l{lvl}", cin, widths[lvl], enc.convs()[lvl]))
+                _ConvStack(store, f"enc.l{lvl}", cin, widths[lvl], 2))
             cin = widths[lvl]
         self._encoder = [t for _, t in store.named]   # built first: a prefix of the store
         self.skip_blocks: list[SkipBlockParams] = [
@@ -260,7 +244,7 @@ class SegModel:
 
 def encoder_of(variant: ModelVariant, enc: EncoderConfig) -> EncoderConfig:
     """The encoder a variant builds from ``enc``: the cnn family reads base_width
-    only, and its default depth and conv list give it one checkpoint byte form."""
+    only, and its default depth gives it one checkpoint byte form."""
     return enc if variant.family == "unet" else EncoderConfig(base_width=enc.base_width)
 
 
@@ -286,22 +270,22 @@ def build_model(variant: ModelVariant, enc: EncoderConfig, num_classes: int,
 # ---------------------------------------------------------------------------
 # checkpoints, little-endian and unpadded:
 #   bytes  0-3    magic b"SEGM"
-#   bytes  4-7    u32 version (1)
+#   bytes  4-7    u32 version (2)
 #   bytes  8-55   12 x u32: family (index into FAMILIES), ave and cbam
 #                 (0 or 1 each), depth, base_width, then fields 5-10, which
 #                 hold the constants _FIXED (IN_CHANNELS, which is 1,
 #                 WIDTH_CAP, cbam.REDUCTION, cbam.SPATIAL_WIDTH, CNN_BLOCKS,
-#                 CNN_ATTACH_AFTER), then num_classes
-#   then          depth x u32 convs_per_block (a cnn checkpoint holds the
-#                 default depth and conv list, which the cnn family never reads)
-#   then          u64 parameter count n
+#                 CNN_ATTACH_AFTER), then num_classes; a cnn checkpoint
+#                 holds the default depth, which the cnn family never reads
+#   bytes 56-63   u64 parameter count n, at least depth (every level holds
+#                 values), which bounds the depth by the file size
 #   then          n x f32: every parameter flattened row-major, in
 #                 construction order (SegModel.parameters()); nothing follows
 # load_checkpoint builds the model to read the payload, so construction is
 # the only description of the layout.
 
 _MAGIC = b"SEGM"
-_VERSION = 1
+_VERSION = 2
 _HEADER = struct.Struct("<4sI12I")
 _FIXED = (IN_CHANNELS, WIDTH_CAP, REDUCTION, SPATIAL_WIDTH, CNN_BLOCKS, CNN_ATTACH_AFTER)
 
@@ -312,12 +296,10 @@ def save_checkpoint(model: SegModel, path) -> None:
         _MAGIC, _VERSION,
         FAMILIES.index(model.variant.family), int(model.variant.ave), int(model.variant.cbam),
         enc.depth, enc.base_width, *_FIXED, model.num_classes)
-    convs = struct.pack(f"<{enc.depth}I", *enc.convs())
     flat = np.concatenate([t.data.astype("<f4").reshape(-1) for t in model.parameters()])
     count = struct.pack("<Q", flat.size)
     with open(path, "wb") as f:
         f.write(header)
-        f.write(convs)
         f.write(count)
         f.write(flat.tobytes())
 
@@ -369,24 +351,24 @@ def load_checkpoint(path) -> SegModel:
     if tuple(fixed) != _FIXED:
         raise ValueError(f"checkpoint header fields 5-10 are {tuple(fixed)}; "
                          f"this build only reads {_FIXED}")
-    off = _HEADER.size
-    if len(raw) < off + 4 * depth + 8:
-        raise ValueError(f"checkpoint truncated at byte {len(raw)}: depth {depth} needs "
-                         f"{off + 4 * depth + 8} bytes before the parameter data")
-    convs = struct.unpack_from(f"<{depth}I", raw, off)
-    off += 4 * depth
-    (count,) = struct.unpack_from("<Q", raw, off)
-    off += 8
+    off = _HEADER.size + 8
+    if len(raw) < off:
+        raise ValueError(f"checkpoint truncated at byte {len(raw)}: the header and "
+                         f"parameter count need {off}")
+    (count,) = struct.unpack_from("<Q", raw, _HEADER.size)
     expected = off + 4 * count
     if len(raw) != expected:
         raise ValueError(f"checkpoint payload is {len(raw)} bytes, expected {expected}")
+    if count < depth:
+        raise ValueError(f"checkpoint depth {depth} exceeds its parameter count {count}: "
+                         "every level holds values")
 
     variant = ModelVariant(FAMILIES[fam], bool(ave), bool(cbam))
-    enc = EncoderConfig(depth=depth, base_width=base, convs_per_block=tuple(convs))
+    enc = EncoderConfig(depth=depth, base_width=base)
     stored = encoder_of(variant, enc)
     if enc != stored:
-        raise ValueError(f"cnn checkpoint holds depth {depth} and conv list {convs}; "
-                         f"the cnn family stores {stored.depth} and {stored.convs()}")
+        raise ValueError(f"cnn checkpoint holds depth {depth}; "
+                         f"the cnn family stores {stored.depth}")
     store = _PayloadStore(raw, off)
     model = SegModel(variant, enc, k, store)
     if store._pos != len(raw):

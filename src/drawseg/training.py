@@ -92,7 +92,6 @@ class TrainConfig:
         """The config with every derived value resolved: what config.json holds."""
         fields = dataclasses.asdict(self)
         fields.update(unfreeze_epoch=self.unfreeze_at, validate_from=self.validate_at)
-        fields["encoder"]["convs_per_block"] = self.encoder.convs()
         return json.dumps(fields, indent=2, sort_keys=True)
 
 

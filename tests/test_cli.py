@@ -14,7 +14,6 @@ import pytest
 import drawseg
 from drawseg import cli
 from drawseg.netpbm import read_pgm, write_pgm
-from test_models import write_long_level_checkpoint
 
 
 def dir_digest(root):
@@ -66,6 +65,14 @@ class TestGenData:
         assert cli.main(["gen-data", "--n", "2", "--size", "16", "--out", str(out)]) == 2
         assert "need at least K=5 ids" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_out_holding_a_dataset_is_2_and_writes_nothing(self, data_dir, tmp_path, capsys):
+        out = tmp_path / "d"
+        shutil.copytree(data_dir, out)
+        assert cli.main(["gen-data", "--n", "4", "--size", "16", "--seed", "1", "--folds", "2",
+                         "--out", str(out)]) == 2
+        assert "already holds a dataset" in capsys.readouterr().err
+        assert dir_digest(out) == dir_digest(data_dir)
 
     def test_size_boundary(self, tmp_path, capsys):
         # a stroke's endpoints are drawn 3 px inside the border and at least
@@ -491,6 +498,15 @@ class TestExitCodes:
         assert err.count("is not one path component") == 2
         assert sorted(tmp_path.rglob("*")) == before
 
+    def test_image_of_other_maxval_is_2(self, data_dir, run_dir, tmp_path, capsys):
+        data = tmp_path / "data"
+        shutil.copytree(data_dir, data)
+        image = data / "images" / "00000.pgm"
+        write_pgm(image, np.ones((32, 32), dtype=np.uint8), maxval=1)
+        assert cli.main(["eval", "--ckpt", str(run_dir / "checkpoints" / "final.segm"),
+                         "--data", str(data)]) == 2
+        assert f"{image}: image maxval 1, expected 255" in capsys.readouterr().err
+
     def test_ablate_variant_flag_is_gone(self, data_dir, tmp_path, capsys):
         # ablate trains every variant of --family; a --variant it would ignore is refused
         assert cli.main(["ablate", "--variant", "unet-base", "--family", "unet",
@@ -520,16 +536,16 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith("error:")
 
     # header fields are u32 at byte 8 + 4 * index (layout above models._MAGIC)
-    _FIELD = {"family": 8, "ave": 12, "cbam": 16, "base_width": 24, "in_channels": 28,
-              "width_cap": 32, "spatial_width": 40, "cnn_blocks": 44}
+    _FIELD = {"family": 8, "ave": 12, "cbam": 16, "depth": 20, "base_width": 24,
+              "in_channels": 28, "width_cap": 32, "spatial_width": 40, "cnn_blocks": 44}
 
     @pytest.mark.parametrize("damage", [
-        "cut_after_header", "family_7", "ave_7", "cbam_4294967295",
+        "cut_after_header", "family_7", "ave_7", "cbam_4294967295", "depth_4294967295",
         "in_channels_0", "width_cap_0", "spatial_width_0", "base_width_4096", "cnn_blocks_1000000"])
     def test_malformed_checkpoint_is_2(self, data_dir, run_dir, tmp_path, damage):
         raw = (run_dir / "checkpoints" / "final.segm").read_bytes()
         if damage == "cut_after_header":
-            raw = raw[:58]   # 56-byte header, then 2 bytes of the conv list
+            raw = raw[:58]   # 56-byte header, then 2 bytes of the u64 parameter count
         else:
             field, value = damage.rsplit("_", 1)
             edits = {field: int(value)}
@@ -542,21 +558,26 @@ class TestExitCodes:
         path.write_bytes(raw)
         assert cli.main(["eval", "--ckpt", str(path), "--data", str(data_dir)]) == 2
 
-    def test_cnn_checkpoint_of_other_conv_list_is_2(self, data_dir, tmp_path, capsys):
+    def test_cnn_checkpoint_of_other_depth_is_2(self, data_dir, tmp_path, capsys):
         path = tmp_path / "cnn.segm"
         drawseg.save_checkpoint(drawseg.build_model(
             drawseg.ModelVariant("cnn", True, False), drawseg.EncoderConfig(base_width=2), 6,
             seed=0), path)
         raw = path.read_bytes()
-        path.write_bytes(raw[:56] + struct.pack("<I", 3) + raw[60:])   # first conv-list word
+        path.write_bytes(raw[:20] + struct.pack("<I", 2) + raw[24:])   # the depth word
         assert cli.main(["eval", "--ckpt", str(path), "--data", str(data_dir)]) == 2
-        assert "cnn checkpoint holds depth 4 and conv list (3, 2, 2, 2)" in capsys.readouterr().err
+        assert "cnn checkpoint holds depth 2" in capsys.readouterr().err
 
-    def test_checkpoint_of_many_tiny_convs_is_2(self, data_dir, tmp_path, capsys):
-        path = tmp_path / "long.segm"
-        write_long_level_checkpoint(path)
+    def test_version_1_checkpoint_is_2(self, data_dir, run_dir, tmp_path, capsys):
+        # version 1 held a depth x u32 conv list, 2 per level, between the
+        # 56-byte header and the u64 parameter count
+        raw = (run_dir / "checkpoints" / "final.segm").read_bytes()
+        (depth,) = struct.unpack_from("<I", raw, 20)
+        path = tmp_path / "v1.segm"
+        path.write_bytes(raw[:4] + struct.pack("<I", 1) + raw[8:56]
+                         + struct.pack(f"<{depth}I", *[2] * depth) + raw[56:])
         assert cli.main(["eval", "--ckpt", str(path), "--data", str(data_dir)]) == 2
-        assert "at most 8 convs" in capsys.readouterr().err
+        assert "unsupported checkpoint version 1" in capsys.readouterr().err
 
 
 class TestGradcheckCommand:

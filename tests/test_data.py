@@ -112,6 +112,17 @@ class TestGeneration:
         split_ids = [sid for k in range(5) for sid in (root / "splits" / f"fold{k}.txt").read_text().split()]
         assert sorted(split_ids) == sorted(ids)
 
+    @pytest.mark.parametrize("kept", ["manifest.txt", "splits"])
+    def test_directory_holding_a_dataset_refused(self, tmp_path, kept):
+        # regenerating with fewer folds left the old fold files beside the new ones
+        root = tmp_path / "d"
+        D.generate_dataset(20, 16, 0, root, folds=5)
+        (root / ({"manifest.txt", "splits"} - {kept}).pop()).rename(tmp_path / "aside")
+        before = {p: p.read_bytes() for p in root.rglob("*") if p.is_file()}
+        with pytest.raises(ValueError, match=f"{root} already holds a dataset"):
+            D.generate_dataset(20, 16, 1, root, folds=2)
+        assert {p: p.read_bytes() for p in root.rglob("*") if p.is_file()} == before
+
     def test_manifest_size_mismatch_rejected(self, tmp_path):
         ids = D.generate_dataset(2, 16, 0, tmp_path / "d", folds=2)
         manifest = tmp_path / "d" / "manifest.txt"
@@ -373,6 +384,14 @@ class TestCodec:
         D.save_sample(tmp_path, "y", s)
         size = (tmp_path / "images" / "y.pgm").stat().st_size
         assert size == len(b"P5\n64 64\n255\n") + 64 * 64
+
+    def test_image_maxval_other_than_255_rejected(self, tmp_path):
+        # read as 8-bit, an all-white image of maxval 1 loaded near-black
+        _, s = next(iter(D.generate_samples(1, 16, 5)))
+        D.save_sample(tmp_path, "x", s)
+        write_pgm(tmp_path / "images" / "x.pgm", np.ones((16, 16), dtype=np.uint8), maxval=1)
+        with pytest.raises(ValueError, match=r"images[/\\]x\.pgm: image maxval 1, expected 255"):
+            D.load_sample(tmp_path, "x")
 
     def test_mask_value_above_maxval_rejected(self, tmp_path):
         path = tmp_path / "bad.pgm"

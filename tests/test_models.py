@@ -1,10 +1,8 @@
 """Variant construction, shape contracts, parameter accounting, checkpoints."""
-import dataclasses
 import functools
 import struct
 import tempfile
 import tracemalloc
-import types
 from pathlib import Path
 
 import numpy as np
@@ -42,13 +40,12 @@ def concat_graph(copies):
 def unet_base_param_count(enc: M.EncoderConfig, k: int) -> int:
     """Closed-form parameter total for the plain unet variant."""
     widths = enc.widths()
-    convs = enc.convs()
     total = 0
     cin = M.IN_CHANNELS
     for lvl in range(enc.depth):
         w = widths[lvl]
-        for i in range(convs[lvl]):
-            total += 9 * (cin if i == 0 else w) * w + w
+        total += 9 * cin * w + w           # two 3x3 convs per encoder level
+        total += 9 * w * w + w
         cin = w
     for lvl in range(enc.depth - 2, -1, -1):
         w = widths[lvl]
@@ -76,7 +73,7 @@ def skip_full_param_count(c: int, d: int) -> int:
 
 class TestConfig:
     def test_widths_double_and_cap(self):
-        enc = M.EncoderConfig(depth=5, base_width=64, convs_per_block=(2, 2, 3, 3, 3))
+        enc = M.EncoderConfig(depth=5, base_width=64)
         assert enc.widths() == [64, 128, 256, 512, 512]
 
     def test_variant_parse_roundtrip(self):
@@ -130,7 +127,7 @@ class TestBuild:
         assert base < count(False, True) < count(True, True)
 
     def test_paper_scale_builds_with_final_width_64(self):
-        enc = M.EncoderConfig(depth=5, base_width=64, convs_per_block=(2, 2, 3, 3, 3))
+        enc = M.EncoderConfig(depth=5, base_width=64)
         model = M.build_model(M.ModelVariant("unet", True, True), enc, 6, seed=0)
         assert model.head[0][0].shape[1] == 64
         assert model.enc.divisor == 16  # 512x512 inputs are compatible
@@ -487,15 +484,6 @@ class TestFreezing:
         assert any(n.startswith("cnn.cbam") for n in names)
 
 
-def write_long_level_checkpoint(path, convs: int = 20000) -> None:
-    """A self-consistent unet-base checkpoint of depth 2, base width 1 and
-    convs_per_block (convs, 1): 0.80 MB holding 40010 tensors at 20000."""
-    shape = types.SimpleNamespace(depth=2, convs=lambda: (convs, 1), widths=lambda: [1, 2])
-    count = unet_base_param_count(shape, 6)
-    header = M._HEADER.pack(M._MAGIC, M._VERSION, 0, 0, 0, 2, 1, *M._FIXED, 6)
-    path.write_bytes(header + struct.pack("<2IQ", convs, 1, count) + bytes(4 * count))
-
-
 def _no_build(*args, **kwargs):
     raise AssertionError("model built from an unchecked header")
 
@@ -535,7 +523,7 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="bytes"):
             M.load_checkpoint(path)
 
-    def test_cut_inside_conv_list_rejected(self, tmp_path):
+    def test_cut_inside_parameter_count_rejected(self, tmp_path):
         model = M.build_model(M.ModelVariant("unet", False, False), DESK, 6, seed=0)
         path = tmp_path / "m.segm"
         M.save_checkpoint(model, path)
@@ -554,10 +542,11 @@ class TestCheckpoint:
 
     @pytest.mark.parametrize("offset, value, match", [
         (24, 4096, "payload ends inside"),
-        (56 + 12, 10 ** 6, "at most 8 convs"),
-    ], ids=["base_width", "convs_per_block"])
+        (20, 10 ** 6, "depth 1000000 exceeds its parameter count"),
+        (20, 2 ** 32 - 1, "depth 4294967295 exceeds its parameter count"),
+    ], ids=["base_width", "depth_1000000", "depth_4294967295"])
     def test_oversized_header_rejected_before_build(self, tmp_path, offset, value, match):
-        # u32 header fields sit at byte 8 + 4 * index; the conv list follows at byte 56
+        # u32 header fields sit at byte 8 + 4 * index: the depth at 20, base_width at 24
         model = M.build_model(M.ModelVariant("unet", True, True), DESK, 6, seed=0)
         path = tmp_path / "m.segm"
         M.save_checkpoint(model, path)
@@ -571,17 +560,6 @@ class TestCheckpoint:
         finally:
             tracemalloc.stop()
         assert peak < 3 * len(raw)
-
-    def test_many_tiny_convs_rejected_before_any_tensor(self, tmp_path, monkeypatch):
-        path = tmp_path / "long.segm"
-        write_long_level_checkpoint(path)
-
-        def no_tensor(*args, **kwargs):
-            raise AssertionError("a tensor was built from an unchecked header")
-
-        monkeypatch.setattr(Tensor, "__init__", no_tensor)
-        with pytest.raises(ValueError, match="at most 8 convs"):
-            M.load_checkpoint(path)
 
     @pytest.mark.parametrize("index", range(6), ids=[
         "in_channels", "width_cap", "reduction", "spatial_width", "cnn_blocks", "cnn_attach_after"])
@@ -607,7 +585,7 @@ class TestCheckpoint:
         path = tmp_path / "m.segm"
         M.save_checkpoint(model, path)
         raw = path.read_bytes()
-        at = M._HEADER.size + 4 * DESK.depth   # the u64 parameter count
+        at = M._HEADER.size   # the u64 parameter count
         (count,) = struct.unpack_from("<Q", raw, at)
         payload = raw[at + 8:] + bytes(4) if extra > 0 else raw[at + 8:-4]
         path.write_bytes(raw[:at] + struct.pack("<Q", count + extra) + payload)
@@ -623,32 +601,28 @@ class TestCheckpoint:
             assert t.data.flags.owndata and t.data.flags.writeable, name
 
     def test_cnn_checkpoint_has_one_byte_form(self, tmp_path):
-        # the cnn family reads base_width only, so the depth and conv list it
-        # was built with must not reach the file
+        # the cnn family reads base_width only, so the depth it was built with
+        # must not reach the file
         paths = []
         for enc in (M.EncoderConfig(depth=2, base_width=3), M.EncoderConfig(base_width=3),
-                    M.EncoderConfig(depth=5, base_width=3, convs_per_block=(1, 2, 3, 4, 5))):
+                    M.EncoderConfig(depth=5, base_width=3)):
             model = M.build_model(M.ModelVariant("cnn", True, True), enc, 6, seed=9)
             assert model.enc == M.EncoderConfig(base_width=3)
             paths.append(tmp_path / f"m{len(paths)}.segm")
             M.save_checkpoint(model, paths[-1])
         assert len({p.read_bytes() for p in paths}) == 1
 
-    @pytest.mark.parametrize("edit", ["conv_1", "conv_3", "depth_2"])
-    def test_cnn_checkpoint_of_other_conv_words_rejected(self, tmp_path, edit):
-        # u32 words: the depth at byte 20, the conv list from byte 56 to the u64 count
+    @pytest.mark.parametrize("depth", [2, 5], ids=["depth_2", "depth_5"])
+    def test_cnn_checkpoint_of_other_depth_rejected(self, tmp_path, depth):
+        # the depth is the u32 at byte 20; depth 2 is the form a depth-2 cnn run wrote before
         model = M.build_model(M.ModelVariant("cnn", False, True), DESK, 6, seed=9)
         path = tmp_path / "m.segm"
         M.save_checkpoint(model, path)
         raw = path.read_bytes()
         assert struct.unpack_from("<I", raw, 20) == (4,)
-        assert struct.unpack_from("<4I", raw, 56) == (2, 2, 2, 2)
-        if edit == "depth_2":   # the form a depth-2 cnn run wrote before
-            raw = raw[:20] + struct.pack("<I", 2) + raw[24:56] + struct.pack("<2I", 2, 2) + raw[72:]
-        else:
-            raw = raw[:60] + struct.pack("<I", int(edit[-1])) + raw[64:]
-        path.write_bytes(raw)
-        with pytest.raises(ValueError, match="cnn checkpoint holds depth"):
+        path.write_bytes(raw[:20] + struct.pack("<I", depth) + raw[24:])
+        with pytest.raises(ValueError, match=f"cnn checkpoint holds depth {depth}; "
+                                             "the cnn family stores 4"):
             M.load_checkpoint(path)
 
     def test_load_draws_no_values(self, tmp_path, monkeypatch):
@@ -712,12 +686,12 @@ class TestCheckpointFuzz:
         with pytest.raises(ValueError, match="expected 0 or 1"):
             M.load_checkpoint(path)
 
-    @given(_VARIANT_INDEX, st.lists(st.tuples(st.integers(1, 17), _U32), min_size=1, max_size=3))
+    @given(_VARIANT_INDEX, st.lists(st.tuples(st.integers(1, M._HEADER.size // 4 + 1), _U32),
+                                    min_size=1, max_size=3))
     @settings(max_examples=200, deadline=None)
     def test_edited_header_words(self, variant_index, edits):
         # word i is the u32 at byte 4 * i: the version (1), the 12 header fields,
-        # then a unet file's depth-2 conv list and the two halves of the u64
-        # parameter count (17), or a cnn file's default depth-4 conv list
+        # then the two halves of the u64 parameter count
         raw = bytearray(small_checkpoint(variant_index))
         for index, value in edits:
             raw[4 * index:4 * index + 4] = struct.pack("<I", value)
@@ -768,7 +742,7 @@ class TestCheckpointLayout:
 
     @pytest.mark.parametrize("variant", M.ALL_VARIANTS, ids=lambda v: v.cli_name)
     def test_init_replays_one_seeded_stream(self, variant):
-        for enc in (DESK, M.EncoderConfig(depth=3, base_width=4, convs_per_block=(1, 3, 2))):
+        for enc in (DESK, M.EncoderConfig(depth=3, base_width=4)):
             model = M.build_model(variant, enc, 5, seed=13)
             rng = np.random.default_rng(13)
             for name, t in model.named_parameters():
@@ -795,26 +769,6 @@ class TestEncoderConfigBounds:
     def test_zero_rejected(self, field):
         with pytest.raises(ValueError, match=field):
             M.EncoderConfig(**{field: 0})
-
-    def test_level_without_convs_rejected(self):
-        with pytest.raises(ValueError, match="at least one conv"):
-            M.EncoderConfig(depth=2, convs_per_block=(2, 0))
-
-    def test_level_over_conv_cap_rejected(self):
-        M.EncoderConfig(depth=2, convs_per_block=(M.MAX_CONVS, 1))   # the cap itself is allowed
-        with pytest.raises(ValueError, match=f"at most {M.MAX_CONVS} convs, got {M.MAX_CONVS + 1}"):
-            M.EncoderConfig(depth=2, convs_per_block=(1, M.MAX_CONVS + 1))
-
-    def test_replaced_depth_rederives_the_conv_list(self):
-        enc = dataclasses.replace(M.EncoderConfig(), depth=5)
-        assert enc.convs() == (2, 2, 2, 2, 2)
-        model = M.build_model(M.ModelVariant("unet", False, False), enc, 6, seed=0)
-        assert model.count_params() == unet_base_param_count(enc, 6)
-        # an explicit 2 per level is the default, so both forms are one config
-        assert M.EncoderConfig(convs_per_block=(2, 2, 2, 2)) == M.EncoderConfig()
-        # any other list is kept, and checked against the new depth
-        with pytest.raises(ValueError, match="needs 5 entries, got 4"):
-            dataclasses.replace(M.EncoderConfig(convs_per_block=(2, 2, 3, 3)), depth=5)
 
     def test_widths_double_up_to_cap(self):
         enc = M.EncoderConfig(depth=6, base_width=3)

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import drawseg
 
-SETTABLE_VALUES = 64
+SETTABLE_VALUES = 63
 
 
 def _decorator_name(d: ast.expr) -> str:
