@@ -93,13 +93,6 @@ def _train_config(args) -> TrainConfig:
     )
 
 
-def _open_dataset(path) -> DrawingDataset:
-    try:
-        return DrawingDataset(path)
-    except FileNotFoundError as e:
-        raise FileNotFoundError(f"dataset not usable: {e}") from e
-
-
 def _load_model(args):
     if not Path(args.ckpt).exists():
         raise FileNotFoundError(f"checkpoint {args.ckpt} not found")
@@ -135,7 +128,7 @@ def cmd_gen_data(args) -> int:
 def cmd_train(args) -> int:
     cfg = _train_config(args)
     _echo("train", json.loads(cfg.to_json()) | {"data": args.data, "out": args.out})
-    dataset = _open_dataset(args.data)
+    dataset = DrawingDataset(args.data)
     if args.no_validation:
         train_ids, val_ids = list(dataset.ids), []
     else:
@@ -150,7 +143,7 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     _echo("eval", {"ckpt": args.ckpt, "data": args.data, "ids": args.ids, "out": args.out})
     model = _load_model(args)
-    dataset = _open_dataset(args.data)
+    dataset = DrawingDataset(args.data)
     ids = _read_ids(args, dataset)
     report = evaluate(model, ids, dataset, batch_size=args.batch_size)
     print(report.summary())
@@ -176,7 +169,7 @@ def _overlay(image: np.ndarray, pred: np.ndarray) -> np.ndarray:
 def cmd_predict(args) -> int:
     _echo("predict", {"ckpt": args.ckpt, "data": args.data, "ids": args.ids, "out": args.out})
     model = _load_model(args)
-    dataset = _open_dataset(args.data)
+    dataset = DrawingDataset(args.data)
     ids = _read_ids(args, dataset)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -196,7 +189,7 @@ def cmd_ablate(args) -> int:
     settings = {k: v for k, v in json.loads(cfg.to_json()).items() if k != "variant"}
     _echo("ablate", settings | {
         "family": args.family, "data": args.data, "out": args.out, "jobs": args.jobs})
-    dataset = _open_dataset(args.data)
+    dataset = DrawingDataset(args.data)
     run_ablation(cfg, dataset, args.family, args.out, jobs=args.jobs)
     print((Path(args.out) / "ablation.txt").read_text())
     return 0

@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -89,14 +89,15 @@ class EncoderConfig:
         if self.base_width < 1:
             raise ValueError(f"base_width must be >= 1, got {self.base_width}")
 
-    def widths(self) -> list[int]:
-        """base_width * 2**level, capped at base_width * WIDTH_CAP."""
+    def widths(self) -> Iterator[int]:
+        """base_width * 2**level for each level, capped at base_width * WIDTH_CAP.
+        A generator, so that a model built level by level holds no more widths
+        than the levels it has built."""
         cap = self.base_width * WIDTH_CAP
-        out, w = [], self.base_width
+        w = self.base_width
         for _ in range(self.depth):
-            out.append(min(w, cap))
+            yield min(w, cap)
             w = min(2 * w, cap)
-        return out
 
     @property
     def divisor(self) -> int:
@@ -139,13 +140,12 @@ class SegModel:
 
     def _build_unet(self, store: ParamStore):
         enc = self.enc
-        widths = enc.widths()
-        self.encoder_stacks = []
+        widths, self.encoder_stacks = [], []
         cin = IN_CHANNELS
-        for lvl in range(enc.depth):
-            self.encoder_stacks.append(
-                _ConvStack(store, f"enc.l{lvl}", cin, widths[lvl], 2))
-            cin = widths[lvl]
+        for lvl, w in enumerate(enc.widths()):   # a checkpoint's payload bounds the levels built
+            self.encoder_stacks.append(_ConvStack(store, f"enc.l{lvl}", cin, w, 2))
+            widths.append(w)
+            cin = w
         self._encoder = [t for _, t in store.named]   # built first: a prefix of the store
         self.skip_blocks: list[SkipBlockParams] = [
             build_skip_block(store, f"skip.l{lvl}", widths[lvl], widths[lvl + 1],

@@ -22,6 +22,8 @@ checkpoints/{best,final}.segm, metrics.csv (the final model's report on
 the validation ids), confusion.csv (that report's pixel counts, rows
 predicted, columns true) and run.log. Everything except run.log (the one
 file carrying a timestamp) is byte-deterministic for a fixed config/seed.
+Nothing is written before every input is read. No file stays open between
+writes: each log line is appended by opening, writing and closing its file.
 """
 from __future__ import annotations
 
@@ -182,7 +184,10 @@ def _check_sizes(variant: ModelVariant, enc: EncoderConfig, dataset, ids) -> Non
 
 
 class _RunDir:
-    """Incremental writer for the run directory; tolerates run_dir=None."""
+    """The run directory, or nothing when path is None. The constructor writes
+    config.json, log.csv's header and run.log's first line; each later line is
+    appended by opening, writing and closing its file, so it is on disk when
+    append returns and no file stays open between writes."""
 
     def __init__(self, path, cfg: TrainConfig):
         self.path = Path(path) if path is not None else None
@@ -190,40 +195,21 @@ class _RunDir:
             return
         (self.path / "checkpoints").mkdir(parents=True, exist_ok=True)
         (self.path / "config.json").write_text(cfg.to_json() + "\n")
-        self._log = open(self.path / "log.csv", "w")
-        self._log.write(LOG_CSV_HEADER + "\n")
-        self._runlog = open(self.path / "run.log", "w")
-        self._runlog.write(f"# started {time.strftime('%Y-%m-%d %H:%M:%S')}\n")
-        self._runlog.flush()
+        (self.path / "log.csv").write_text(LOG_CSV_HEADER + "\n")
+        (self.path / "run.log").write_text(f"# started {time.strftime('%Y-%m-%d %H:%M:%S')}\n")
 
-    def row(self, row: EpochRow):
-        if self.path is None:
-            return
-        epoch, *cells = dataclasses.astuple(row)
-        self._log.write(",".join([str(epoch)] + [MT.csv_cell(v) for v in cells]) + "\n")
-        self._log.flush()
+    def append(self, name: str, line: str):
+        if self.path is not None:
+            with open(self.path / name, "a") as f:
+                f.write(line + "\n")
 
     def checkpoint(self, model, name: str):
-        if self.path is None:
-            return
-        save_checkpoint(model, self.path / "checkpoints" / f"{name}.segm")
-
-    def note(self, text: str):
-        if self.path is None:
-            return
-        self._runlog.write(text + "\n")
-        self._runlog.flush()
+        if self.path is not None:
+            save_checkpoint(model, self.path / "checkpoints" / f"{name}.segm")
 
     def metrics(self, report: MT.MetricsReport):
-        if self.path is None:
-            return
-        MT.write_report(self.path, "final", report)
-
-    def close(self):
-        if self.path is None:
-            return
-        self._log.close()
-        self._runlog.close()
+        if self.path is not None:
+            MT.write_report(self.path, "final", report)
 
 
 def train(cfg: TrainConfig, dataset, train_ids: Sequence[str],
@@ -241,8 +227,9 @@ def train(cfg: TrainConfig, dataset, train_ids: Sequence[str],
     checkpoint, run.log names the epoch and batch, and NumericalError
     propagates. The encoder is frozen by switching off its parameters'
     gradients; however the epoch loop ends, they are on again. Before
-    anything is written, a given model must be the one cfg describes, and
-    every id's manifest size must pass the model's input rule, one size for all.
+    anything is written, a given model must be the one cfg describes, every
+    id's manifest size must pass the model's input rule, one size for all,
+    and every sample is read.
     """
     if model is None:
         model = build_model(cfg.variant, cfg.encoder, cfg.num_classes, cfg.seed)
@@ -251,6 +238,8 @@ def train(cfg: TrainConfig, dataset, train_ids: Sequence[str],
     if have != want:
         raise ValueError(f"model (variant, classes, encoder) is {have}, config wants {want}")
     _check_sizes(model.variant, model.enc, dataset, (*train_ids, *val_ids))
+    for sid in (*train_ids, *val_ids):
+        dataset.load(sid)
     adam = Adam(model.parameters())
     log = RunLog()
     out = _RunDir(run_dir, cfg)
@@ -295,13 +284,14 @@ def train(cfg: TrainConfig, dataset, train_ids: Sequence[str],
                         best_iou = row.val_iou
                         out.checkpoint(model, "best")
                 log.rows.append(row)
-                out.row(row)
+                _, *cells = dataclasses.astuple(row)
+                out.append("log.csv", ",".join([str(epoch)] + [MT.csv_cell(v) for v in cells]))
         except NumericalError as err:
             for p, saved in zip(model.parameters(), last_good):   # no check raises holding grads
                 p.data = saved
             out.checkpoint(model, "final")
-            out.note(f"aborted at epoch {epoch}, batch {batch}: {err}; "
-                     "weights from the start of the epoch kept as final")
+            out.append("run.log", f"aborted at epoch {epoch}, batch {batch}: {err}; "
+                       "weights from the start of the epoch kept as final")
             raise
         finally:
             model.set_frozen(False)
@@ -316,8 +306,7 @@ def train(cfg: TrainConfig, dataset, train_ids: Sequence[str],
             out.metrics(log.final)
     finally:
         log.wall_seconds = time.time() - started
-        out.note(f"wall_seconds {log.wall_seconds:.1f}")
-        out.close()
+        out.append("run.log", f"wall_seconds {log.wall_seconds:.1f}")
     return model, log
 
 
@@ -336,8 +325,8 @@ def run_ablation(cfg: TrainConfig, dataset, family: str, out_dir,
     dataset, into out_dir/<cli name>/fold<k>; all cells share cfg's seed.
     metrics.csv holds each cell's final report on its fold's held-out ids, and
     each variant's row is the mean and population stddev of its folds. jobs,
-    every fold and every cell's image sizes are checked before anything is
-    written."""
+    every fold and every cell's image sizes are checked, and every sample is
+    read, before anything is written."""
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}")
     folds = dataset.num_folds
@@ -353,6 +342,8 @@ def run_ablation(cfg: TrainConfig, dataset, family: str, out_dir,
              for v, k, name in cells]
     for v in variants:
         _check_sizes(v, cfg.encoder, dataset, dataset.ids)
+    for sid in dataset.ids:
+        dataset.load(sid)
     out.mkdir(parents=True, exist_ok=True)
     if jobs == 1:
         results = [_run_job(job) for job in queue]

@@ -323,6 +323,22 @@ class TestExitCodes:
         assert err.startswith("error:") and "fold0.txt" in err and "'ghost'" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["train", "ablate"])
+    def test_missing_sample_file_is_2_and_writes_nothing(self, data_dir, tmp_path, capsys,
+                                                         command):
+        # every sample is read before the first write, so a run that cannot read one leaves no --out
+        data = tmp_path / "data"
+        shutil.copytree(data_dir, data)
+        image = data / "images" / "00009.pgm"
+        image.unlink()
+        out = tmp_path / "out"
+        head = self._GRID.get(command, [command])
+        assert cli.main([*head, "--data", str(data), "--out", str(out), "--epochs", "1",
+                         "--depth", "2", "--base-width", "2"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(image) in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["eval", "predict"])
     def test_id_named_twice_is_2_and_writes_nothing(self, data_dir, run_dir, tmp_path, capsys,
                                                     command):

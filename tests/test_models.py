@@ -39,7 +39,7 @@ def concat_graph(copies):
 
 def unet_base_param_count(enc: M.EncoderConfig, k: int) -> int:
     """Closed-form parameter total for the plain unet variant."""
-    widths = enc.widths()
+    widths = list(enc.widths())
     total = 0
     cin = M.IN_CHANNELS
     for lvl in range(enc.depth):
@@ -74,7 +74,7 @@ def skip_full_param_count(c: int, d: int) -> int:
 class TestConfig:
     def test_widths_double_and_cap(self):
         enc = M.EncoderConfig(depth=5, base_width=64)
-        assert enc.widths() == [64, 128, 256, 512, 512]
+        assert list(enc.widths()) == [64, 128, 256, 512, 512]
 
     def test_variant_parse_roundtrip(self):
         for v in M.ALL_VARIANTS:
@@ -113,7 +113,7 @@ class TestBuild:
     def test_full_minus_base_is_skip_total(self):
         base = M.build_model(M.ModelVariant("unet", False, False), DESK, 6, seed=0)
         full = M.build_model(M.ModelVariant("unet", True, True), DESK, 6, seed=0)
-        widths = DESK.widths()
+        widths = list(DESK.widths())
         skips = sum(skip_full_param_count(widths[i], widths[i + 1])
                     for i in range(DESK.depth - 1))
         assert full.count_params() - base.count_params() == skips
@@ -544,13 +544,17 @@ class TestCheckpoint:
         (24, 4096, "payload ends inside"),
         (20, 10 ** 6, "depth 1000000 exceeds its parameter count"),
         (20, 2 ** 32 - 1, "depth 4294967295 exceeds its parameter count"),
-    ], ids=["base_width", "depth_1000000", "depth_4294967295"])
+        (20, None, "payload ends inside enc.l"),
+    ], ids=["base_width", "depth_1000000", "depth_4294967295", "depth_count"])
     def test_oversized_header_rejected_before_build(self, tmp_path, offset, value, match):
-        # u32 header fields sit at byte 8 + 4 * index: the depth at 20, base_width at 24
+        # u32 header fields sit at byte 8 + 4 * index: the depth at 20, base_width at 24;
+        # value None is the file's own parameter count, the largest depth the header check passes
         model = M.build_model(M.ModelVariant("unet", True, True), DESK, 6, seed=0)
         path = tmp_path / "m.segm"
         M.save_checkpoint(model, path)
         raw = path.read_bytes()
+        if value is None:
+            (value,) = struct.unpack_from("<Q", raw, M._HEADER.size)
         path.write_bytes(raw[:offset] + struct.pack("<I", value) + raw[offset + 4:])
         tracemalloc.start()
         try:
@@ -772,4 +776,4 @@ class TestEncoderConfigBounds:
 
     def test_widths_double_up_to_cap(self):
         enc = M.EncoderConfig(depth=6, base_width=3)
-        assert enc.widths() == [3, 6, 12, 24, 24, 24]
+        assert list(enc.widths()) == [3, 6, 12, 24, 24, 24]

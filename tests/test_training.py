@@ -224,6 +224,27 @@ class TestTrain:
         assert lines[0] == TR.LOG_CSV_HEADER
         assert len(lines) == 3
 
+    def test_no_file_open_at_an_epoch_boundary(self, tiny_dataset, tmp_path, monkeypatch):
+        # every file training.py opens is closed again before the next epoch starts;
+        # train calls cosine_lr once per epoch, at its start
+        opened, still_open = [], []
+
+        def recording_open(*args, **kwargs):
+            f = open(*args, **kwargs)
+            opened.append(f)
+            return f
+
+        def checking_lr(*args):
+            still_open.extend(f.name for f in opened if not f.closed)
+            return cosine_lr(*args)
+
+        monkeypatch.setattr(TR, "open", recording_open, raising=False)
+        monkeypatch.setattr(TR, "cosine_lr", checking_lr)
+        ids = tiny_dataset.ids
+        TR.train(tiny_config(epochs=3), tiny_dataset, ids[:4], ids[8:], run_dir=tmp_path / "run")
+        assert opened   # log.csv's rows are appended through this open
+        assert still_open == []
+
     def test_confusion_csv_holds_the_final_models_counts(self, tiny_dataset, tmp_path):
         cfg = tiny_config(epochs=2, unfreeze_epoch=0, lr0=1e-2)
         ids = tiny_dataset.ids
